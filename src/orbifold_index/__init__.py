@@ -12,8 +12,6 @@ from .scalars import (
     TrigSums,
     as_rational,
     cos_of,
-    cyc_inverse,
-    cyc_mul,
     cyclotomic_polynomial,
     euler_phi,
     format_rational,
@@ -30,7 +28,6 @@ from .ring import (
     exp_class,
     invert_unit,
     pair_with_sigma,
-    ring_add,
     ring_mul,
     scalar_mul,
 )

@@ -5,17 +5,15 @@ Output is a human-readable table on a terminal and deterministic JSON when
 redirected or with --json; exact rationals are never rendered as decimals.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
-consistency failure.  ORBIFOLD_INDEX_THREADS caps the parallelism of
-verification sweeps.
+consistency failure (including a verification check that raised instead of
+answering).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import applications, bundles, index as index_mod
 from .bundles import GroupElement
@@ -226,44 +224,26 @@ _SUITES = (
 )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ORBIFOLD_INDEX_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"ORBIFOLD_INDEX_THREADS must be an integer, not {raw!r}")
-    return max(1, n)
-
-
 def _cmd_verify(args) -> int:
     p_max = args.p_max
     if p_max < 2:
         raise UsageError("--p-max must be at least 2")
-    tasks = [(name, fn, p) for name, fn in _SUITES for p in range(2, p_max + 1)]
-
-    def run(task):
-        name, fn, p = task
-        try:
-            ok = fn(p)
-        except Exception:
-            ok = False
-        return name, p, ok
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-
     suites: dict[str, dict] = {}
-    for name, p, ok in results:
-        entry = suites.setdefault(name, {"pass": 0, "fail": []})
-        if ok:
-            entry["pass"] += 1
-        else:
-            entry["fail"].append(p)
+    for name, fn in _SUITES:
+        entry = suites[name] = {"pass": 0, "fail": []}
+        for p in range(2, p_max + 1):
+            try:
+                ok = fn(p)
+            except ConsistencyError:
+                ok = False
+            except Exception as exc:  # a crash is not a verification verdict
+                print(f"internal error: suite {name} at p={p} raised "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                return EXIT_CONSISTENCY
+            if ok:
+                entry["pass"] += 1
+            else:
+                entry["fail"].append(p)
     all_ok = all(not entry["fail"] for entry in suites.values())
     total = p_max - 1
     payload = {"p_max": p_max, "suites": suites, "ok": all_ok}

@@ -1,44 +1,40 @@
-"""Closed-form root-of-unity identities backing the large-p brute-force sweeps.
+"""Per-divisor Galois-trace evaluator for the large-p group sums.
 
-For any p-th root of unity z = zeta^k != 1 the geometric-series identity
+A full group sum is Galois-invariant: the elements zeta_p^j, j = 1..p-1,
+split by exact order d | p, d > 1, into the Galois orbits of zeta_d, so
 
-    1/(1 - z) = -(1/p) * sum_{m=1}^{p-1} m * z^m
+    sum_j f(zeta_p^j) = sum_{d | p, d > 1} Tr_{Q(zeta_d)/Q} f(zeta_d)
 
-and the convolution/correlation forms it induces,
+for any f with rational coefficients.  Each class is therefore evaluated at
+one representative, zeta_d = x in Z[x]/(x^d - 1), and traced: the trace of
+x^s is the Ramanujan sum c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, and the
+all-ones vector N_d traces to 0.
 
-    1/(1 - z)^2        = (1/p^2) * sum_s B_s z^s
-    1/((1-z)(1-zbar))  = (1/p^2) * sum_r C_r z^r     (= 1/(2 - 2*cos theta))
+The representative of 1/(2 - 2 cos(2 pi/d)) is the integer vector
 
-give every inverse the group sweeps need as an O(p) integer construction,
-with closed-form coefficients (written for the exact order d of z, which
-divides p; non-primitive roots are built on their multiples-of-g grid)
+    u = (1/d^2) sum_r C_r x^r,   C_r = T2 - r*T1 + d*r(r-1)/2,
+    T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6,
 
-    B_s = s*T1 - T2 + d*(T1 - s(s+1)/2)
-    C_r = T2 - r*T1 + d*r(r-1)/2,       T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6.
+and is checked once per class against its exact ring identity
 
-Elements are carried as integer vectors over Z[x]/(x^p - 1) with a single
-denominator and projected to Q(zeta_p) only at the end.  Every constructed
-inverse is verified on the spot through the exact ring identity
+    (2 - x - x^-1) * d^2 u  =  d^2 - d N_d      in Z[x]/(x^d - 1).
 
-    (1 - x^k) * V  =  1 - (g/p) * N_d      in Q[x]/(x^p - 1),
+N_d vanishes at every primitive d-th root, so u is the true inverse at
+zeta_d and, the identity having integer coefficients, at all its Galois
+images too.  The correction sum's e and h slots are formed from u with the
+symbol coefficients q_0, q_e, q_h; the one product u^2 per class is a
+single big-integer multiplication by Kronecker substitution.
 
-where g = gcd(k, p) and N_d is the all-ones vector on exponent multiples of
-g; the N_d component projects to zero in the field, so the verified vector
-is the true field inverse.  Group sums of these vectors are rational by
-Galois invariance; rationality is checked exactly (coefficients constant on
-gcd classes) and the value extracted with Ramanujan sums
-sum_{gcd(s,p)=g} zeta^s = mu(p/g).
-
-Everything here is integer-exact; numpy int64 is used for speed with
-explicit magnitude bounds asserted before any convolution.
+Everything is plain Python integers and Fractions; the sums come out
+rational by construction.  The literal per-element sweeps (the ring
+pipeline in index.py, the Cyclotomic trig brute in scalars.py) remain the
+independent route at small p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .scalars import (
     ConsistencyError,
@@ -48,116 +44,70 @@ from .scalars import (
     mobius,
 )
 
-# int64 safety: the correction path convolves vectors with entries up to
-# ~1.2*p^3 twice and scales by small sparse factors; p <= 300 keeps every
-# intermediate below 2^62.  The trig path only accumulates, so p <= 2000 is
-# safe there.
-_MAX_P_CORRECTION = 300
-_MAX_P_TRIG = 2000
+
+def inv_two_minus_two_cos_vec(d: int) -> tuple[list[int], int]:
+    """(vector, denominator) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2,
+    as an element of Z[x]/(x^d - 1)."""
+    if d < 2:
+        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
+    t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
+    return [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d * d
 
 
-def _t1_t2(p: int) -> tuple[int, int]:
-    return p * (p - 1) // 2, (p - 1) * p * (2 * p - 1) // 6
-
-
-def _primitive_grid(p: int, k: int) -> tuple[int, int, int]:
-    """zeta_p^k is a primitive d-th root living on the multiples-of-g grid:
-    returns (g, d, k') with g = gcd(k, p), d = p/g, k' = k/g coprime to d."""
-    k %= p
-    if k == 0:
-        raise ZeroDivisionError("zeta^k = 1 is not invertible in these identities")
-    g = gcd(k, p)
-    return g, p // g, k // g
-
-
-def inv_one_minus_zeta_vec(p: int, k: int) -> tuple[np.ndarray, int]:
-    """(vector, denominator) for 1/(1 - zeta_p^k) in Z[x]/(x^p - 1).
-
-    Built with the order-d coefficients of the primitive root zeta_d^k', so
-    positions never collide and entries stay below d^2."""
-    g, d, kp = _primitive_grid(p, k)
-    m = np.arange(1, d, dtype=np.int64)
-    vec = np.zeros(p, dtype=np.int64)
-    vec[g * ((kp * m) % d)] = -m
-    return vec, d
-
-
-def inv_one_minus_zeta_sq_vec(p: int, k: int) -> tuple[np.ndarray, int]:
-    """(vector, denominator) for 1/(1 - zeta_p^k)^2."""
-    g, d, kp = _primitive_grid(p, k)
-    t1, t2 = _t1_t2(d)
-    s = np.arange(d, dtype=np.int64)
-    coeff = s * t1 - t2 + d * (t1 - s * (s + 1) // 2)
-    vec = np.zeros(p, dtype=np.int64)
-    vec[g * ((kp * s) % d)] = coeff
-    return vec, d * d
-
-
-def inv_two_minus_two_cos_vec(p: int, k: int) -> tuple[np.ndarray, int]:
-    """(vector, denominator) for 1/(2 - 2*cos(2*pi*k/p))."""
-    g, d, kp = _primitive_grid(p, k)
-    t1, t2 = _t1_t2(d)
-    r = np.arange(d, dtype=np.int64)
-    coeff = t2 - r * t1 + d * (r * (r - 1) // 2)
-    vec = np.zeros(p, dtype=np.int64)
-    vec[g * ((kp * r) % d)] = coeff
-    return vec, d * d
-
-
-def sparse_apply(p: int, terms: dict[int, int], vec: np.ndarray) -> np.ndarray:
-    """Multiply a vector in Z[x]/(x^p - 1) by sum_k c_k x^k (integer c_k)."""
-    out = np.zeros(p, dtype=np.int64)
-    for shift, c in terms.items():
-        if c:
-            out += c * np.roll(vec, shift % p)
-    return out
-
-
-def fold_convolve(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product in Z[x]/(x^p - 1) of two length-p integer vectors."""
-    if max(int(np.abs(a).max()), 1) * max(int(np.abs(b).max()), 1) * p >= (1 << 62):
-        raise OverflowError("convolution would overflow int64")
-    full = np.convolve(a, b)
-    out = full[:p].copy()
-    out[: p - 1] += full[p:]
-    return out
-
-
-def _expected_unit_vec(p: int, k: int, den: int) -> np.ndarray:
-    """den * (1 - (g/p) * N_d) as an integer vector; g = gcd(k, p)."""
-    g = gcd(k % p, p)
-    if den * g % p:
-        raise ValueError("denominator must absorb the 1/p of the identity")
-    scaled = den * g // p
-    vec = np.zeros(p, dtype=np.int64)
-    vec[::g] = -scaled
-    vec[0] += den
-    return vec
-
-
-def verify_inverse_vec(p: int, k: int, vec: np.ndarray, den: int,
-                       square: bool = False, cos_form: bool = False) -> None:
-    """Check the defining ring identity of a constructed inverse exactly.
-
-    cos_form: vec inverts (2 - x^k - x^-k); square: vec inverts (1 - x^k)^2.
-    Both satisfy factor * vec = 1 - (g/p) N_d in Z[x]/(x^p - 1)."""
-    k %= p
-    if k == 0:
-        raise ValueError("k must be nonzero mod p")
-    if cos_form:
-        factor: dict[int, int] = {0: 2}
-        for shift in (k, p - k):
-            factor[shift % p] = factor.get(shift % p, 0) - 1
-    elif square:
-        factor = {0: 1}
-        factor[k % p] = factor.get(k % p, 0) - 2
-        factor[(2 * k) % p] = factor.get((2 * k) % p, 0) + 1
-    else:
-        factor = {0: 1, k: -1}
-    lhs = sparse_apply(p, factor, vec)
-    if not np.array_equal(lhs, _expected_unit_vec(p, k, den)):
+def verify_inverse_vec(d: int, vec: list[int], den: int) -> None:
+    """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1)."""
+    if den % d:
+        raise ValueError("denominator must absorb the 1/d of the identity")
+    # (x * vec)_r = vec_(r-1) and (x^-1 * vec)_r = vec_(r+1), cyclically
+    lhs = [2 * v - a - b
+           for v, a, b in zip(vec, vec[-1:] + vec[:-1], vec[1:] + vec[:1])]
+    rhs = [-(den // d)] * d
+    rhs[0] += den
+    if lhs != rhs:
         raise ConsistencyError(
-            f"closed-form inverse failed its ring identity at p={p}, k={k}")
+            f"closed-form inverse failed its ring identity at d={d}")
+
+
+def _sparse_mul(terms: dict[int, int], vec: list[int]) -> list[int]:
+    """Multiply vec in Z[x]/(x^d - 1) by sum_k c_k x^k; shifts are taken
+    mod d, so colliding shifts add up."""
+    d = len(vec)
+    out = [0] * d
+    for shift, c in terms.items():
+        s = shift % d
+        out = [o + c * v for o, v in zip(out, vec[d - s:] + vec[:d - s])]
+    return out
+
+
+def cyclic_mul(a: list[int], b: list[int]) -> list[int]:
+    """Exact product in Z[x]/(x^d - 1) by Kronecker substitution: each
+    vector becomes one integer at x = 2^w, the integers are multiplied
+    once, and the digits of the product are read back and folded."""
+    d = len(a)
+    bound = d * max(map(abs, a)) * max(map(abs, b))  # |linear-product coeff|
+    nbytes = bound.bit_length() // 8 + 1  # 2^(w-1) > bound, w = 8*nbytes
+    half = 1 << (8 * nbytes - 1)
+
+    def pack(v):
+        pos = b"".join(max(c, 0).to_bytes(nbytes, "little") for c in v)
+        neg = b"".join(max(-c, 0).to_bytes(nbytes, "little") for c in v)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    # biasing every digit by 2^(w-1) makes them all nonnegative, so the
+    # signed coefficients are plain byte slices of one conversion
+    n = 2 * d - 1
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    raw = (pack(a) * pack(b) + bias).to_bytes(nbytes * n, "little")
+    full = [int.from_bytes(raw[i:i + nbytes], "little") - half
+            for i in range(0, len(raw), nbytes)] + [0]
+    return [full[i] + full[i + d] for i in range(d)]
+
+
+def trace(vec: list[int]) -> int:
+    """Tr_{Q(zeta_d)/Q} of vec evaluated at x = zeta_d, d = len(vec):
+    sum_s vec_s c_d(s), regrouped as sum_{m | d} mu(d/m) m sum_{m | s} vec_s."""
+    d = len(vec)
+    return sum(mobius(d // m) * m * sum(vec[::m]) for m in divisors(d))
 
 
 def rationalize_vec(p: int, vec, den: int) -> Fraction:
@@ -166,25 +116,19 @@ def rationalize_vec(p: int, vec, den: int) -> Fraction:
     Requires the coefficients to be constant on gcd classes (checked), which
     holds for any full-group sum; the value then follows from Ramanujan sums.
     """
-    arr = np.asarray(vec)
-    reps = np.gcd(np.arange(p), p) % p
-    if not (arr == arr[reps]).all():
+    if list(vec) != [vec[gcd(s, p) % p] for s in range(p)]:
         raise ConsistencyError(
             f"group-summed vector is not Galois-invariant at p={p}")
-    total = 0
-    for g in divisors(p):
-        total += int(arr[g % p]) * mobius(p // g)
-    return Fraction(total, den)
+    return Fraction(sum(vec[g % p] * mobius(p // g) for g in divisors(p)), den)
 
 
 def vec_to_cyclotomic(p: int, vec, den: int) -> Cyclotomic:
     """Project a Z[x]/(x^p - 1) vector to Q(zeta_p) (reduce mod Phi_p)."""
-    coeffs = [Fraction(int(c), den) for c in vec]
-    return Cyclotomic(p, _reduce_mod_phi(p, coeffs))
+    return Cyclotomic(p, _reduce_mod_phi(p, [Fraction(c, den) for c in vec]))
 
 
 # ---------------------------------------------------------------------------
-# trig sweeps (any p up to _MAX_P_TRIG)
+# trig sums
 # ---------------------------------------------------------------------------
 
 def sum_cos_and_cos_sq(p: int) -> tuple[Fraction, Fraction]:
@@ -205,132 +149,64 @@ def sum_cos_and_cos_sq(p: int) -> tuple[Fraction, Fraction]:
 
 
 def sum_inv_one_minus_cos(p: int) -> Fraction:
-    """Brute-force sum of 1/(1 - cos(theta_j)), j = 1..p-1.
-
-    Every term is materialized as its own exact closed-form inverse vector
-    over the common denominator p^2 and checked against its ring identity;
-    elements of equal order d | p are built and verified as rows of one
-    integer matrix so the sweep stays at numpy speed.
-    """
+    """Sum of 1/(1 - cos(theta_j)), j = 1..p-1, as 2 sum_d Tr(u_d) over the
+    divisor classes d | p, d > 1, each representative checked first."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    if p > _MAX_P_TRIG:
-        raise ValueError(f"p > {_MAX_P_TRIG} exceeds the int64-audited range")
-    p2 = p * p
-    # entries scale to <= p^2 d / 3 and p-1 summands: far inside int64
-    acc = np.zeros(p, dtype=np.int64)
-    for d in divisors(p):
-        if d == 1:
-            continue
-        # the order-d elements live on the multiples-of-g grid; build them in
-        # the compressed length-d world
-        g = p // d
-        units = np.array([i for i in range(1, d) if gcd(i, d) == 1],
-                         dtype=np.int64)
-        t1, t2 = _t1_t2(d)
-        r = np.arange(d, dtype=np.int64)
-        coeff = (t2 - r * t1 + d * (r * (r - 1) // 2)) * (p2 // (d * d))
-        rows = np.zeros((len(units), d), dtype=np.int64)
-        pos = (units[:, None] * r[None, :]) % d
-        np.put_along_axis(rows, pos, np.broadcast_to(coeff, pos.shape), axis=1)
-        # ring identity (2 - x - x^-1) u = p^2 (1 - N/d) for the class
-        # representative i = 1; the other rows are its unit-substitution
-        # images by construction (same coeff array, multiplied indices)
-        rep = rows[0]
-        lhs = 2 * rep - np.roll(rep, 1) - np.roll(rep, -1)
-        rhs = np.full(d, -(p2 // d), dtype=np.int64)
-        rhs[0] += p2
-        if not np.array_equal(lhs, rhs):
-            raise ConsistencyError(
-                f"closed-form inverse failed its ring identity at p={p}, d={d}")
-        acc[::g] += rows.sum(axis=0)
-    # 1/(1 - cos) = 2/(2 - 2cos)
-    return rationalize_vec(p, acc, p2) * 2
+    total = Fraction(0)
+    for d in divisors(p)[1:]:
+        u, den = inv_two_minus_two_cos_vec(d)
+        verify_inverse_vec(d, u, den)
+        total += Fraction(trace(u), den)
+    return 2 * total
 
 
 # ---------------------------------------------------------------------------
-# correction sweep (p up to _MAX_P_CORRECTION)
+# correction sum
 # ---------------------------------------------------------------------------
 
-class _DVec:
-    """Length-p integer vector with one denominator: vec/den in Q[x]/(x^p-1)."""
-
-    __slots__ = ("p", "vec", "den")
-
-    def __init__(self, p: int, vec: np.ndarray, den: int):
-        self.p, self.vec, self.den = p, vec, den
-
-    def sparse_mul(self, terms: dict[int, int], extra_den: int = 1) -> "_DVec":
-        return _DVec(self.p, sparse_apply(self.p, terms, self.vec),
-                     self.den * extra_den)
-
-    def conv(self, other: "_DVec") -> "_DVec":
-        return _DVec(self.p, fold_convolve(self.p, self.vec, other.vec),
-                     self.den * other.den)
-
-    def add(self, other: "_DVec") -> "_DVec":
-        if self.den == other.den:
-            return _DVec(self.p, self.vec + other.vec, self.den)
-        lcm = self.den * other.den // gcd(self.den, other.den)
-        return _DVec(self.p, self.vec * (lcm // self.den)
-                     + other.vec * (lcm // other.den), lcm)
-
-
-def _sparse(p: int, *terms: tuple[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for shift, c in terms:
-        s = shift % p
-        out[s] = out.get(s, 0) + c
-    return out
-
-
-def correction_coeffs_fast(p: int, j: int) -> tuple[_DVec, _DVec]:
-    """Per-element degree-two correction coefficients (e and h slots) as exact
-    vectors over Z[x]/(x^p - 1).
+def correction_rep_vecs(d: int) -> tuple[list[int], int, list[int], int]:
+    """Degree-two correction coefficients (e and h slots) at the class
+    representative z = zeta_d, as (e_vec, e_den, h_vec, h_den) over
+    Z[x]/(x^d - 1).
 
     Same algebra as the generic ring pipeline: with q = symbol/e and T the
     inverted Thom character, the e slot is q_e * u and the h slot is
     q_h * u + q_0 * T_h, where u = 1/(2 - 2cos) and T_h = (z - zbar) * u^2.
     The hat-A-squared factor and the degree-four part of T cannot reach the
-    degree-two slots, so they drop out.  Exactness of u is verified per
-    element through its ring identity.
+    degree-two slots, so they drop out.
     """
-    if not (1 <= j < p):
-        raise ValueError("group element must be nontrivial: 1 <= j < p")
-    if p > _MAX_P_CORRECTION:
-        raise ValueError(f"p > {_MAX_P_CORRECTION} exceeds the int64-audited range")
-    u_vec, u_den = inv_two_minus_two_cos_vec(p, j)
-    verify_inverse_vec(p, j, u_vec, u_den, cos_form=True)
-    u = _DVec(p, u_vec, u_den)
-    u2 = u.conv(u)
-    # symbol/e coefficients (z = zeta^j):
+    u, den = inv_two_minus_two_cos_vec(d)
+    verify_inverse_vec(d, u, den)
+    # symbol/e coefficients:
     #   q_0 = (z - zbar) + 2(z^2 - zbar^2)            [2 i sin + 8 i sin cos]
     #   q_e = (4z^2 + 4zbar^2 - z - zbar - 6) / 2     [8 cos^2 - cos - 7]
     #   q_h = (z + zbar) + 4(z^2 + zbar^2)            [-8 + 2 cos + 16 cos^2]
-    q0 = _sparse(p, (j, 1), (-j, -1), (2 * j, 2), (-2 * j, -2))
-    qe = _sparse(p, (2 * j, 4), (-2 * j, 4), (j, -1), (-j, -1), (0, -6))
-    qh = _sparse(p, (j, 1), (-j, 1), (2 * j, 4), (-2 * j, 4))
-    ce = u.sparse_mul(qe, extra_den=2)
-    # T_h = (z - zbar) * u^2
-    th = u2.sparse_mul(_sparse(p, (j, 1), (-j, -1)))
-    ch = u.sparse_mul(qh).add(th.sparse_mul(q0))
-    return ce, ch
+    # and q_0 * (z - zbar) = 2(z^3 + zbar^3) + (z^2 + zbar^2) - 2(z + zbar) - 2
+    qe = {2: 4, -2: 4, 1: -1, -1: -1, 0: -6}
+    qh = {1: 1, -1: 1, 2: 4, -2: 4}
+    q0_sin = {3: 2, -3: 2, 2: 1, -2: 1, 1: -2, -1: -2, 0: -2}
+    e_vec = _sparse_mul(qe, u)
+    h_vec = [den * a + b for a, b in zip(_sparse_mul(qh, u),
+                                         _sparse_mul(q0_sin, cyclic_mul(u, u)))]
+    return e_vec, 2 * den, h_vec, den * den
+
+
+def class_trace(d: int) -> tuple[Fraction, Fraction]:
+    """Sum of the e and h correction coefficients over the phi(d) elements
+    of exact order d: the traces of the representative's slots."""
+    e_vec, e_den, h_vec, h_den = correction_rep_vecs(d)
+    return Fraction(trace(e_vec), e_den), Fraction(trace(h_vec), h_den)
 
 
 def correction_sum_fast(p: int) -> tuple[Fraction, Fraction]:
-    """Brute-force correction sum over j = 1..p-1, scaled by 1/p, using the
-    closed-form per-element evaluator; returns (coeff_e, coeff_h)."""
+    """Correction sum over j = 1..p-1, scaled by 1/p, as the sum of the
+    class traces over d | p, d > 1; returns (coeff_e, coeff_h)."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    # accumulate as python ints: scaled per-element entries reach ~p^7
-    acc_e = np.zeros(p, dtype=object)
-    acc_h = np.zeros(p, dtype=object)
-    den_e, den_h = 2 * p * p, p ** 4
-    for j in range(1, p):
-        ce, ch = correction_coeffs_fast(p, j)
-        # per-element denominators divide the uniform targets 2p^2 and p^4
-        acc_e += ce.vec * (den_e // ce.den)
-        acc_h += ch.vec * (den_h // ch.den)
-    coeff_e = rationalize_vec(p, acc_e, den_e) / p
-    coeff_h = rationalize_vec(p, acc_h, den_h) / p
-    return coeff_e, coeff_h
+    coeff_e = coeff_h = Fraction(0)
+    for d in divisors(p)[1:]:
+        te, th = class_trace(d)
+        coeff_e += te
+        coeff_h += th
+    return coeff_e / p, coeff_h / p

@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from . import bundles
+from . import bundles, identities
 from .bundles import GroupElement
 from .ring import CohomElement, a_hat_squared, divide_by_e, invert_unit, ring_mul
 from .scalars import ConsistencyError, Cyclotomic
@@ -75,10 +75,10 @@ def correction_at(gamma: GroupElement) -> CohomElement:
     return ring_mul(ring_mul(q, t_inv), a_hat_squared())
 
 
-# Above this order the per-element evaluation switches from the generic ring
-# pipeline (extended-Euclid scalar inverses) to the closed-form identity
+# Above this order the literal per-element sweep of the generic ring pipeline
+# (extended-Euclid scalar inverses) gives way to the per-divisor Galois-trace
 # evaluator in identities.py; the two are equality-tested against each other
-# at small p and the identity route verifies its inverses per element.
+# at small p and the trace route verifies one inverse per divisor class.
 _PIPELINE_MAX = 24
 
 
@@ -103,7 +103,6 @@ def _correction_sum(p: int, method: str = "auto") -> CorrectionSum:
                 f"group-summed correction is not rational at p={p}")
         return CorrectionSum(qe / p, qh / p)
     if method == "identities":
-        from . import identities
         coeff_e, coeff_h = identities.correction_sum_fast(p)
         return CorrectionSum(coeff_e, coeff_h)
     raise ValueError(f"unknown method {method!r}")

@@ -78,10 +78,6 @@ class CohomElement:
                 "eh": _scalar_json(self.ceh), "hh": _scalar_json(self.chh)}
 
 
-def ring_add(a: CohomElement, b: CohomElement) -> CohomElement:
-    return a + b
-
-
 def ring_mul(a: CohomElement, b: CohomElement) -> CohomElement:
     """Truncated commutative product; generator-degree > 2 terms are the
     quotient ideal and get dropped."""

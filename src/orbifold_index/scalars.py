@@ -407,7 +407,9 @@ class Cyclotomic:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # equal to an int/Fraction exactly when rational, so hash as one
+        q = self.as_rational()
+        return hash((self.order, self.coeffs)) if q is None else hash(q)
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
@@ -490,14 +492,6 @@ def cos_of(p: int, j: int) -> Cyclotomic:
 def sin_times_i_of(p: int, j: int) -> Cyclotomic:
     """Exact i*sin(2*pi*j/p) = (zeta^j - zeta^-j) / 2."""
     return (zeta_power(p, j) - zeta_power(p, -j)) * Fraction(1, 2)
-
-
-def cyc_mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a * b
-
-
-def cyc_inverse(a: Cyclotomic) -> Cyclotomic:
-    return a.inverse()
 
 
 def as_rational(a) -> Optional[Fraction]:

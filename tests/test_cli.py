@@ -190,14 +190,17 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
         index_mod.correction_sum.cache_clear()  # drop values poisoned above
 
 
-def test_verify_threads_env(capsys, monkeypatch):
-    rc, base, _ = run_json(capsys, ["verify", "--p-max", "5"])
-    monkeypatch.setenv("ORBIFOLD_INDEX_THREADS", "4")
-    rc2, threaded, _ = run_json(capsys, ["verify", "--p-max", "5"])
-    assert rc == rc2 == 0
-    assert base == threaded
-    monkeypatch.setenv("ORBIFOLD_INDEX_THREADS", "soup")
-    assert run(capsys, ["verify", "--p-max", "5"])[0] == 1
+def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):
+    # a suite that raises has not answered: exit 3, not a failed check
+    def boom(p):
+        raise RuntimeError("not a verdict")
+
+    suites = tuple((name, boom if name == "rank" else fn) for name, fn in cli._SUITES)
+    monkeypatch.setattr(cli, "_SUITES", suites)
+    rc, out, err = run(capsys, ["verify", "--p-max", "3"])
+    assert rc == 3
+    assert out == ""
+    assert "suite rank at p=2" in err and "RuntimeError: not a verdict" in err
 
 
 def test_json_output_is_deterministic(capsys):

@@ -1,12 +1,19 @@
-"""The closed-form inverse identities against the extended-Euclid route."""
+"""The per-divisor trace evaluator against the extended-Euclid route, the
+literal per-element ring pipeline, and the closed forms."""
 
-import numpy as np
-import pytest
+import random
 from fractions import Fraction as F
+from math import gcd
+
+import pytest
 
 from orbifold_index import identities as ident
 from orbifold_index.bundles import GroupElement
-from orbifold_index.index import _correction_sum, correction_at
+from orbifold_index.index import (
+    _correction_sum,
+    correction_at,
+    correction_sum_closed_form,
+)
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
@@ -15,6 +22,19 @@ from orbifold_index.scalars import (
     cos_of,
     zeta_power,
 )
+
+
+def _image(p, k, vec):
+    """The order-d class representative's vector moved to zeta_p^k: the
+    Galois image x -> x^(k/g) followed by the embedding x -> x^g into
+    Z[x]/(x^p - 1), where g = gcd(k, p) and d = p/g = len(vec)."""
+    g = gcd(k, p)
+    d, kp = p // g, k // g
+    assert len(vec) == d
+    out = [0] * p
+    for s, c in enumerate(vec):
+        out[g * ((kp * s) % d)] += c
+    return out
 
 
 def _spot_pairs():
@@ -26,52 +46,47 @@ def _spot_pairs():
 
 @pytest.mark.parametrize("p,k", _spot_pairs())
 def test_inverse_vectors_match_ext_gcd(p, k):
-    vec, den = ident.inv_two_minus_two_cos_vec(p, k)
-    assert ident.vec_to_cyclotomic(p, vec, den) == (2 - 2 * cos_of(p, k)).inverse()
+    # checking the representative once makes every Galois image exact
+    vec, den = ident.inv_two_minus_two_cos_vec(p // gcd(k, p))
+    got = ident.vec_to_cyclotomic(p, _image(p, k, vec), den)
+    assert got == (2 - 2 * cos_of(p, k)).inverse()
 
-    vec, den = ident.inv_one_minus_zeta_vec(p, k)
-    v = (1 - zeta_power(p, k)).inverse()
-    assert ident.vec_to_cyclotomic(p, vec, den) == v
 
-    vec, den = ident.inv_one_minus_zeta_sq_vec(p, k)
-    assert ident.vec_to_cyclotomic(p, vec, den) == v * v
+@pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
+def test_representative_matches_ext_gcd(d):
+    vec, den = ident.inv_two_minus_two_cos_vec(d)
+    ident.verify_inverse_vec(d, vec, den)
+    assert ident.vec_to_cyclotomic(d, vec, den) == (2 - 2 * cos_of(d, 1)).inverse()
 
 
 def test_inverse_constructors_reject_identity():
-    for fn in (ident.inv_one_minus_zeta_vec, ident.inv_one_minus_zeta_sq_vec,
-               ident.inv_two_minus_two_cos_vec):
+    for d in (0, 1):
         with pytest.raises(ZeroDivisionError):
-            fn(5, 0)
-        with pytest.raises(ZeroDivisionError):
-            fn(5, 10)
+            ident.inv_two_minus_two_cos_vec(d)
 
 
 def test_verify_inverse_vec_accepts_and_rejects():
-    p, k = 12, 3
-    vec, den = ident.inv_two_minus_two_cos_vec(p, k)
-    ident.verify_inverse_vec(p, k, vec, den, cos_form=True)
-    bad = vec.copy()
-    bad[0] += 1
-    with pytest.raises(ConsistencyError):
-        ident.verify_inverse_vec(p, k, bad, den, cos_form=True)
-
-    vec, den = ident.inv_one_minus_zeta_sq_vec(p, k)
-    ident.verify_inverse_vec(p, k, vec, den, square=True)
-    vec, den = ident.inv_one_minus_zeta_vec(p, k)
-    ident.verify_inverse_vec(p, k, vec, den)
+    for d in (2, 3, 12, 31):
+        vec, den = ident.inv_two_minus_two_cos_vec(d)
+        ident.verify_inverse_vec(d, vec, den)
+        for i in range(d):
+            bad = list(vec)
+            bad[i] += 1
+            with pytest.raises(ConsistencyError):
+                ident.verify_inverse_vec(d, bad, den)
 
 
 def test_rationalize_vec_matches_field_reduction():
     # full group sums of inverse vectors: rationalize via Ramanujan sums must
     # agree with reducing mod Phi_p and reading the constant term
     for p in (6, 8, 9, 12, 15):
-        acc = np.zeros(p, dtype=np.int64)
+        acc = [0] * p
         p2 = p * p
         for j in range(1, p):
-            vec, den = ident.inv_two_minus_two_cos_vec(p, j)
-            acc += vec * (p2 // den)
+            vec, den = ident.inv_two_minus_two_cos_vec(p // gcd(j, p))
+            acc = [a + c * (p2 // den) for a, c in zip(acc, _image(p, j, vec))]
         got = ident.rationalize_vec(p, acc, p2)
-        want = as_rational(ident.vec_to_cyclotomic(p, list(acc), p2))
+        want = as_rational(ident.vec_to_cyclotomic(p, acc, p2))
         assert got == want == F(p * p - 1, 12)  # half of the 1/(1-cos) sum
 
 
@@ -82,30 +97,45 @@ def test_rationalize_vec_rejects_non_invariant():
         ident.rationalize_vec(7, vec, 1)
 
 
-def test_fold_convolve_exact_and_guarded():
-    p = 5
-    a = np.array([1, 2, 0, 0, 3], dtype=np.int64)
-    b = np.array([0, 1, 1, 0, 0], dtype=np.int64)
-    out = ident.fold_convolve(p, a, b)
-    za = ident.vec_to_cyclotomic(p, a, 1)
-    zb = ident.vec_to_cyclotomic(p, b, 1)
-    assert ident.vec_to_cyclotomic(p, out, 1) == za * zb
-    big = np.full(3, 2 ** 31, dtype=np.int64)
-    with pytest.raises(OverflowError):
-        ident.fold_convolve(3, big, big)
+def test_cyclic_mul_matches_field_product():
+    rng = random.Random(5)
+    for d in (1, 2, 5, 12, 37):
+        for scale in (3, 2 ** 70):
+            a = [rng.randint(-scale, scale) for _ in range(d)]
+            b = [rng.randint(-scale, scale) for _ in range(d)]
+            naive = [0] * d
+            for i, ai in enumerate(a):
+                for k, bk in enumerate(b):
+                    naive[(i + k) % d] += ai * bk
+            assert ident.cyclic_mul(a, b) == naive, (d, scale)
+    a, b = [1, 2, 0, 0, 3], [0, 1, 1, 0, 0]
+    assert (ident.vec_to_cyclotomic(5, ident.cyclic_mul(a, b), 1)
+            == ident.vec_to_cyclotomic(5, a, 1) * ident.vec_to_cyclotomic(5, b, 1))
+    assert ident.cyclic_mul([0, 0, 0], [1, -2, 3]) == [0, 0, 0]
 
 
-def _fast_coeffs_as_cyclotomic(p, j):
-    ce, ch = ident.correction_coeffs_fast(p, j)
-    return (ident.vec_to_cyclotomic(p, ce.vec, ce.den),
-            ident.vec_to_cyclotomic(p, ch.vec, ch.den))
+def test_trace_is_sum_over_units():
+    for d in range(2, 31):
+        units = [k for k in range(1, d) if gcd(k, d) == 1]
+        for s in range(d):
+            vec = [0] * d
+            vec[s] = 1
+            orbit = sum((zeta_power(d, k * s) for k in units), Cyclotomic.zero(d))
+            assert ident.trace(vec) == as_rational(orbit), (d, s)
+        assert ident.trace([1] * d) == 0  # N_d traces to 0
+
+
+def _rep_images(p, j):
+    e_vec, e_den, h_vec, h_den = ident.correction_rep_vecs(p // gcd(j, p))
+    return (ident.vec_to_cyclotomic(p, _image(p, j, e_vec), e_den),
+            ident.vec_to_cyclotomic(p, _image(p, j, h_vec), h_den))
 
 
 def test_fast_correction_matches_pipeline_exhaustive():
     for p in range(2, 17):
         for j in range(1, p):
             full = correction_at(GroupElement(p, j))
-            ce, ch = _fast_coeffs_as_cyclotomic(p, j)
+            ce, ch = _rep_images(p, j)
             assert ce == full.ce, (p, j)
             assert ch == full.ch, (p, j)
 
@@ -116,8 +146,26 @@ def test_fast_correction_matches_pipeline_spots(p, j):
     # 105 covers non-coprime elements, including j = 35 where the doubled
     # shift 2j collides with -j in the sparse symbol coefficients
     full = correction_at(GroupElement(p, j))
-    ce, ch = _fast_coeffs_as_cyclotomic(p, j)
+    ce, ch = _rep_images(p, j)
     assert ce == full.ce and ch == full.ch
+
+
+@pytest.mark.parametrize("d", list(range(2, 41)) + [47, 97, 105])
+def test_representative_slots_match_pipeline(d):
+    full = correction_at(GroupElement(d, 1))
+    e_vec, e_den, h_vec, h_den = ident.correction_rep_vecs(d)
+    assert ident.vec_to_cyclotomic(d, e_vec, e_den) == full.ce
+    assert ident.vec_to_cyclotomic(d, h_vec, h_den) == full.ch
+
+
+def test_class_traces_match_pipeline_unit_sums():
+    for d in range(2, 31):
+        sum_e = sum_h = Cyclotomic.zero(d)
+        for k in range(1, d):
+            if gcd(k, d) == 1:
+                c = correction_at(GroupElement(d, k))
+                sum_e, sum_h = sum_e + c.ce, sum_h + c.ch
+        assert ident.class_trace(d) == (as_rational(sum_e), as_rational(sum_h)), d
 
 
 def test_correction_sum_routes_agree():
@@ -133,8 +181,15 @@ def test_trig_paths_agree_with_small_brute():
         assert ident.sum_inv_one_minus_cos(p) == small.sum_inv_one_minus_cos, p
 
 
-def test_bounds_are_enforced():
-    with pytest.raises(ValueError):
-        ident.correction_coeffs_fast(ident._MAX_P_CORRECTION + 1, 1)
-    with pytest.raises(ValueError):
-        ident.sum_inv_one_minus_cos(ident._MAX_P_TRIG + 1)
+def test_correction_sum_matches_closed_form_beyond_old_ceiling():
+    # the int64 evaluator stopped at p = 300; the trace route has no ceiling
+    for p in list(range(2, 601)) + [1009, 2003, 5040, 10007]:
+        closed = correction_sum_closed_form(p)
+        assert ident.correction_sum_fast(p) == (closed.coeff_e, closed.coeff_h), p
+
+
+def test_trig_sums_match_closed_form_beyond_old_ceiling():
+    # the int64 evaluator stopped at p = 2000
+    for p in list(range(2, 2001)) + [10007]:
+        assert ident.sum_cos_and_cos_sq(p) == (-1, 1 if p == 2 else F(p - 2, 2)), p
+        assert ident.sum_inv_one_minus_cos(p) == F(p * p - 1, 6), p

@@ -13,7 +13,6 @@ from orbifold_index.ring import (
     exp_class,
     invert_unit,
     pair_with_sigma,
-    ring_add,
     ring_mul,
     scalar_mul,
 )
@@ -54,7 +53,7 @@ def test_ring_axioms_random():
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-            assert ring_add(a, b) == a + b
+            assert a + b == b + a
 
 
 def test_exp_class_examples():

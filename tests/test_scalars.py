@@ -12,8 +12,6 @@ from orbifold_index.scalars import (
     _trig_sums_brute_small,
     as_rational,
     cos_of,
-    cyc_inverse,
-    cyc_mul,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -80,26 +78,35 @@ def test_zeta_power_group_laws():
 
 def test_cyc_mul_examples():
     i = zeta_power(4, 1)
-    assert cyc_mul(i, i) == -1
-    assert cyc_mul(1 + zeta_power(3, 1), 1 + zeta_power(3, 2)) == 1
+    assert i * i == -1
+    assert (1 + zeta_power(3, 1)) * (1 + zeta_power(3, 2)) == 1
     a = zeta_power(7, 3) + 2
-    assert cyc_mul(a, Cyclotomic.one(7)) == a
+    assert a * Cyclotomic.one(7) == a
 
 
 def test_cyc_mul_order_mismatch():
     with pytest.raises(ValueError):
-        cyc_mul(zeta_power(3, 1), zeta_power(4, 1))
+        zeta_power(3, 1) * zeta_power(4, 1)
     with pytest.raises(ValueError):
         zeta_power(3, 1) + zeta_power(6, 1)
 
 
 def test_cyc_inverse_examples():
-    assert cyc_inverse(Cyclotomic.from_rational(5, 2)) == F(1, 2)
+    assert Cyclotomic.from_rational(5, 2).inverse() == F(1, 2)
     i = zeta_power(4, 1)
-    assert cyc_inverse(i) == -i
-    assert cyc_inverse(1 - zeta_power(2, 1)) == F(1, 2)
+    assert i.inverse() == -i
+    assert (1 - zeta_power(2, 1)).inverse() == F(1, 2)
     with pytest.raises(ZeroDivisionError):
-        cyc_inverse(Cyclotomic.zero(6))
+        Cyclotomic.zero(6).inverse()
+
+
+def test_hash_agrees_with_eq():
+    # a rational element equals its int/Fraction, so it must hash as one
+    assert len({Cyclotomic.one(5), 1, F(1)}) == 1
+    assert hash(Cyclotomic.from_rational(7, F(-3, 4))) == hash(F(-3, 4))
+    z = zeta_power(12, 5)
+    assert hash(z) == hash(zeta_power(12, 17))
+    assert len({z, z.conjugate().conjugate(), z * 1}) == 1
 
 
 def _random_element(rng, p):
