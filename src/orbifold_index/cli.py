@@ -2,7 +2,8 @@
 
 Subcommands: index, correction, verify, orbifold-char, surfaces, example.
 Output is a human-readable table on a terminal and deterministic JSON when
-redirected or with --json; exact rationals are never rendered as decimals.
+redirected or with --json (before or after the subcommand); exact rationals
+are never rendered as decimals.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
 consistency failure (including a verification check that raised instead of
@@ -12,6 +13,7 @@ answering).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -359,6 +361,13 @@ def _add_topology_flags(sp, required=True):
                     help="[Sigma]^2")
 
 
+# --json after the subcommand: SUPPRESS keeps its absence from overwriting a
+# top-level --json; built once, as add_argument costs as much as a cached query
+_JSON_AFTER = argparse.ArgumentParser(add_help=False)
+_JSON_AFTER.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                         help="force JSON output (default when not a tty)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="orbifold-index",
                      description="exact index computations for "
@@ -366,8 +375,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true",
                         help="force JSON output (default when not a tty)")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[_JSON_AFTER])
 
-    sp = sub.add_parser("index", help="deformation-complex index")
+    sp = add_parser("index", help="deformation-complex index")
     _add_topology_flags(sp)
     sp.add_argument("--p", type=int, required=True, help="cone order p >= 1")
     sp.add_argument("--duality", choices=["asd", "sd"], required=True)
@@ -375,29 +385,27 @@ def build_parser() -> _Parser:
                     default="both")
     sp.set_defaults(fn=_cmd_index)
 
-    sp = sub.add_parser("correction", help="group-averaged correction term")
+    sp = add_parser("correction", help="group-averaged correction term")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--dump-element", type=int, default=None, metavar="J",
                     help="also dump all equivariant characters at element J")
     sp.set_defaults(fn=_cmd_correction)
 
-    sp = sub.add_parser("verify", help="run the exactness suites")
+    sp = add_parser("verify", help="run the exactness suites")
     sp.add_argument("--p-max", dest="p_max", type=int, required=True)
     sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("orbifold-char",
-                        help="orbifold Euler characteristic and signature")
+    sp = add_parser("orbifold-char", help="orbifold Euler characteristic and signature")
     _add_topology_flags(sp)
     sp.add_argument("--beta", type=str, required=True,
                     help="cone angle parameter as a rational, e.g. 1/2")
     sp.set_defaults(fn=_cmd_orbifold_char)
 
-    sp = sub.add_parser("surfaces",
-                        help="self-intersection feasibility for crosscap surfaces")
+    sp = add_parser("surfaces", help="self-intersection feasibility for crosscap surfaces")
     sp.add_argument("--j", type=int, required=True, help="number of crosscaps")
     sp.set_defaults(fn=_cmd_surfaces)
 
-    sp = sub.add_parser("example", help="reproduce a worked example")
+    sp = add_parser("example", help="reproduce a worked example")
     sp.add_argument("which", choices=["hitchin", "lebrun", "ricci-flat"])
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)

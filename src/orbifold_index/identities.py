@@ -39,7 +39,6 @@ from math import gcd
 from .scalars import (
     ConsistencyError,
     Cyclotomic,
-    _reduce_mod_phi,
     divisors,
     mobius,
 )
@@ -124,7 +123,7 @@ def rationalize_vec(p: int, vec, den: int) -> Fraction:
 
 def vec_to_cyclotomic(p: int, vec, den: int) -> Cyclotomic:
     """Project a Z[x]/(x^p - 1) vector to Q(zeta_p) (reduce mod Phi_p)."""
-    return Cyclotomic(p, _reduce_mod_phi(p, [Fraction(c, den) for c in vec]))
+    return Cyclotomic._from_vector(p, vec, den)
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,20 @@ Group-element phases e^{i 2*pi*j/p} are carried as exact elements of the
 cyclotomic field Q(zeta_p) = Q[x] / (Phi_p(x)), where Phi_p is the p-th
 cyclotomic polynomial.  Working modulo Phi_p (degree phi(p)) rather than
 modulo x^p - 1 keeps the quotient a field, so denominators like
-2 - 2*cos(theta) can be inverted exactly.  No floating point appears
-anywhere; rationals are `fractions.Fraction`.
+2 - 2*cos(theta) can be inverted exactly.  An element is stored as integer
+numerators over one positive common denominator in lowest terms, so field
+arithmetic is integer arithmetic; rationals at the interface are
+`fractions.Fraction`.  No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
 Rational = Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 RationalLike = Union[int, Fraction]
 
@@ -157,8 +156,8 @@ def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(p: int) -> tuple[tuple[int, ...], ...]:
-    """rows[s] = integer coefficients of x^s mod Phi_p, for
+def _reduction_rows(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """rows[s] = the nonzero (i, coefficient of x^i) of x^s mod Phi_p, for
     0 <= s <= max(p - 1, 2*phi - 2).  Covers zeta powers and products of
     two reduced elements."""
     phi_p = cyclotomic_polynomial(p)
@@ -183,45 +182,53 @@ def _reduction_rows(p: int) -> tuple[tuple[int, ...], ...]:
                         nxt[i] += lead * top[i]
             cur = nxt
             rows.append(tuple(cur))
-    return tuple(rows)
+    return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
 
 
-def _reduce_mod_phi(p: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list of any length modulo Phi_p."""
-    phi = len(cyclotomic_polynomial(p)) - 1
+def _reduce_mod_phi(p: int, coeffs) -> list[int]:
+    """Reduce an integer coefficient list, as long as the rows reach, mod Phi_p."""
     rows = _reduction_rows(p)
-    out = list(coeffs[:phi]) + [_F0] * (phi - min(phi, len(coeffs)))
+    phi = len(cyclotomic_polynomial(p)) - 1
+    out = list(coeffs[:phi]) + [0] * (phi - min(phi, len(coeffs)))
     for s in range(phi, len(coeffs)):
         c = coeffs[s]
         if c:
-            row = rows[s]
-            for i in range(phi):
-                r = row[i]
-                if r:
-                    cur = out[i]
-                    v = c * r
-                    out[i] = cur + v if cur else v
-    return tuple(out)
+            for i, r in rows[s]:
+                out[i] += c * r
+    return out
+
+
+def _check_rational(c: RationalLike) -> RationalLike:
+    # a float, complex or Decimal would silently bring in a rounded value
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact coefficients must be int or Fraction, not {type(c).__name__}")
+    return c
 
 
 class Cyclotomic:
-    """Element of Q(zeta_p), stored as phi(p) rational coefficients in the
-    power basis 1, zeta, ..., zeta^(phi-1), reduced modulo Phi_p.
+    """Element of Q(zeta_p): phi(p) integer numerators `nums` in the power
+    basis 1, zeta, ..., zeta^(phi-1), reduced modulo Phi_p, over one common
+    denominator `den`; `coeffs` is the rational view.  The form is canonical
+    (den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1), so equal elements
+    have equal (order, nums, den).
 
     Values are immutable; all arithmetic returns new elements.  Mixed
     arithmetic with int/Fraction coerces the rational to a constant element.
     Elements of different orders never mix.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: Iterable[RationalLike]):
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = tuple(_check_rational(c) for c in coeffs)
         phi = len(cyclotomic_polynomial(order)) - 1
         if len(cs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(cs)}")
+        # over the lcm of the reduced denominators the form is already canonical
+        den = lcm(*(c.denominator for c in cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
@@ -229,18 +236,31 @@ class Cyclotomic:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, order: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+    def _raw(cls, order: int, nums: tuple[int, ...], den: int) -> "Cyclotomic":
         self = object.__new__(cls)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod
+    def _canonical(cls, order: int, nums, den: int) -> "Cyclotomic":
+        """Element nums/den for den > 0, with the common factor removed."""
+        g = gcd(den, *nums)
+        if g != 1:
+            return cls._raw(order, tuple(c // g for c in nums), den // g)
+        return cls._raw(order, tuple(nums), den)
+
+    @classmethod
+    def _from_vector(cls, order: int, vec, den: int = 1) -> "Cyclotomic":
+        """sum_s vec_s zeta^s / den for integers vec_s and den > 0."""
+        return cls._canonical(order, _reduce_mod_phi(order, vec), den)
+
+    @classmethod
     def from_rational(cls, order: int, value: RationalLike) -> "Cyclotomic":
+        q = _check_rational(value)
         phi = len(cyclotomic_polynomial(order)) - 1
-        cs = [_F0] * phi
-        cs[0] = Fraction(value)
-        return cls._raw(order, tuple(cs))
+        return cls._raw(order, (q.numerator,) + (0,) * (phi - 1), q.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
@@ -249,6 +269,11 @@ class Cyclotomic:
     @classmethod
     def one(cls, order: int) -> "Cyclotomic":
         return cls.from_rational(order, 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coefficients."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- helpers -------------------------------------------------------------
 
@@ -262,66 +287,63 @@ class Cyclotomic:
             return Cyclotomic.from_rational(self.order, other)
         return None
 
+    def _add(self, o: "Cyclotomic", sign: int) -> "Cyclotomic":
+        if not any(o.nums):
+            return self
+        if not any(self.nums):
+            return o if sign > 0 else -o
+        da, db = self.den, o.den
+        if da == db:
+            return Cyclotomic._canonical(
+                self.order, [a + sign * b for a, b in zip(self.nums, o.nums)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return Cyclotomic._canonical(
+            self.order, [a * fa + b * fb for a, b in zip(self.nums, o.nums)], da * fa)
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # zero entries dominate in practice; skip Fraction machinery for them
-        return Cyclotomic._raw(self.order,
-                               tuple((a + b if a and b else (a if a else b))
-                                     for a, b in zip(self.coeffs, o.coeffs)))
+        return NotImplemented if o is None else self._add(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic._raw(self.order,
-                               tuple((a - b if a and b else (a if a else -b))
-                                     for a, b in zip(self.coeffs, o.coeffs)))
+        return NotImplemented if o is None else self._add(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic._raw(self.order,
-                               tuple((b - a if a and b else (b if b else -a))
-                                     for a, b in zip(self.coeffs, o.coeffs)))
+        return NotImplemented if o is None else o._add(self, -1)
 
     def __neg__(self):
-        return Cyclotomic._raw(self.order, tuple(-a for a in self.coeffs))
+        return Cyclotomic._raw(self.order, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Cyclotomic.zero(self.order)
-            f = Fraction(other)
-            return Cyclotomic._raw(self.order, tuple(a * f for a in self.coeffs))
+            return Cyclotomic._canonical(self.order, [a * other.numerator for a in self.nums],
+                                         self.den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         if other.order != self.order:
             raise ValueError(
                 f"cyclotomic order mismatch: {self.order} vs {other.order}")
-        a_nz = [(i, ai) for i, ai in enumerate(self.coeffs) if ai]
-        b_nz = [(k, bk) for k, bk in enumerate(other.coeffs) if bk]
-        if not a_nz or not b_nz:
-            return Cyclotomic.zero(self.order)
-        prod = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in a_nz:
-            for k, bk in b_nz:
-                cur = prod[i + k]
-                v = ai * bk
-                prod[i + k] = cur + v if cur else v
-        return Cyclotomic._raw(self.order, _reduce_mod_phi(self.order, prod))
+        b_nz = [(k, bk) for k, bk in enumerate(other.nums) if bk]
+        if not b_nz or not any(self.nums):
+            return Cyclotomic._raw(self.order, (0,) * len(self.nums), 1)
+        prod = [0] * (2 * len(self.nums) - 1)
+        for i, ai in enumerate(self.nums):
+            if ai:
+                for k, bk in b_nz:
+                    prod[i + k] += ai * bk
+        return Cyclotomic._from_vector(self.order, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (_F1 / Fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, Cyclotomic):
             return self * other.inverse()
         return NotImplemented
@@ -344,24 +366,31 @@ class Cyclotomic:
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm in
         Q[x] run against Phi_p (irreducible, so any nonzero element is a
-        unit)."""
+        unit), fraction-free: remainders r = s * nums mod Phi_p and their
+        Bezout coefficients s stay integer vectors, leading terms cancel by
+        cross-multiplication, and each (r, s) is divided by its content."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         p = self.order
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(p)]
-        r1 = list(self.coeffs)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [_F0], [_F1]
+        r0, s0 = list(cyclotomic_polynomial(p)), []
+        r1, s1 = _trim(list(self.nums)), [1]
         while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
+            b = r1[-1]
+            while len(r0) >= len(r1):
+                a, k = r0[-1], len(r0) - len(r1)
+                r0 = _trim(_axpy(b, r0, -a, r1, k))
+                s0 = _axpy(b, s0, -a, s1, k)
+            g = gcd(*r0, *s0)
+            r0, r1 = r1, [c // g for c in r0]
+            s0, s1 = s1, [c // g for c in s0]
             if not r1:
                 raise ConsistencyError("gcd with Phi_p not constant")
+        # nums * s1 = c mod Phi_p with deg s1 < phi, so the inverse of
+        # nums/den is den * s1 / c with no further reduction
         c = r1[0]
-        inv = [s / c for s in s1]
-        return Cyclotomic._raw(p, _reduce_mod_phi(p, inv))
+        scale = self.den if c > 0 else -self.den
+        inv = [scale * v for v in s1] + [0] * (len(self.nums) - len(s1))
+        return Cyclotomic._canonical(p, inv, abs(c))
 
     # -- structure maps ------------------------------------------------------
 
@@ -371,16 +400,10 @@ class Cyclotomic:
         k %= p
         if gcd(k, p) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for order {p}")
-        rows = _reduction_rows(p)
-        phi = len(self.coeffs)
-        out = [_F0] * phi
-        for s, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(s * k) % p]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyclotomic._raw(p, tuple(out))
+        vec = [0] * p
+        for s, c in enumerate(self.nums):
+            vec[(s * k) % p] += c
+        return Cyclotomic._from_vector(p, vec, self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -390,26 +413,26 @@ class Cyclotomic:
 
     def as_rational(self) -> Optional[Fraction]:
         """The constant coefficient if the element is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- protocol ------------------------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Cyclotomic.from_rational(self.order, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
 
     def __hash__(self):
         # equal to an int/Fraction exactly when rational, so hash as one
         q = self.as_rational()
-        return hash((self.order, self.coeffs)) if q is None else hash(q)
+        return hash((self.order, self.nums, self.den)) if q is None else hash(q)
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
@@ -425,50 +448,20 @@ class Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient polynomial helpers for the extended Euclid above
+# integer polynomial helpers for the extended Euclid above
 # ---------------------------------------------------------------------------
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num_l = list(num)
-    dd = len(den) - 1
-    dlead = den[-1]
-    if len(num_l) - 1 < dd:
-        return [_F0], num_l
-    q = [_F0] * (len(num_l) - dd)
-    for s in range(len(num_l) - 1, dd - 1, -1):
-        c = num_l[s]
-        if c:
-            k = c / dlead
-            q[s - dd] = k
-            for i in range(dd):
-                if den[i]:
-                    num_l[s - dd + i] -= k * den[i]
-            num_l[s] = _F0
-    rem = num_l[:dd]
-    while rem and not rem[-1]:
-        rem.pop()
-    return q, rem
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_F0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                if bk:
-                    out[i + k] += ai * bk
-    return out
-
-
-def _poly_sub_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else _F0
-        bi = b[i] if i < len(b) else _F0
-        out.append(ai - bi)
-    while out and not out[-1]:
-        out.pop()
+def _axpy(b: int, u: list[int], a: int, v: list[int], k: int) -> list[int]:
+    """b*u + a*x^k*v."""
+    out = [b * c for c in u] + [0] * max(0, len(v) + k - len(u))
+    for i, c in enumerate(v, k):
+        out[i] += a * c
     return out
 
 
@@ -480,8 +473,7 @@ def zeta_power(p: int, k: int) -> Cyclotomic:
     """zeta_p^(k mod p), reduced modulo Phi_p."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    row = _reduction_rows(p)[k % p]
-    return Cyclotomic._raw(p, tuple(Fraction(c) for c in row))
+    return Cyclotomic._from_vector(p, [0] * (k % p) + [1])
 
 
 def cos_of(p: int, j: int) -> Cyclotomic:
@@ -510,7 +502,7 @@ class TrigSums(NamedTuple):
 def _trig_closed_forms(p: int) -> TrigSums:
     # sum cos^2 is (p-2)/2 only for p >= 3; the p = 2 sum has the single
     # term cos^2(pi) = 1 because 2*theta wraps to a full turn.
-    sum_cos_sq = _F1 if p == 2 else Fraction(p - 2, 2)
+    sum_cos_sq = Fraction(1) if p == 2 else Fraction(p - 2, 2)
     return TrigSums(Fraction(-1), sum_cos_sq, Fraction(p * p - 1, 6))
 
 

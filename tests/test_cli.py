@@ -211,29 +211,44 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
+class _Tty:
+    def __init__(self, real):
+        self._real = real
+
+    def write(self, s):
+        return self._real.write(s)
+
+    def flush(self):
+        return self._real.flush()
+
+    def isatty(self):
+        return True
+
+
 def test_human_output_on_tty(capsys, monkeypatch):
-    rc = None
-
-    class Tty:
-        def __init__(self, real):
-            self._real = real
-
-        def write(self, s):
-            return self._real.write(s)
-
-        def flush(self):
-            return self._real.flush()
-
-        def isatty(self):
-            return True
-
-    monkeypatch.setattr(sys, "stdout", Tty(sys.stdout))
+    monkeypatch.setattr(sys, "stdout", _Tty(sys.stdout))
     rc = cli.main(["index", "--chi", "2", "--tau", "0", "--sigma-chi", "1",
                    "--sigma-sq", "-2", "--p", "5", "--duality", "sd"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "index (sd, p=5): 3" in out
     assert "{" not in out  # table, not JSON
+
+
+def test_json_flag_before_or_after_the_subcommand(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _Tty(sys.stdout))
+    argv = ["index", "--chi", "2", "--tau", "0", "--sigma-chi", "1",
+            "--sigma-sq", "-2", "--p", "5", "--duality", "sd"]
+    outputs = []
+    for flags in (["--json"] + argv, argv + ["--json"], ["--json"] + argv + ["--json"]):
+        rc, out, _ = run(capsys, flags)
+        assert rc == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["index"] == 3
+    rc, out, _ = run(capsys, argv)  # a terminal without the flag gets the table
+    assert rc == 0 and "{" not in out
+    assert cli.build_parser().parse_args(["--json"] + argv).json is True
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: cyclotomic polynomials, field ops, trig sums."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -230,6 +231,25 @@ def test_cyclotomic_validation():
         Cyclotomic(4, [F(1)])  # wrong length
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+@pytest.mark.parametrize("inexact", [0.1, 1j, Decimal("0.1")],
+                         ids=["float", "complex", "Decimal"])
+def test_inexact_coefficients_are_rejected(inexact):
+    # Fraction(0.1) would silently keep the binary float's exact value
+    with pytest.raises(TypeError):
+        Cyclotomic(3, [inexact, 0])
+    with pytest.raises(TypeError):
+        Cyclotomic.from_rational(3, inexact)
+
+
+def test_storage_is_canonical():
+    a = Cyclotomic(6, [F(2, 4), F(-3, 6)])
+    assert (a.nums, a.den) == ((1, -1), 2)
+    assert a.coeffs == (F(1, 2), F(-1, 2))
+    z = a - a
+    assert (z.nums, z.den) == ((0, 0), 1) and z == 0
+    assert (2 * a).den == 1 and (2 * a).nums == (1, -1)
 
 
 def _embed(a):
