@@ -361,21 +361,19 @@ def _add_topology_flags(sp, required=True):
                     help="[Sigma]^2")
 
 
-# --json after the subcommand: SUPPRESS keeps its absence from overwriting a
-# top-level --json; built once, as add_argument costs as much as a cached query
-_JSON_AFTER = argparse.ArgumentParser(add_help=False)
-_JSON_AFTER.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                         help="force JSON output (default when not a tty)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="orbifold-index",
                      description="exact index computations for "
                                  "anti-self-dual orbifold-cone metrics")
     parser.add_argument("--json", action="store_true",
                         help="force JSON output (default when not a tty)")
+    # --json after the subcommand: SUPPRESS keeps its absence from
+    # overwriting a top-level --json
+    json_after = argparse.ArgumentParser(add_help=False)
+    json_after.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                            help="force JSON output (default when not a tty)")
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, parents=[_JSON_AFTER])
+    add_parser = functools.partial(sub.add_parser, parents=[json_after])
 
     sp = add_parser("index", help="deformation-complex index")
     _add_topology_flags(sp)
@@ -416,10 +414,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser main() reuses: built on the first call, not at import.
+    parse_args only reads it and returns a fresh Namespace every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

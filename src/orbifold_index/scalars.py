@@ -446,6 +446,10 @@ class Cyclotomic:
     def from_json(cls, data: dict) -> "Cyclotomic":
         return cls(int(data["order"]), [parse_rational(c) for c in data["coeffs"]])
 
+    def __reduce__(self):
+        # pickle and copy would restore the slots through the blocked __setattr__
+        return (Cyclotomic._raw, (self.order, self.nums, self.den))
+
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers for the extended Euclid above

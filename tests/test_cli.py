@@ -251,6 +251,32 @@ def test_json_flag_before_or_after_the_subcommand(capsys, monkeypatch):
     assert cli.build_parser().parse_args(["--json"] + argv).json is True
 
 
+def test_reused_parser_keeps_nothing_between_calls(capsys, monkeypatch):
+    # on a terminal a leaked --json would show as JSON instead of the table
+    monkeypatch.setattr(sys, "stdout", _Tty(sys.stdout))
+    topo = ["--chi", "2", "--tau", "0", "--sigma-chi", "1", "--sigma-sq", "-2"]
+    early = [["index", *topo, "--p", "5", "--duality", "sd", "--json"],
+             ["correction", "--p", "4", "--dump-element", "1"],
+             ["index", *topo, "--p", "5", "--duality", "sd", "--route", "kawasaki"],
+             ["example", "lebrun", "--n", "4", "--p", "9"],
+             ["index", "--chi", "2"]]  # usage error part way through parsing
+    later = [["index", *topo, "--p", "5", "--duality", "sd"],
+             ["correction", "--p", "4"],
+             ["index", *topo, "--p", "7", "--duality", "asd"],
+             ["example", "lebrun", "--n", "4"]]
+    fresh = []
+    for argv in later:  # a new parser and Namespace, bypassing main
+        args = cli.build_parser().parse_args(argv)
+        fresh.append((args.fn(args), capsys.readouterr().out))
+
+    real, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    assert [run(capsys, argv)[0] for argv in early] == [0, 0, 0, 0, 1]
+    assert [run(capsys, argv)[:2] for argv in later] == fresh
+    assert len(builds) == 1
+
+
 def test_console_entry_point():
     import subprocess
     proc = subprocess.run(

@@ -1,6 +1,9 @@
 """Property tests of the cyclotomic field arithmetic over random orders and
-random rational coefficients."""
+random rational coefficients, and of the index over random topological data."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 from functools import lru_cache
 from math import gcd
@@ -10,6 +13,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from orbifold_index.index import (  # noqa: E402
+    Duality,
+    TopologicalData,
+    index_closed_form,
+    index_kawasaki,
+    index_smooth,
+)
 from orbifold_index.scalars import Cyclotomic, euler_phi  # noqa: E402
 
 # fixed examples keep the suite deterministic; the counts keep it quick
@@ -105,3 +115,51 @@ def test_json_roundtrip(a):
     data = a.to_json()
     assert Cyclotomic.from_json(data) == a
     assert data["coeffs"] == [str(c) for c in a.coeffs]
+    # pickle and copy round-trip to an equal, equally hashed, canonical element
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is Cyclotomic and b == a and hash(b) == hash(a)
+        assert_canonical(b)
+
+
+cone_orders = st.integers(min_value=1, max_value=60)
+dualities = st.sampled_from(Duality)
+
+
+@st.composite
+def topological_data(draw, p=cone_orders):
+    """(chi, tau, chi(Sigma), [Sigma]^2, p) with chi = tau (mod 2), the
+    parity every closed four-manifold has."""
+    chi = draw(st.integers(-100, 100))
+    tau = 2 * draw(st.integers(-50, 50)) + chi % 2
+    return TopologicalData(chi, tau, draw(st.integers(-20, 20)),
+                           draw(st.integers(-20, 20)), draw(p))
+
+
+@_settings
+@given(topological_data(), dualities)
+def test_index_is_an_integer_on_both_routes(data, duality):
+    k = index_kawasaki(data, duality)
+    assert type(k) is int
+    if data.p >= 2:
+        assert k == index_closed_form(data, duality)
+    else:
+        assert k == index_smooth(data.chi_M, data.tau_M, duality)
+
+
+@_settings
+@given(topological_data())
+def test_sd_is_asd_of_the_negated_data(data):
+    flipped = dataclasses.replace(data, tau_M=-data.tau_M, sigma_sq=-data.sigma_sq)
+    assert index_kawasaki(data, Duality.SD) == index_kawasaki(flipped, Duality.ASD)
+    assert (index_smooth(data.chi_M, data.tau_M, Duality.SD)
+            == index_smooth(flipped.chi_M, flipped.tau_M, Duality.ASD))
+    if data.p >= 2:
+        assert (index_closed_form(data, Duality.SD)
+                == index_closed_form(flipped, Duality.ASD))
+
+
+@_settings
+@given(topological_data(p=st.integers(2, 60)), st.integers(2, 60), dualities)
+def test_kawasaki_index_is_independent_of_the_cone_order(data, q, duality):
+    other = dataclasses.replace(data, p=q)
+    assert index_kawasaki(data, duality) == index_kawasaki(other, duality)
