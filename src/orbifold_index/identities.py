@@ -8,7 +8,9 @@ split by exact order d | p, d > 1, into the Galois orbits of zeta_d, so
 for any f with rational coefficients.  Each class is therefore evaluated at
 one representative, zeta_d = x in Z[x]/(x^d - 1), and traced: the trace of
 x^s is the Ramanujan sum c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, and the
-all-ones vector N_d traces to 0.
+all-ones vector N_d traces to 0.  The cos and cos^2 representatives,
+(x + x^-1)/2 and (x^2 + 2 + x^-2)/4, have a fixed handful of terms, so their
+traces take a few Ramanujan sums per class and no length-d vector.
 
 The representative of 1/(2 - 2 cos(2 pi/d)) is the integer vector
 
@@ -34,7 +36,9 @@ independent route at small p.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import sub
 
 from .scalars import (
     ConsistencyError,
@@ -50,16 +54,18 @@ def inv_two_minus_two_cos_vec(d: int) -> tuple[list[int], int]:
     if d < 2:
         raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
     t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
-    return [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d * d
+    # C_(r+1) - C_r = d*r - T1, r = 0..d-2
+    return list(accumulate(range(-t1, d * (d - 1) - t1, d), initial=t2)), d * d
 
 
 def verify_inverse_vec(d: int, vec: list[int], den: int) -> None:
     """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1)."""
     if den % d:
         raise ValueError("denominator must absorb the 1/d of the identity")
-    # (x * vec)_r = vec_(r-1) and (x^-1 * vec)_r = vec_(r+1), cyclically
-    lhs = [2 * v - a - b
-           for v, a, b in zip(vec, vec[-1:] + vec[:-1], vec[1:] + vec[:1])]
+    # 2 v_r - v_(r-1) - v_(r+1) = diff_r - diff_(r+1), where
+    # diff_r = v_r - v_(r-1) is the cyclic first difference
+    diff = list(map(sub, vec, vec[-1:] + vec[:-1]))
+    lhs = list(map(sub, diff, diff[1:] + diff[:1]))
     rhs = [-(den // d)] * d
     rhs[0] += den
     if lhs != rhs:
@@ -109,16 +115,11 @@ def trace(vec: list[int]) -> int:
     return sum(mobius(d // m) * m * sum(vec[::m]) for m in divisors(d))
 
 
-def rationalize_vec(p: int, vec, den: int) -> Fraction:
-    """Exact rational value of a Galois-invariant vector in Z[x]/(x^p - 1).
-
-    Requires the coefficients to be constant on gcd classes (checked), which
-    holds for any full-group sum; the value then follows from Ramanujan sums.
-    """
-    if list(vec) != [vec[gcd(s, p) % p] for s in range(p)]:
-        raise ConsistencyError(
-            f"group-summed vector is not Galois-invariant at p={p}")
-    return Fraction(sum(vec[g % p] * mobius(p // g) for g in divisors(p)), den)
+def sparse_trace(d: int, terms: dict[int, int]) -> int:
+    """Tr_{Q(zeta_d)/Q} of sum_s c_s x^s at x = zeta_d, as sum_s c_s c_d(s)
+    with the Ramanujan sum c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m."""
+    return sum(c * sum(mobius(d // m) * m for m in divisors(gcd(s, d)))
+               for s, c in terms.items())
 
 
 def vec_to_cyclotomic(p: int, vec, den: int) -> Cyclotomic:
@@ -131,20 +132,14 @@ def vec_to_cyclotomic(p: int, vec, den: int) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 
 def sum_cos_and_cos_sq(p: int) -> tuple[Fraction, Fraction]:
-    """Brute-force sum of cos(theta_j) and cos^2(theta_j), j = 1..p-1,
-    accumulated as sparse exact vectors over Z[x]/(x^p - 1)."""
+    """Sum of cos(theta_j) and cos^2(theta_j), j = 1..p-1, as the sum over
+    the divisor classes d | p, d > 1, of the traces of the sparse
+    representatives (x + x^-1)/2 and (x^2 + 2 + x^-2)/4 at x = zeta_d."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    acc_c = [0] * p
-    acc_c2 = [0] * p
-    for j in range(1, p):
-        # cos = (z^j + z^-j)/2;  cos^2 = (z^2j + 2 + z^-2j)/4
-        acc_c[j] += 1
-        acc_c[p - j] += 1
-        acc_c2[(2 * j) % p] += 1
-        acc_c2[(-2 * j) % p] += 1
-        acc_c2[0] += 2
-    return rationalize_vec(p, acc_c, 2), rationalize_vec(p, acc_c2, 4)
+    classes = divisors(p)[1:]
+    return (Fraction(sum(sparse_trace(d, {1: 1, -1: 1}) for d in classes), 2),
+            Fraction(sum(sparse_trace(d, {2: 1, 0: 2, -2: 1}) for d in classes), 4))
 
 
 def sum_inv_one_minus_cos(p: int) -> Fraction:

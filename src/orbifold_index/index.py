@@ -110,8 +110,11 @@ def _correction_sum(p: int, method: str = "auto") -> CorrectionSum:
 
 @lru_cache(maxsize=None)
 def correction_sum(p: int) -> CorrectionSum:
-    """Brute-force sum of correction_at over j = 1..p-1, scaled by 1/p;
-    rationality of the group sum is asserted.  p = 1 is the empty sum."""
+    """Sum of correction_at over j = 1..p-1, scaled by 1/p; p = 1 is the
+    empty sum.  For p <= 24 the ring pipeline adds up every element and
+    asserts that the group sum is rational; above that, the identities route
+    traces one checked representative per divisor class, rational by
+    construction."""
     return _correction_sum(p)
 
 

@@ -539,8 +539,9 @@ def trig_sums(p: int) -> TrigSums:
 
         sum cos(theta_j),  sum cos^2(theta_j),  sum 1/(1 - cos(theta_j))
 
-    for j = 1..p-1, computed by brute-force cyclotomic summation and checked
-    against the closed forms -1, (p-2)/2 (p >= 3; 1 at p = 2), (p^2-1)/6.
+    for j = 1..p-1, summed term by term in Q(zeta_p) for p <= 32 and as one
+    Galois trace per divisor class above, and checked against the closed
+    forms -1, (p-2)/2 (p >= 3; 1 at p = 2), (p^2-1)/6.
     """
     if p < 2:
         raise ValueError("p must be at least 2 (empty sums are the caller's business)")

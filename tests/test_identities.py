@@ -20,6 +20,8 @@ from orbifold_index.scalars import (
     _trig_sums_brute_small,
     as_rational,
     cos_of,
+    divisors,
+    mobius,
     zeta_power,
 )
 
@@ -65,8 +67,16 @@ def test_inverse_constructors_reject_identity():
             ident.inv_two_minus_two_cos_vec(d)
 
 
+def test_inverse_vector_is_the_closed_form():
+    for d in list(range(2, 301)) + [1009]:
+        t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
+        vec, den = ident.inv_two_minus_two_cos_vec(d)
+        assert vec == [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d
+        assert den == d * d, d
+
+
 def test_verify_inverse_vec_accepts_and_rejects():
-    for d in (2, 3, 12, 31):
+    for d in (2, 3, 12, 31, 64, 97):
         vec, den = ident.inv_two_minus_two_cos_vec(d)
         ident.verify_inverse_vec(d, vec, den)
         for i in range(d):
@@ -76,25 +86,32 @@ def test_verify_inverse_vec_accepts_and_rejects():
                 ident.verify_inverse_vec(d, bad, den)
 
 
-def test_rationalize_vec_matches_field_reduction():
-    # full group sums of inverse vectors: rationalize via Ramanujan sums must
-    # agree with reducing mod Phi_p and reading the constant term
-    for p in (6, 8, 9, 12, 15):
-        acc = [0] * p
-        p2 = p * p
-        for j in range(1, p):
-            vec, den = ident.inv_two_minus_two_cos_vec(p // gcd(j, p))
-            acc = [a + c * (p2 // den) for a, c in zip(acc, _image(p, j, vec))]
-        got = ident.rationalize_vec(p, acc, p2)
-        want = as_rational(ident.vec_to_cyclotomic(p, acc, p2))
-        assert got == want == F(p * p - 1, 12)  # half of the 1/(1-cos) sum
+def _cos_sums_per_element(p):
+    """Reference: add up cos = (z^j + z^-j)/2 and cos^2 = (z^2j + 2 + z^-2j)/4
+    for j = 1..p-1 as vectors over Z[x]/(x^p - 1), require the sums to be
+    constant on gcd classes (Galois invariant), and read off their values
+    with Ramanujan sums."""
+    acc_c = [0] * p
+    acc_c2 = [0] * p
+    for j in range(1, p):
+        acc_c[j] += 1
+        acc_c[p - j] += 1
+        acc_c2[(2 * j) % p] += 1
+        acc_c2[(-2 * j) % p] += 1
+        acc_c2[0] += 2
+    values = []
+    for acc, den in ((acc_c, 2), (acc_c2, 4)):
+        assert acc == [acc[gcd(s, p) % p] for s in range(p)], p
+        values.append(F(sum(acc[g % p] * mobius(p // g) for g in divisors(p)), den))
+    return tuple(values)
 
 
-def test_rationalize_vec_rejects_non_invariant():
-    vec = [0] * 7
-    vec[1] = 1  # bare zeta_7 is not rational
-    with pytest.raises(ConsistencyError):
-        ident.rationalize_vec(7, vec, 1)
+def test_traced_cos_sums_match_per_element_sums():
+    for p in list(range(2, 301)) + [1009, 1024, 1680, 2003]:
+        assert ident.sum_cos_and_cos_sq(p) == _cos_sums_per_element(p), p
+    for p in range(2, 33):
+        small = _trig_sums_brute_small(p)
+        assert _cos_sums_per_element(p) == (small.sum_cos, small.sum_cos_sq), p
 
 
 def test_cyclic_mul_matches_field_product():
@@ -122,6 +139,8 @@ def test_trace_is_sum_over_units():
             vec[s] = 1
             orbit = sum((zeta_power(d, k * s) for k in units), Cyclotomic.zero(d))
             assert ident.trace(vec) == as_rational(orbit), (d, s)
+            for shift in (s, s - d, s + d):
+                assert ident.sparse_trace(d, {shift: 1}) == ident.trace(vec), (d, shift)
         assert ident.trace([1] * d) == 0  # N_d traces to 0
 
 
