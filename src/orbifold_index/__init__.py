@@ -8,7 +8,6 @@ reproduces the deformation-complex index and its corollaries exactly.
 from .scalars import (
     ConsistencyError,
     Cyclotomic,
-    Rational,
     TrigSums,
     as_rational,
     cos_of,

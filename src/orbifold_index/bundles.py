@@ -46,12 +46,12 @@ class LineBundleId(Enum):
     TRIVIAL = "trivial"
 
 
-def _one(gamma: GroupElement) -> Cyclotomic:
-    return Cyclotomic.one(gamma.p)
-
-
 def _zero(gamma: GroupElement) -> Cyclotomic:
-    return Cyclotomic.zero(gamma.p)
+    return gamma.zeta() * 0
+
+
+def _one(gamma: GroupElement) -> Cyclotomic:
+    return _zero(gamma) + 1
 
 
 @lru_cache(maxsize=None)

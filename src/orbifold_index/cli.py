@@ -52,13 +52,6 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _duality(name: str) -> Duality:
-    try:
-        return Duality(name.lower())
-    except ValueError:
-        raise UsageError(f"duality must be asd or sd, not {name!r}")
-
-
 def _topology(args) -> TopologicalData:
     return TopologicalData(chi_M=args.chi, tau_M=args.tau,
                            chi_Sigma=args.sigma_chi, sigma_sq=args.sigma_sq,
@@ -71,7 +64,7 @@ def _topology(args) -> TopologicalData:
 
 def _cmd_index(args) -> int:
     data = _topology(args)
-    duality = _duality(args.duality)
+    duality = Duality(args.duality)  # argparse has checked the choice
     route = args.route
     if route == "closed" and data.p == 1:
         raise UsageError(
@@ -168,7 +161,7 @@ def _check_correction(p: int) -> bool:
 
 
 def _check_trig(p: int) -> bool:
-    trig_sums(p)  # raises ConsistencyError if brute and closed disagree
+    trig_sums(p)  # raises ConsistencyError if traced and closed forms disagree
     return True
 
 
@@ -425,10 +418,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

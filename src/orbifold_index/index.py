@@ -9,6 +9,9 @@ The fixed-point route assembles
 
 and must land on the same integer as the closed form
 (1/2)(15 chi +- 29 tau) - 4 chi(Sigma) -+ 4 [Sigma]^2 for every cone order p.
+
+The summand is one function of z = zeta^j: correction_class derives it once
+and the group sum traces it per divisor class d | p (identities.py).
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ from functools import lru_cache
 from . import bundles, identities
 from .bundles import GroupElement
 from .ring import CohomElement, a_hat_squared, divide_by_e, invert_unit, ring_mul
-from .scalars import ConsistencyError, Cyclotomic
-
-_F0 = Fraction(0)
-
+from .scalars import ConsistencyError, Laurent
 
 @dataclass(frozen=True)
 class TopologicalData:
@@ -75,45 +75,47 @@ def correction_at(gamma: GroupElement) -> CohomElement:
     return ring_mul(ring_mul(q, t_inv), a_hat_squared())
 
 
-# Above this order the literal per-element sweep of the generic ring pipeline
-# (extended-Euclid scalar inverses) gives way to the per-divisor Galois-trace
-# evaluator in identities.py; the two are equality-tested against each other
-# at small p and the trace route verifies one inverse per divisor class.
-_PIPELINE_MAX = 24
+class _GenericElement:
+    """Every nontrivial group element at once: its phase is the indeterminate z."""
+
+    j = None  # no fixed generator power, and never the identity
+
+    def zeta(self) -> Laurent:
+        return Laurent({1: 1})
+
+    def zeta_bar(self) -> Laurent:
+        return Laurent({-1: 1})
 
 
-def _correction_sum(p: int, method: str = "auto") -> CorrectionSum:
+@lru_cache(maxsize=1)
+def correction_class() -> tuple[Laurent, Laurent]:
+    """The e and h coefficients of correction_at as functions of z = zeta^j:
+    the same bundles/ring algebra run once, on first use, over Laurent
+    scalars at a generic element.  Both are checked to be invariant under
+    z -> z^-1 (the coefficients of a real class) and to carry at most one
+    power of t = 2 - z - z^-1, the one inverse the class traces evaluate."""
+    c = correction_at(_GenericElement())
+    for name, s in (("e", c.ce), ("h", c.ch)):
+        if s.conjugate() != s or s.k > 1:
+            raise ConsistencyError(f"derived correction class {name} = {s!r} is not "
+                                   "symmetric under z -> 1/z over at most one power of t")
+    return c.ce, c.ch
+
+
+def _correction_sum(p: int) -> CorrectionSum:
     if p < 1:
         raise ValueError("p must be a positive integer")
     if p == 1:
-        return CorrectionSum(_F0, _F0)  # empty sum over nontrivial elements
-    if method == "auto":
-        method = "pipeline" if p <= _PIPELINE_MAX else "identities"
-    if method == "pipeline":
-        total_e = Cyclotomic.zero(p)
-        total_h = Cyclotomic.zero(p)
-        for j in range(1, p):
-            c = correction_at(GroupElement(p, j))
-            total_e = total_e + c.ce
-            total_h = total_h + c.ch
-        qe = total_e.as_rational()
-        qh = total_h.as_rational()
-        if qe is None or qh is None:
-            raise ConsistencyError(
-                f"group-summed correction is not rational at p={p}")
-        return CorrectionSum(qe / p, qh / p)
-    if method == "identities":
-        coeff_e, coeff_h = identities.correction_sum_fast(p)
-        return CorrectionSum(coeff_e, coeff_h)
-    raise ValueError(f"unknown method {method!r}")
+        return CorrectionSum(Fraction(0), Fraction(0))  # empty sum over nontrivial elements
+    e, h = correction_class()
+    return CorrectionSum(identities.class_sum(p, e) / p, identities.class_sum(p, h) / p)
 
 
 @lru_cache(maxsize=None)
 def correction_sum(p: int) -> CorrectionSum:
     """Sum of correction_at over j = 1..p-1, scaled by 1/p; p = 1 is the
-    empty sum.  For p <= 24 the ring pipeline adds up every element and
-    asserts that the group sum is rational; above that, the identities route
-    traces one checked representative per divisor class, rational by
+    empty sum.  Evaluated at every p >= 2 from the derived correction class,
+    traced once per divisor class d | p, d > 1, and rational by
     construction."""
     return _correction_sum(p)
 

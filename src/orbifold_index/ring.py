@@ -2,8 +2,8 @@
 
 Elements are polynomials in two degree-2 generators, the tangent Euler class
 e and the orbifold normal Euler class h, truncated above cohomological
-degree 4.  Coefficients are generic exact scalars (Fraction or Cyclotomic);
-the six retained monomials are 1, e, h, e^2, e*h, h^2.
+degree 4.  Coefficients are generic exact scalars (Fraction, Cyclotomic or
+Laurent); the six retained monomials are 1, e, h, e^2, e*h, h^2.
 
 Degree 4 is kept even though the base is a surface: the index pipeline
 divides by e before pairing, which shifts degree-4 information down to
@@ -18,13 +18,7 @@ from typing import Any
 
 from .scalars import Cyclotomic, format_rational
 
-Scalar = Any  # Fraction or Cyclotomic, uniform within one element
-
-
-def _scalar_inverse(s: Scalar) -> Scalar:
-    if isinstance(s, Cyclotomic):
-        return s.inverse()
-    return 1 / Fraction(s)
+Scalar = Any  # Fraction, Cyclotomic or Laurent, uniform within one element
 
 
 def _scalar_json(s: Scalar):
@@ -114,7 +108,7 @@ def invert_unit(a: CohomElement) -> CohomElement:
     if not a.c0:
         raise ZeroDivisionError(
             "constant term is zero: not a unit (identity group element?)")
-    inv0 = _scalar_inverse(a.c0)
+    inv0 = Fraction(1) / a.c0  # each scalar class inverts its own units
     one = CohomElement.constant(a.c0 * inv0)  # exact 1 in the scalar field
     d = one - scalar_mul(inv0, a)
     series = one + d + ring_mul(d, d)

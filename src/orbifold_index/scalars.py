@@ -1,4 +1,5 @@
-"""Exact scalars: arbitrary-precision rationals and cyclotomic field elements.
+"""Exact scalars: arbitrary-precision rationals, cyclotomic field elements,
+and Laurent polynomials over powers of t = 2 - z - z^-1.
 
 Group-element phases e^{i 2*pi*j/p} are carried as exact elements of the
 cyclotomic field Q(zeta_p) = Q[x] / (Phi_p(x)), where Phi_p is the p-th
@@ -8,6 +9,10 @@ modulo x^p - 1 keeps the quotient a field, so denominators like
 numerators over one positive common denominator in lowest terms, so field
 arithmetic is integer arithmetic; rationals at the interface are
 `fractions.Fraction`.  No floating point appears anywhere.
+
+A Laurent scalar keeps the phase as the indeterminate z instead, for
+expressions that hold at every nontrivial element at once; its only
+inverses are those of c * t^m, the one denominator the index needs.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Union
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction]
 
@@ -43,54 +46,53 @@ def parse_rational(s: str) -> Fraction:
 # small number-theoretic helpers
 # ---------------------------------------------------------------------------
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1, by trial division."""
     if n < 1:
         raise ValueError("n must be positive")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """Sorted positive divisors of n >= 1."""
+    out = [1]
+    for q, e in _prime_factors(n):
+        out = [d * q ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
     result = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            result -= result // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        result -= result // m
+    for q, _ in _prime_factors(n):
+        result -= result // q
     return result
 
 
 def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            m //= f
-            if m % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if m > 1:
-        result = -result
-    return result
+    factors = _prime_factors(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+
+
+def ramanujan_weights(d: int) -> list[tuple[int, int]]:
+    """The pairs (m, mu(d/m) * m) over the divisors m of d with d/m
+    squarefree: the Ramanujan sum c_d(s) is the sum of the weights whose m
+    divides s."""
+    weights = [(d, d)]
+    for q, _ in _prime_factors(d):
+        weights += [(m // q, -w // q) for m, w in weights]
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +207,60 @@ def _check_rational(c: RationalLike) -> RationalLike:
     return c
 
 
-class Cyclotomic:
+class _Scalar:
+    """Shared by the exact scalars: +, -, / and ** via _coerce, _add and
+    inverse; == and hash via the canonical _key, hashing as a rational."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._add(self, -1)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out, base = self._coerce(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        q = self.as_rational()
+        return hash(self._key()) if q is None else hash(q)
+
+
+class Cyclotomic(_Scalar):
     """Element of Q(zeta_p): phi(p) integer numerators `nums` in the power
     basis 1, zeta, ..., zeta^(phi-1), reduced modulo Phi_p, over one common
     denominator `den`; `coeffs` is the rational view.  The form is canonical
@@ -229,9 +284,6 @@ class Cyclotomic:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclotomic is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -303,20 +355,6 @@ class Cyclotomic:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._add(o, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._add(o, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o._add(self, -1)
-
     def __neg__(self):
         return Cyclotomic._raw(self.order, tuple(-a for a in self.nums), self.den)
 
@@ -340,28 +378,6 @@ class Cyclotomic:
         return Cyclotomic._from_vector(self.order, prod, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if isinstance(other, Cyclotomic):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyclotomic.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm in
@@ -422,17 +438,8 @@ class Cyclotomic:
     def __bool__(self):
         return any(self.nums)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.order, other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
-
-    def __hash__(self):
-        # equal to an int/Fraction exactly when rational, so hash as one
-        q = self.as_rational()
-        return hash((self.order, self.nums, self.den)) if q is None else hash(q)
+    def _key(self):
+        return self.order, self.nums, self.den
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
@@ -470,6 +477,115 @@ def _axpy(b: int, u: list[int], a: int, v: list[int], k: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# p-independent scalars: Laurent polynomials in z over powers of t
+# ---------------------------------------------------------------------------
+
+def _div_by_t(lo: int, cs) -> Optional[tuple[int, tuple]]:
+    """(lo + 1, q) with t * q == cs, both from their lowest power upward,
+    or None when t = 2 - z - z^-1 = -(z - 1)^2 / z does not divide cs."""
+    if len(cs) < 3:
+        return None
+    q, r = _poly_divmod_int(tuple(cs), (1, -2, 1))
+    return None if r else (lo + 1, tuple(-c for c in q))
+
+
+class Laurent(_Scalar):
+    """Element N(z) / t^k of Q[z, z^-1, 1/t], t = 2 - z - z^-1: the phase of
+    a nontrivial group element kept as the indeterminate z, so one value
+    stands for the same expression at every zeta_p^j, j != 0.
+
+    N is the tuple `coeffs` of the Fraction coefficients of z^lo,
+    z^(lo+1), ...  The form is canonical (no zero coefficient at either end,
+    k >= 0, and t does not divide N when k > 0; zero is () with lo = k = 0),
+    so equal elements have equal (lo, coeffs, k).  The units are exactly
+    Laurent({0: c}, -m) = c * t^m, m any integer.
+    """
+
+    __slots__ = ("lo", "coeffs", "k")
+
+    def __init__(self, terms: dict[int, RationalLike], k: int = 0):
+        """sum_s terms[s] z^s / t^k for any integer k, t cancelled exactly."""
+        cs = {s: c for s, c in terms.items() if _check_rational(c)}
+        lo = min(cs, default=0)
+        cs = tuple(cs.get(s, 0) for s in range(lo, max(cs, default=lo - 1) + 1))
+        for _ in range(-k if cs else 0):  # a power of t in the numerator
+            lo, cs, k = lo - 1, _poly_mul_int(cs, (-1, 2, -1)), k + 1
+        while k and (q := _div_by_t(lo, cs)) is not None:
+            (lo, cs), k = q, k - 1
+        state = (lo, tuple(map(Fraction, cs)), k) if cs else (0, (), 0)
+        for name, value in zip(Laurent.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def terms(self) -> dict[int, Fraction]:
+        """The nonzero coefficients of N by power of z."""
+        return {s: c for s, c in enumerate(self.coeffs, self.lo) if c}
+
+    @staticmethod
+    def _coerce(other) -> Optional["Laurent"]:
+        if isinstance(other, Laurent):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Laurent({0: other})
+        return None
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _add(self, o: "Laurent", sign: int) -> "Laurent":
+        # over the common t^k, the numerators are N * t^(k - own k)
+        k = max(self.k, o.k)
+        a, b = (Laurent(x.terms(), x.k - k).terms() for x in (self, o))
+        return Laurent({s: a.get(s, 0) + sign * b.get(s, 0) for s in a.keys() | b.keys()}, k)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        product = _poly_mul_int(self.coeffs, o.coeffs)
+        return Laurent(dict(enumerate(product, self.lo + o.lo)), self.k + o.k)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Laurent":
+        """1/self for a unit c * t^m; any other element, zero included,
+        raises ZeroDivisionError."""
+        lo, cs, m = self.lo, self.coeffs, 0
+        while (q := _div_by_t(lo, cs)) is not None:
+            (lo, cs), m = q, m + 1
+        if lo or len(cs) != 1:
+            raise ZeroDivisionError(f"{self!r} is not a unit c * t^m")
+        # self = c * t^m / t^k, so 1/self = t^k / (c * t^m)
+        return Laurent({0: 1 / cs[0]}, m - self.k)
+
+    def conjugate(self) -> "Laurent":
+        """The image under z -> z^-1, which fixes t."""
+        return Laurent({-s: c for s, c in self.terms().items()}, self.k)
+
+    def as_rational(self) -> Optional[Fraction]:
+        """The value if the element is a constant, else None."""
+        if self.k or self.lo or len(self.coeffs) > 1:
+            return None
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    # -- protocol ------------------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _key(self):
+        return self.lo, self.coeffs, self.k
+
+    def __repr__(self):
+        return f"Laurent({ {s: str(c) for s, c in self.terms().items()} }, k={self.k})"
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through the blocked __setattr__
+        return (Laurent, (self.terms(), self.k))
+
+
+# ---------------------------------------------------------------------------
 # field-level operations
 # ---------------------------------------------------------------------------
 
@@ -492,7 +608,7 @@ def sin_times_i_of(p: int, j: int) -> Cyclotomic:
 
 def as_rational(a) -> Optional[Fraction]:
     """Rational value of a scalar, or None when it genuinely is not rational."""
-    if isinstance(a, Cyclotomic):
+    if isinstance(a, _Scalar):
         return a.as_rational()
     return Fraction(a)
 
@@ -510,49 +626,22 @@ def _trig_closed_forms(p: int) -> TrigSums:
     return TrigSums(Fraction(-1), sum_cos_sq, Fraction(p * p - 1, 6))
 
 
-_TRIG_SMALL_MAX = 32
-
-
-def _trig_sums_brute_small(p: int) -> TrigSums:
-    # direct field arithmetic: every term built as a Cyclotomic and inverted
-    # by the extended Euclid
-    s_cos = Cyclotomic.zero(p)
-    s_cos_sq = Cyclotomic.zero(p)
-    s_inv = Cyclotomic.zero(p)
-    one = Cyclotomic.one(p)
-    for j in range(1, p):
-        c = cos_of(p, j)
-        s_cos = s_cos + c
-        s_cos_sq = s_cos_sq + c * c
-        s_inv = s_inv + (one - c).inverse()
-    vals = []
-    for s in (s_cos, s_cos_sq, s_inv):
-        q = s.as_rational()
-        if q is None:
-            raise ConsistencyError("group-summed trig quantity is not rational")
-        vals.append(q)
-    return TrigSums(*vals)
-
-
 def trig_sums(p: int) -> TrigSums:
     """Exact sums over the nontrivial group elements, theta_j = 2*pi*j/p:
 
         sum cos(theta_j),  sum cos^2(theta_j),  sum 1/(1 - cos(theta_j))
 
-    for j = 1..p-1, summed term by term in Q(zeta_p) for p <= 32 and as one
-    Galois trace per divisor class above, and checked against the closed
-    forms -1, (p-2)/2 (p >= 3; 1 at p = 2), (p^2-1)/6.
+    for j = 1..p-1, each as one Galois trace per divisor class (see
+    identities.py), and checked against the closed forms -1, (p-2)/2
+    (p >= 3; 1 at p = 2), (p^2-1)/6.
     """
     if p < 2:
         raise ValueError("p must be at least 2 (empty sums are the caller's business)")
-    if p <= _TRIG_SMALL_MAX:
-        brute = _trig_sums_brute_small(p)
-    else:
-        from . import identities
-        sc, sc2 = identities.sum_cos_and_cos_sq(p)
-        brute = TrigSums(sc, sc2, identities.sum_inv_one_minus_cos(p))
+    from . import identities
+    sc, sc2 = identities.sum_cos_and_cos_sq(p)
+    traced = TrigSums(sc, sc2, identities.sum_inv_one_minus_cos(p))
     closed = _trig_closed_forms(p)
-    if brute != closed:
+    if traced != closed:
         raise ConsistencyError(
-            f"trig sums disagree at p={p}: brute {brute} vs closed {closed}")
+            f"trig sums disagree at p={p}: traced {traced} vs closed {closed}")
     return closed

@@ -1,0 +1,54 @@
+"""Literal per-element sweeps over Q(zeta_p), kept as the independent route
+for the traced group sums of the library.
+
+Every term is built and summed as a Cyclotomic, element by element, and the
+group sum must come out rational (Galois invariance); a sum that does not
+raises ConsistencyError.
+"""
+
+from orbifold_index import index as index_mod
+from orbifold_index.bundles import GroupElement
+from orbifold_index.index import CorrectionSum
+from orbifold_index.scalars import (
+    ConsistencyError,
+    Cyclotomic,
+    TrigSums,
+    cos_of,
+    zeta_power,
+)
+
+
+def _rational(total, what, p):
+    q = total.as_rational()
+    if q is None:
+        raise ConsistencyError(f"group-summed {what} is not rational at p={p}")
+    return q
+
+
+def correction_sum_pipeline(p):
+    """The ring pipeline's correction_at on every element j = 1..p-1,
+    summed and scaled by 1/p."""
+    total_e = total_h = Cyclotomic.zero(p)
+    for j in range(1, p):
+        c = index_mod.correction_at(GroupElement(p, j))
+        total_e, total_h = total_e + c.ce, total_h + c.ch
+    return CorrectionSum(_rational(total_e, "correction", p) / p,
+                         _rational(total_h, "correction", p) / p)
+
+
+def trig_sums_brute(p):
+    """sum cos, sum cos^2 and sum 1/(1 - cos) over j = 1..p-1, each term a
+    Cyclotomic and each inverse the extended Euclid."""
+    s_cos = s_cos_sq = s_inv = Cyclotomic.zero(p)
+    for j in range(1, p):
+        c = cos_of(p, j)
+        s_cos, s_cos_sq, s_inv = s_cos + c, s_cos_sq + c * c, s_inv + (1 - c).inverse()
+    return TrigSums(*(_rational(s, "trig quantity", p) for s in (s_cos, s_cos_sq, s_inv)))
+
+
+def laurent_at(c, p, j):
+    """The Laurent class c = N(z) / t^k evaluated at z = zeta_p^j
+    (j != 0 mod p), as a Cyclotomic."""
+    n = sum((zeta_power(p, j * s) * v for s, v in c.terms().items()), Cyclotomic.zero(p))
+    t = 2 - zeta_power(p, j) - zeta_power(p, -j)
+    return n * t.inverse() ** c.k

@@ -181,6 +181,7 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
                             good.cee, good.ceh, good.chh)
 
     monkeypatch.setattr(bundles, "ch_thom", bad_thom)
+    index_mod.correction_class.cache_clear()  # derive it with the fault
     try:
         rc, data, _ = run_json(capsys, ["verify", "--p-max", "4"])
         assert rc == 2
@@ -188,6 +189,7 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
         assert data["suites"]["correction"]["fail"] == [3, 4]
     finally:
         index_mod.correction_sum.cache_clear()  # drop values poisoned above
+        index_mod.correction_class.cache_clear()
 
 
 def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):

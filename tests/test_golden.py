@@ -1,0 +1,27 @@
+"""Byte-exact stdout of four CLI commands against the recorded files in
+tests/golden/; the same verify file is diffed against the installed console
+script in CI."""
+
+from pathlib import Path
+
+import pytest
+
+from orbifold_index import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "verify_p36.json": ["--json", "verify", "--p-max", "36"],
+    "correction_p24_dump5.json": ["--json", "correction", "--p", "24", "--dump-element", "5"],
+    "correction_p300.json": ["--json", "correction", "--p", "300"],
+    "index_p7_sd.json": ["--json", "index", "--chi", "5", "--tau", "3", "--sigma-chi", "2",
+                         "--sigma-sq", "3", "--p", "7", "--duality", "sd"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_golden_file(capsys, name):
+    rc = cli.main(COMMANDS[name])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()

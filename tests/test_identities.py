@@ -1,23 +1,30 @@
-"""The per-divisor trace evaluator against the extended-Euclid route, the
-literal per-element ring pipeline, and the closed forms."""
+"""The per-divisor trace evaluator and the derived correction class against
+the extended-Euclid route, the literal per-element ring pipeline, and the
+closed forms."""
 
-import random
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
+from oracles import correction_sum_pipeline, laurent_at, trig_sums_brute
 from orbifold_index import identities as ident
+from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement
 from orbifold_index.index import (
     _correction_sum,
     correction_at,
+    correction_class,
     correction_sum_closed_form,
 )
+from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
-    _trig_sums_brute_small,
+    Laurent,
     as_rational,
     cos_of,
     divisors,
@@ -50,7 +57,7 @@ def _spot_pairs():
 def test_inverse_vectors_match_ext_gcd(p, k):
     # checking the representative once makes every Galois image exact
     vec, den = ident.inv_two_minus_two_cos_vec(p // gcd(k, p))
-    got = ident.vec_to_cyclotomic(p, _image(p, k, vec), den)
+    got = Cyclotomic._from_vector(p, _image(p, k, vec), den)
     assert got == (2 - 2 * cos_of(p, k)).inverse()
 
 
@@ -58,7 +65,7 @@ def test_inverse_vectors_match_ext_gcd(p, k):
 def test_representative_matches_ext_gcd(d):
     vec, den = ident.inv_two_minus_two_cos_vec(d)
     ident.verify_inverse_vec(d, vec, den)
-    assert ident.vec_to_cyclotomic(d, vec, den) == (2 - 2 * cos_of(d, 1)).inverse()
+    assert Cyclotomic._from_vector(d, vec, den) == (2 - 2 * cos_of(d, 1)).inverse()
 
 
 def test_inverse_constructors_reject_identity():
@@ -110,25 +117,8 @@ def test_traced_cos_sums_match_per_element_sums():
     for p in list(range(2, 301)) + [1009, 1024, 1680, 2003]:
         assert ident.sum_cos_and_cos_sq(p) == _cos_sums_per_element(p), p
     for p in range(2, 33):
-        small = _trig_sums_brute_small(p)
+        small = trig_sums_brute(p)
         assert _cos_sums_per_element(p) == (small.sum_cos, small.sum_cos_sq), p
-
-
-def test_cyclic_mul_matches_field_product():
-    rng = random.Random(5)
-    for d in (1, 2, 5, 12, 37):
-        for scale in (3, 2 ** 70):
-            a = [rng.randint(-scale, scale) for _ in range(d)]
-            b = [rng.randint(-scale, scale) for _ in range(d)]
-            naive = [0] * d
-            for i, ai in enumerate(a):
-                for k, bk in enumerate(b):
-                    naive[(i + k) % d] += ai * bk
-            assert ident.cyclic_mul(a, b) == naive, (d, scale)
-    a, b = [1, 2, 0, 0, 3], [0, 1, 1, 0, 0]
-    assert (ident.vec_to_cyclotomic(5, ident.cyclic_mul(a, b), 1)
-            == ident.vec_to_cyclotomic(5, a, 1) * ident.vec_to_cyclotomic(5, b, 1))
-    assert ident.cyclic_mul([0, 0, 0], [1, -2, 3]) == [0, 0, 0]
 
 
 def test_trace_is_sum_over_units():
@@ -138,23 +128,42 @@ def test_trace_is_sum_over_units():
             vec = [0] * d
             vec[s] = 1
             orbit = sum((zeta_power(d, k * s) for k in units), Cyclotomic.zero(d))
-            assert ident.trace(vec) == as_rational(orbit), (d, s)
+            assert ident.trace(vec, {0: 1}) == as_rational(orbit), (d, s)
             for shift in (s, s - d, s + d):
-                assert ident.sparse_trace(d, {shift: 1}) == ident.trace(vec), (d, shift)
-        assert ident.trace([1] * d) == 0  # N_d traces to 0
+                assert ident.sparse_trace(d, {shift: 1}) == as_rational(orbit), (d, shift)
+                # x^shift * vec is the unit vector at s + shift
+                assert ident.trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, {s + shift: 1})
+        assert ident.trace([1] * d, {0: 1}) == 0  # N_d traces to 0
 
 
-def _rep_images(p, j):
-    e_vec, e_den, h_vec, h_den = ident.correction_rep_vecs(p // gcd(j, p))
-    return (ident.vec_to_cyclotomic(p, _image(p, j, e_vec), e_den),
-            ident.vec_to_cyclotomic(p, _image(p, j, h_vec), h_den))
+def _derived_at(p, j):
+    """The derived e and h classes evaluated at zeta_p^j."""
+    e, h = correction_class()
+    return laurent_at(e, p, j), laurent_at(h, p, j)
+
+
+def test_derived_class_is_the_docstring_formula():
+    # -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h, with t = 2 - 2 cos
+    e, h = correction_class()
+    assert e == Laurent({1: -2, 0: F(-7, 2), -1: -2})
+    assert h == Laurent({2: 2, 1: -4, 0: -6, -1: -4, -2: 2}, 1)
+    assert h == Laurent({1: -2, -1: -2}) - 10 / Laurent({-1: -1, 0: 2, 1: -1})
+
+
+def test_importing_the_cli_does_not_derive_the_class():
+    code = ("import orbifold_index.cli\n"
+            "from orbifold_index import bundles, index\n"
+            "assert index.correction_class.cache_info().currsize == 0\n"
+            "assert bundles.ch_symbol.cache_info().currsize == 0\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_fast_correction_matches_pipeline_exhaustive():
-    for p in range(2, 17):
+    for p in range(2, 25):
         for j in range(1, p):
             full = correction_at(GroupElement(p, j))
-            ce, ch = _rep_images(p, j)
+            ce, ch = _derived_at(p, j)
             assert ce == full.ce, (p, j)
             assert ch == full.ch, (p, j)
 
@@ -163,38 +172,66 @@ def test_fast_correction_matches_pipeline_exhaustive():
                                  (47, 5), (97, 40), (105, 35), (105, 15)])
 def test_fast_correction_matches_pipeline_spots(p, j):
     # 105 covers non-coprime elements, including j = 35 where the doubled
-    # shift 2j collides with -j in the sparse symbol coefficients
+    # shift 2j collides with -j
     full = correction_at(GroupElement(p, j))
-    ce, ch = _rep_images(p, j)
+    ce, ch = _derived_at(p, j)
     assert ce == full.ce and ch == full.ch
 
 
 @pytest.mark.parametrize("d", list(range(2, 41)) + [47, 97, 105])
 def test_representative_slots_match_pipeline(d):
     full = correction_at(GroupElement(d, 1))
-    e_vec, e_den, h_vec, h_den = ident.correction_rep_vecs(d)
-    assert ident.vec_to_cyclotomic(d, e_vec, e_den) == full.ce
-    assert ident.vec_to_cyclotomic(d, h_vec, h_den) == full.ch
+    assert _derived_at(d, 1) == (full.ce, full.ch)
 
 
 def test_class_traces_match_pipeline_unit_sums():
+    e, h = correction_class()
     for d in range(2, 31):
         sum_e = sum_h = Cyclotomic.zero(d)
         for k in range(1, d):
             if gcd(k, d) == 1:
                 c = correction_at(GroupElement(d, k))
                 sum_e, sum_h = sum_e + c.ce, sum_h + c.ch
-        assert ident.class_trace(d) == (as_rational(sum_e), as_rational(sum_h)), d
+        traces = (ident.class_traces([d], e), ident.class_traces([d], h))
+        assert traces == (as_rational(sum_e), as_rational(sum_h)), d
+
+
+def _skewed(c):  # e + z is not invariant under z -> 1/z
+    return CohomElement(c.c0, c.ce + Laurent({1: 1}), c.ch, c.cee, c.ceh, c.chh)
+
+
+def _t_squared(c):  # h/t carries t^2
+    return CohomElement(c.c0, c.ce, c.ch * Laurent({0: 1}, 1), c.cee, c.ceh, c.chh)
+
+
+@pytest.mark.parametrize("fault", [_skewed, _t_squared])
+def test_derived_class_rejects_skew_and_t_squared(monkeypatch, fault):
+    real = index_mod.correction_at
+    monkeypatch.setattr(index_mod, "correction_at", lambda gamma: fault(real(gamma)))
+    correction_class.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError):
+            correction_class()
+        with pytest.raises(ConsistencyError):
+            _correction_sum(7)
+    finally:
+        correction_class.cache_clear()
+
+
+def test_class_trace_rejects_higher_t_powers():
+    with pytest.raises(ValueError):
+        ident.class_traces([5], Laurent({0: 1}, 2))
 
 
 def test_correction_sum_routes_agree():
+    # the literal per-element sweep, with its rationality check
     for p in range(2, 33):
-        assert _correction_sum(p, "pipeline") == _correction_sum(p, "identities"), p
+        assert correction_sum_pipeline(p) == _correction_sum(p), p
 
 
 def test_trig_paths_agree_with_small_brute():
     for p in range(2, 33):
-        small = _trig_sums_brute_small(p)
+        small = trig_sums_brute(p)
         sc, sc2 = ident.sum_cos_and_cos_sq(p)
         assert (sc, sc2) == (small.sum_cos, small.sum_cos_sq), p
         assert ident.sum_inv_one_minus_cos(p) == small.sum_inv_one_minus_cos, p
@@ -203,8 +240,7 @@ def test_trig_paths_agree_with_small_brute():
 def test_correction_sum_matches_closed_form_beyond_old_ceiling():
     # the int64 evaluator stopped at p = 300; the trace route has no ceiling
     for p in list(range(2, 601)) + [1009, 2003, 5040, 10007]:
-        closed = correction_sum_closed_form(p)
-        assert ident.correction_sum_fast(p) == (closed.coeff_e, closed.coeff_h), p
+        assert _correction_sum(p) == correction_sum_closed_form(p), p
 
 
 def test_trig_sums_match_closed_form_beyond_old_ceiling():

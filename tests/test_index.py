@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import correction_sum_pipeline
 from orbifold_index.bundles import GroupElement
 from orbifold_index.index import (
     ConsistencyError,
@@ -97,15 +98,11 @@ def test_correction_sum_against_sympy_trig():
         assert F(str(h_val)) == mine.coeff_h, p
 
 
-def test_correction_sum_method_dispatch():
-    assert _correction_sum(30, "pipeline") == _correction_sum(30, "identities")
-    with pytest.raises(ValueError):
-        _correction_sum(5, "nonsense")
-
-
 def test_correction_sum_rejects_non_rational_sums(monkeypatch):
-    # skewing a single group element breaks Galois symmetry, so the summed
-    # coefficients stop being rational and the guard must fire
+    # skewing a single group element breaks Galois symmetry, so the literal
+    # sweep's summed coefficients stop being rational and its guard must
+    # fire; skewing the generic element (j is None) breaks the symmetry
+    # check of the derived class
     import orbifold_index.index as index_mod
     from orbifold_index.ring import CohomElement
 
@@ -113,14 +110,20 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
 
     def skewed(gamma):
         out = real(gamma)
-        if gamma.j == 1:
-            z = zeta_power(gamma.p, 1)
+        if gamma.j in (1, None):
+            z = gamma.zeta()
             out = out + CohomElement(z * 0, z, z, z * 0, z * 0, z * 0)
         return out
 
     monkeypatch.setattr(index_mod, "correction_at", skewed)
-    with pytest.raises(ConsistencyError):
-        _correction_sum(5, "pipeline")
+    index_mod.correction_class.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError):
+            correction_sum_pipeline(5)
+        with pytest.raises(ConsistencyError):
+            _correction_sum(5)
+    finally:
+        index_mod.correction_class.cache_clear()
 
 
 def test_index_examples():

@@ -1,5 +1,6 @@
 """Property tests of the cyclotomic field arithmetic over random orders and
-random rational coefficients, and of the index over random topological data."""
+random rational coefficients, of the p-independent Laurent scalars, and of
+the index over random topological data."""
 
 import copy
 import dataclasses
@@ -20,7 +21,7 @@ from orbifold_index.index import (  # noqa: E402
     index_kawasaki,
     index_smooth,
 )
-from orbifold_index.scalars import Cyclotomic, euler_phi  # noqa: E402
+from orbifold_index.scalars import Cyclotomic, Laurent, euler_phi  # noqa: E402
 
 # fixed examples keep the suite deterministic; the counts keep it quick
 _settings = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -119,6 +120,116 @@ def test_json_roundtrip(a):
     for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(b) is Cyclotomic and b == a and hash(b) == hash(a)
         assert_canonical(b)
+
+
+T = Laurent({-1: -1, 0: 2, 1: -1})  # t = 2 - z - z^-1
+
+
+def t_power(m):
+    """t^m for any integer m, as a product of factors t or 1/t."""
+    out = Laurent({0: 1})
+    for _ in range(abs(m)):
+        out = out * T if m > 0 else out * Laurent({0: 1}, 1)
+    return out
+
+
+# a random N/t^k (k < 0 puts t on top) times a random power of t, so that
+# cancellation happens
+laurents = st.builds(lambda terms, k, m: Laurent(terms, k) * t_power(m),
+                     st.dictionaries(st.integers(-3, 3), rationals, max_size=4),
+                     st.integers(-2, 3), st.integers(0, 2))
+
+
+def assert_laurent_canonical(a):
+    assert type(a.coeffs) is tuple and all(type(c) is F for c in a.coeffs)
+    assert type(a.lo) is int and type(a.k) is int and a.k >= 0
+    if not a.coeffs:
+        assert (a.lo, a.k) == (0, 0)
+        return
+    assert a.coeffs[0] and a.coeffs[-1]
+    if a.k:
+        # t = -(z - 1)^2 / z divides N exactly when N(1) = N'(1) = 0
+        assert sum(a.coeffs) or sum(s * c for s, c in enumerate(a.coeffs, a.lo))
+
+
+def value(a, z):
+    """a at the rational point z, where t(z) != 0."""
+    n = sum(c * F(z) ** s for s, c in enumerate(a.coeffs, a.lo))
+    return n / (2 - z - 1 / F(z)) ** a.k
+
+
+POINTS = (2, -1, F(1, 3))
+
+
+@_settings
+@given(laurents, laurents, rationals, st.integers(-50, 50),
+       st.dictionaries(st.integers(-3, 3), rationals, max_size=4), st.integers(-3, 3))
+def test_laurent_canonical_form_after_every_operation(a, b, q, k, terms, tk):
+    built = Laurent(terms, tk)
+    results = [a + b, a - b, a * b, -a, a + q, q - a, a * q, k * a, a + k, a.conjugate(),
+               Laurent({0: q}), built]
+    for r in results:
+        assert_laurent_canonical(r)
+    for z in POINTS:
+        t = 2 - z - 1 / F(z)
+        assert value(built, z) == sum(c * F(z) ** s for s, c in terms.items()) / t ** tk
+        assert value(a + b, z) == value(a, z) + value(b, z)
+        assert value(a - b, z) == value(a, z) - value(b, z)
+        assert value(a * b, z) == value(a, z) * value(b, z)
+        assert value(a.conjugate(), z) == value(a, 1 / F(z))
+
+
+@_settings
+@given(laurents, laurents, laurents)
+def test_laurent_ring_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and a - a == 0 and a * 0 == 0
+    assert a + (-a) == 0 and a.conjugate().conjugate() == a
+
+
+@_settings
+@given(rationals, laurents, laurents)
+def test_laurent_eq_and_hash(q, a, b):
+    c = Laurent({0: q})
+    assert c == q and hash(c) == hash(q) and c.as_rational() == q
+    if q.denominator == 1:
+        assert c == int(q) and hash(c) == hash(int(q))
+    assert (a == q) == (a.as_rational() == q)
+    copy_a = Laurent(a.terms(), a.k)
+    assert len({a, a * 1, a + 0, copy_a}) == 1
+    for b2 in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b2) is Laurent and b2 == a and hash(b2) == hash(a)
+    with pytest.raises(AttributeError):
+        a.k = 0
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (a - b == 0)
+
+
+@_settings
+@given(rationals.filter(bool), st.integers(-4, 4))
+def test_laurent_inverse_of_units(q, m):
+    u = q * t_power(m)
+    assert u == Laurent({0: q}, -m)  # a negative k is a power of t on top
+    inv = u.inverse()
+    assert inv * u == 1 and 1 / u == inv and inv == Laurent({0: 1 / q}, m)
+    assert_laurent_canonical(inv)
+    assert inv.inverse() == u
+
+
+@_settings
+@given(laurents)
+def test_laurent_inverse_rejects_non_units(a):
+    # a is a unit exactly when a * t^m is a nonzero constant for some m
+    is_unit = any((a * t_power(m)).as_rational() not in (None, 0) for m in range(-8, 9))
+    if is_unit:
+        assert a.inverse() * a == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
 
 
 cone_orders = st.integers(min_value=1, max_value=60)

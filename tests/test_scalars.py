@@ -3,14 +3,15 @@
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from oracles import trig_sums_brute
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     _poly_mul_int,
-    _trig_sums_brute_small,
     as_rational,
     cos_of,
     cyclotomic_polynomial,
@@ -19,6 +20,7 @@ from orbifold_index.scalars import (
     format_rational,
     mobius,
     parse_rational,
+    ramanujan_weights,
     sin_times_i_of,
     trig_sums,
     zeta_power,
@@ -61,6 +63,23 @@ def test_degree_is_euler_phi():
 
 def test_mobius_small():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+
+def _naive_mobius(n):
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
+
+
+def test_factoriser_helpers_match_definitions():
+    for n in range(1, 301):
+        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
+        assert mobius(n) == _naive_mobius(n), n
+        weights = ramanujan_weights(n)
+        for s in range(n):
+            # c_n(s) = sum_{m | gcd(s, n)} mu(n/m) m
+            ramanujan = sum(_naive_mobius(n // m) * m
+                            for m in range(1, n + 1) if n % m == 0 and s % m == 0)
+            assert sum(w for m, w in weights if s % m == 0) == ramanujan, (n, s)
 
 
 def test_zeta_power_examples():
@@ -203,8 +222,9 @@ def test_trig_sums_rejects_small_p():
 
 
 def test_trig_sums_brute_small_agrees_with_closed():
+    # the literal Cyclotomic sweep, with its rationality check
     for p in range(2, 33):
-        brute = _trig_sums_brute_small(p)
+        brute = trig_sums_brute(p)
         assert brute == trig_sums(p), p
 
 
