@@ -2,9 +2,18 @@
 
 The cyclic structure group of order p acts trivially on the surface tangent
 directions and by rotation on the normal plane, so the four basic complex
-line bundles pick up phases 1, 1, zeta^j, zeta^-j.  Every character here is
-a CohomElement over Cyclotomic scalars of order p, assembled from the line
-characters by sums and truncated ring products.
+line bundles pick up phases 1, 1, zeta^j, zeta^-j.  Every character is
+assembled from the line characters by sums and truncated ring products
+(derive_characters), so each of its coefficients is one polynomial in the
+phase z = zeta^j.
+
+That algebra runs once, on first use, over Laurent scalars at the generic
+element, whose phase is the indeterminate z; conjugation symmetry and the
+divisibility of the symbol by e are checked there, once, as identities.  A
+GroupElement only evaluates the derived characters at z = zeta_p^j
+(Laurent.at), so nothing is built or cached per element.  The same algebra
+over a GroupElement's own Cyclotomic phase is the tests' element-by-element
+oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 from .ring import CohomElement, exp_class, ring_mul, scalar_mul
-from .scalars import Cyclotomic, zeta_power
+from .scalars import ConsistencyError, Cyclotomic, Laurent, zeta_power
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,25 @@ class GroupElement:
         return zeta_power(self.p, -self.j)
 
 
+class GenericElement:
+    """Every nontrivial group element at once: its phase is z^power for the
+    indeterminate z (power = -1 is the conjugate element)."""
+
+    j = None  # no fixed generator power, and never the identity
+
+    def __init__(self, power: int = 1):
+        self.power = power
+
+    def zeta(self) -> Laurent:
+        return Laurent({self.power: 1})
+
+    def zeta_bar(self) -> Laurent:
+        return Laurent({-self.power: 1})
+
+
+GENERIC = GenericElement()
+
+
 class LineBundleId(Enum):
     THETA1 = "theta1"
     THETA1_BAR = "theta1_bar"
@@ -46,16 +75,15 @@ class LineBundleId(Enum):
     TRIVIAL = "trivial"
 
 
-def _zero(gamma: GroupElement) -> Cyclotomic:
+def _zero(gamma):
     return gamma.zeta() * 0
 
 
-def _one(gamma: GroupElement) -> Cyclotomic:
+def _one(gamma):
     return _zero(gamma) + 1
 
 
-@lru_cache(maxsize=None)
-def ch_line(bundle: LineBundleId, gamma: GroupElement) -> CohomElement:
+def ch_line(bundle: LineBundleId, gamma) -> CohomElement:
     """Equivariant Chern character of one of the four basic line bundles.
 
     The tangent pair is acted on trivially and contributes exp(+-e); the
@@ -72,78 +100,106 @@ def ch_line(bundle: LineBundleId, gamma: GroupElement) -> CohomElement:
     return CohomElement.constant(one)
 
 
-@lru_cache(maxsize=None)
-def ch_cotangent(gamma: GroupElement) -> CohomElement:
+def derive_characters(gamma) -> dict[str, CohomElement]:
+    """The seven characters of _CHARACTERS by the line-bundle algebra over
+    gamma's own phase, uncached: Laurent scalars at a GenericElement,
+    Cyclotomic ones at a GroupElement."""
+    t1, t1_bar, t2, t2_bar = (ch_line(b, gamma) for b in (
+        LineBundleId.THETA1, LineBundleId.THETA1_BAR,
+        LineBundleId.THETA2, LineBundleId.THETA2_BAR))
+    one = CohomElement.constant(_one(gamma))
+    two = one + one
+    # the nontrivial rank-2 summands of Lambda+ and Lambda-
+    v_plus = ring_mul(t1, t2) + ring_mul(t1_bar, t2_bar)
+    v_minus = ring_mul(t1_bar, t2) + ring_mul(t1, t2_bar)
+    cotangent = t1 + t1_bar + t2 + t2_bar
+    lambda_plus, lambda_minus = one + v_plus, one + v_minus
+    s20_cotangent = ring_mul(lambda_plus, lambda_minus)
+    s20_lambda_plus = v_plus + (ring_mul(v_plus, v_plus) - two) + one
+    return {
+        "cotangent": cotangent,
+        "lambda_plus": lambda_plus,
+        "lambda_minus": lambda_minus,
+        "s20_cotangent": s20_cotangent,
+        "s20_lambda_plus": s20_lambda_plus,
+        "symbol": cotangent - s20_cotangent + s20_lambda_plus,
+        "thom": two - (t2 + t2_bar),
+    }
+
+
+@lru_cache(maxsize=1)
+def generic_characters() -> MappingProxyType:
+    """The seven characters at the generic element, derived on first use
+    (never at import).  Two identities are checked once, or ConsistencyError
+    is raised: the algebra run at phase z^-1 is the conjugate of the run at
+    z, and the symbol has no 1, h or h^2 part, so it is divisible by e."""
+    chars = derive_characters(GENERIC)
+    flipped = derive_characters(GenericElement(-1))
+    for name, c in chars.items():
+        if c.map(Laurent.conjugate) != flipped[name]:
+            raise ConsistencyError(
+                f"character {name} at phase z^-1 is not the conjugate of its value at z")
+    symbol = chars["symbol"]
+    if symbol.c0 or symbol.ch or symbol.chh:
+        raise ConsistencyError("symbol character is not divisible by e "
+                               "(nonzero 1, h or h^2 part)")
+    return MappingProxyType(chars)
+
+
+def _character(name: str, gamma) -> CohomElement:
+    """The derived character `name` at gamma: itself at the generic element,
+    each coefficient evaluated at zeta_p^j at a GroupElement."""
+    c = generic_characters()[name]
+    if gamma is GENERIC:
+        return c
+    return c.map(lambda s: s.at(gamma.p, gamma.j))
+
+
+def ch_cotangent(gamma) -> CohomElement:
     """Character of the restricted complexified cotangent bundle: the sum of
     all four line characters (rank 4)."""
-    return (ch_line(LineBundleId.THETA1, gamma)
-            + ch_line(LineBundleId.THETA1_BAR, gamma)
-            + ch_line(LineBundleId.THETA2, gamma)
-            + ch_line(LineBundleId.THETA2_BAR, gamma))
+    return _character("cotangent", gamma)
 
 
-def _ch_tensor(a: LineBundleId, b: LineBundleId, gamma: GroupElement) -> CohomElement:
-    return ring_mul(ch_line(a, gamma), ch_line(b, gamma))
-
-
-@lru_cache(maxsize=None)
-def ch_lambda_plus(gamma: GroupElement) -> CohomElement:
+def ch_lambda_plus(gamma) -> CohomElement:
     """Character of the complexified self-dual two-forms: a trivial summand
     plus the conjugate tensor pair Theta1*Theta2, Theta1bar*Theta2bar."""
-    return (CohomElement.constant(_one(gamma))
-            + _ch_tensor(LineBundleId.THETA1, LineBundleId.THETA2, gamma)
-            + _ch_tensor(LineBundleId.THETA1_BAR, LineBundleId.THETA2_BAR, gamma))
+    return _character("lambda_plus", gamma)
 
 
-@lru_cache(maxsize=None)
-def ch_lambda_minus(gamma: GroupElement) -> CohomElement:
+def ch_lambda_minus(gamma) -> CohomElement:
     """Anti-self-dual counterpart, built from the crossed tensor pair."""
-    return (CohomElement.constant(_one(gamma))
-            + _ch_tensor(LineBundleId.THETA1_BAR, LineBundleId.THETA2, gamma)
-            + _ch_tensor(LineBundleId.THETA1, LineBundleId.THETA2_BAR, gamma))
+    return _character("lambda_minus", gamma)
 
 
-@lru_cache(maxsize=None)
-def ch_s20_cotangent(gamma: GroupElement) -> CohomElement:
+def ch_s20_cotangent(gamma) -> CohomElement:
     """Character of the traceless symmetric square of the cotangent bundle,
     via the rank-9 isomorphism with the tensor product of the two-form
     bundles."""
-    return ring_mul(ch_lambda_plus(gamma), ch_lambda_minus(gamma))
+    return _character("s20_cotangent", gamma)
 
 
-@lru_cache(maxsize=None)
-def ch_s20_lambda_plus(gamma: GroupElement) -> CohomElement:
+def ch_s20_lambda_plus(gamma) -> CohomElement:
     """Character of the traceless symmetric square of the self-dual
     two-forms: ch(V) + (ch(V)^2 - 2) + 1 for V the nontrivial rank-2
     summand; the -2 removes the doubled equivariantly trivial piece and the
     +1 is the trace line."""
-    ch_v = (_ch_tensor(LineBundleId.THETA1, LineBundleId.THETA2, gamma)
-            + _ch_tensor(LineBundleId.THETA1_BAR, LineBundleId.THETA2_BAR, gamma))
-    two = CohomElement.constant(_one(gamma) * 2)
-    one = CohomElement.constant(_one(gamma))
-    return ch_v + (ring_mul(ch_v, ch_v) - two) + one
+    return _character("s20_lambda_plus", gamma)
 
 
-@lru_cache(maxsize=None)
-def ch_symbol(gamma: GroupElement) -> CohomElement:
+def ch_symbol(gamma) -> CohomElement:
     """Pulled-back principal symbol of the deformation complex, as the
     alternating sum cotangent - S^2_0(cotangent) + S^2_0(Lambda+).  The
     constant and bare-h parts cancel identically, so every surviving
     monomial carries an e factor."""
-    return (ch_cotangent(gamma)
-            - ch_s20_cotangent(gamma)
-            + ch_s20_lambda_plus(gamma))
+    return _character("symbol", gamma)
 
 
-@lru_cache(maxsize=None)
-def ch_thom(gamma: GroupElement) -> CohomElement:
+def ch_thom(gamma) -> CohomElement:
     """K-theoretic Thom class character of the complexified conormal bundle:
     2 - ch(N) = 2 - cos(2 + h^2) - i sin(2h).  Vanishes in degree 0 exactly
     at the identity, which is why correction sums exclude j = 0."""
-    two = CohomElement.constant(_one(gamma) * 2)
-    ch_n = (ch_line(LineBundleId.THETA2, gamma)
-            + ch_line(LineBundleId.THETA2_BAR, gamma))
-    return two - ch_n
+    return _character("thom", gamma)
 
 
 _CHARACTERS = {

@@ -53,6 +53,9 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _topology(args) -> TopologicalData:
+    if (args.chi - args.tau) % 2:
+        raise UsageError("chi(M) and tau(M) must have the same parity, as on "
+                         "every closed four-manifold")
     return TopologicalData(chi_M=args.chi, tau_M=args.tau,
                            chi_Sigma=args.sigma_chi, sigma_sq=args.sigma_sq,
                            p=args.p)
@@ -325,8 +328,7 @@ def _cmd_example(args) -> int:
         for flag in ("chi", "tau", "sigma_chi", "sigma_sq"):
             if getattr(args, flag) is None:
                 raise UsageError("ricci-flat needs --chi --tau --sigma-chi --sigma-sq")
-        data = TopologicalData(args.chi, args.tau, args.sigma_chi,
-                               args.sigma_sq, args.p)
+        data = _topology(args)
         dim = applications.ricci_flat_moduli_dim(data)
         payload = {"inputs": {"chi": args.chi, "tau": args.tau,
                               "sigma_chi": args.sigma_chi,

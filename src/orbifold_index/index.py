@@ -66,8 +66,9 @@ class CorrectionSum:
 
 def correction_at(gamma: GroupElement) -> CohomElement:
     """Fixed-point contribution of one nontrivial group element:
-    (symbol/e) * thom^-1 * Ahat^2, truncated.  Degree-2 coefficients are
-    -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h."""
+    (symbol/e) * thom^-1 * Ahat^2, truncated, from the characters evaluated
+    at gamma (or, at bundles.GENERIC, as functions of z).  Degree-2
+    coefficients are -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h."""
     if gamma.j == 0:
         raise ValueError("identity element is excluded from correction terms")
     q = divide_by_e(bundles.ch_symbol(gamma))
@@ -75,26 +76,15 @@ def correction_at(gamma: GroupElement) -> CohomElement:
     return ring_mul(ring_mul(q, t_inv), a_hat_squared())
 
 
-class _GenericElement:
-    """Every nontrivial group element at once: its phase is the indeterminate z."""
-
-    j = None  # no fixed generator power, and never the identity
-
-    def zeta(self) -> Laurent:
-        return Laurent({1: 1})
-
-    def zeta_bar(self) -> Laurent:
-        return Laurent({-1: 1})
-
-
 @lru_cache(maxsize=1)
 def correction_class() -> tuple[Laurent, Laurent]:
     """The e and h coefficients of correction_at as functions of z = zeta^j:
-    the same bundles/ring algebra run once, on first use, over Laurent
-    scalars at a generic element.  Both are checked to be invariant under
-    z -> z^-1 (the coefficients of a real class) and to carry at most one
-    power of t = 2 - z - z^-1, the one inverse the class traces evaluate."""
-    c = correction_at(_GenericElement())
+    the same ring algebra run once, on first use, over the characters that
+    bundles.generic_characters derives at the generic element.  Both are
+    checked to be invariant under z -> z^-1 (the coefficients of a real
+    class) and to carry at most one power of t = 2 - z - z^-1, the one
+    inverse the class traces evaluate."""
+    c = correction_at(bundles.GENERIC)
     for name, s in (("e", c.ce), ("h", c.ch)):
         if s.conjugate() != s or s.k > 1:
             raise ConsistencyError(f"derived correction class {name} = {s!r} is not "

@@ -66,6 +66,11 @@ class CohomElement:
     def __rmul__(self, other):
         return scalar_mul(other, self)
 
+    def map(self, f) -> "CohomElement":
+        """f applied to every coefficient."""
+        return CohomElement(f(self.c0), f(self.ce), f(self.ch),
+                            f(self.cee), f(self.ceh), f(self.chh))
+
     def to_json(self) -> dict:
         return {"1": _scalar_json(self.c0), "e": _scalar_json(self.ce),
                 "h": _scalar_json(self.ch), "ee": _scalar_json(self.cee),

@@ -533,7 +533,8 @@ class Laurent(_Scalar):
     def _add(self, o: "Laurent", sign: int) -> "Laurent":
         # over the common t^k, the numerators are N * t^(k - own k)
         k = max(self.k, o.k)
-        a, b = (Laurent(x.terms(), x.k - k).terms() for x in (self, o))
+        a, b = (x.terms() if x.k == k else Laurent(x.terms(), x.k - k).terms()
+                for x in (self, o))
         return Laurent({s: a.get(s, 0) + sign * b.get(s, 0) for s in a.keys() | b.keys()}, k)
 
     def __neg__(self):
@@ -558,6 +559,20 @@ class Laurent(_Scalar):
             raise ZeroDivisionError(f"{self!r} is not a unit c * t^m")
         # self = c * t^m / t^k, so 1/self = t^k / (c * t^m)
         return Laurent({0: 1 / cs[0]}, m - self.k)
+
+    def at(self, p: int, j: int) -> Cyclotomic:
+        """The value at z = zeta_p^j of a polynomial (k = 0): one integer
+        vector in Z[x]/(x^p - 1) over the common denominator, projected to
+        Q(zeta_p).  At j = 0 it is the sum of the coefficients.  A class
+        with k > 0 raises ValueError: t vanishes at j = 0, and its inverse
+        is the identities module's business."""
+        if self.k:
+            raise ValueError(f"{self!r} has a power of t in the denominator")
+        den = lcm(*(c.denominator for c in self.coeffs))
+        vec = [0] * p
+        for s, c in enumerate(self.coeffs, self.lo):
+            vec[s * j % p] += c.numerator * (den // c.denominator)
+        return Cyclotomic._from_vector(p, vec, den)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""

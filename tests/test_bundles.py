@@ -3,13 +3,20 @@
 Every character has a closed expansion in cos(theta) and i*sin(theta) over
 the six monomials; the expected tables below were obtained by multiplying
 out the line-bundle decompositions by hand, independently of the
-constructor code, and the two must agree coefficient by coefficient.
+constructor code, and the two must agree coefficient by coefficient.  The
+characters the library evaluates from the derived generic class are also
+checked element by element against the same line-bundle algebra run over
+each element's own Cyclotomic phase.
 """
+
+import json
 
 import pytest
 from fractions import Fraction as F
 
+from orbifold_index import bundles, cli, index as index_mod
 from orbifold_index.bundles import (
+    _CHARACTERS,
     GroupElement,
     LineBundleId,
     ch_cotangent,
@@ -21,10 +28,13 @@ from orbifold_index.bundles import (
     ch_symbol,
     ch_thom,
     character_dump,
+    derive_characters,
 )
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import (
+    ConsistencyError,
     Cyclotomic,
+    Laurent,
     as_rational,
     cos_of,
     sin_times_i_of,
@@ -181,3 +191,61 @@ def test_character_dump_shape():
     assert set(dump) == {"cotangent", "lambda_plus", "lambda_minus",
                          "s20_cotangent", "s20_lambda_plus", "symbol", "thom"}
     assert dump["thom"]["1"] == {"order": 4, "coeffs": ["2", "0"]}
+
+
+@pytest.mark.parametrize("p", range(1, 41))
+def test_evaluated_characters_match_the_cyclotomic_algebra(p):
+    for j in range(p):
+        gamma = GroupElement(p, j)
+        built = derive_characters(gamma)  # the algebra over zeta_p^j itself
+        for name, fn in _CHARACTERS.items():
+            got = fn(gamma)
+            assert got == built[name], (p, j, name)
+            assert all(type(s) is Cyclotomic for s in vars(got).values()), (p, j, name)
+
+
+def test_characters_are_not_cached_per_element():
+    for p, j in [(5, 2), (7, 3), (97, 40)]:
+        character_dump(GroupElement(p, j))
+    cached = {n for n, f in vars(bundles).items() if hasattr(f, "cache_info")}
+    assert cached == {"generic_characters"}
+    assert bundles.generic_characters.cache_info().currsize == 1
+
+
+def _literal_z(chars):  # z whatever the phase: the run at z^-1 is no conjugate
+    c = chars["lambda_plus"]
+    chars["lambda_plus"] = CohomElement(c.c0 + Laurent({1: 1}), c.ce, c.ch, c.cee, c.ceh, c.chh)
+
+
+def _symbol_constant(chars):  # a 1 part: the symbol is not divisible by e
+    chars["symbol"] = chars["symbol"] + CohomElement.constant(Laurent({0: 1}))
+
+
+@pytest.mark.parametrize("fault,message", [(_literal_z, "conjugate"),
+                                           (_symbol_constant, "divisible")])
+def test_symbolic_checks_reject_a_skewed_generic_character(capsys, monkeypatch,
+                                                           fault, message):
+    real = bundles.derive_characters
+
+    def skewed(gamma):
+        chars = real(gamma)
+        if gamma.j is None:  # both generic runs, never a GroupElement
+            fault(chars)
+        return chars
+
+    monkeypatch.setattr(bundles, "derive_characters", skewed)
+    bundles.generic_characters.cache_clear()
+    index_mod.correction_class.cache_clear()  # it must read the table again
+    try:
+        with pytest.raises(ConsistencyError, match=message):
+            bundles.generic_characters()
+        with pytest.raises(ConsistencyError, match=message):
+            ch_thom(GroupElement(5, 2))  # no character is evaluated unchecked
+        # verify reports the failed identity as a failed check, not a crash
+        assert cli.main(["--json", "verify", "--p-max", "3"]) == 2
+        suites = json.loads(capsys.readouterr().out)["suites"]
+        for name in ("correction", "conjugation", "rank", "divisibility"):
+            assert suites[name]["fail"] == [2, 3], name
+    finally:
+        bundles.generic_characters.cache_clear()
+        index_mod.correction_class.cache_clear()

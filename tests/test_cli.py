@@ -60,6 +60,24 @@ def test_index_closed_route_rejects_p1(capsys):
     assert "smooth" in err
 
 
+_ODD_PARITY = ["--chi", "1", "--tau", "2", "--sigma-chi", "1", "--sigma-sq", "1"]
+
+
+def test_index_rejects_chi_and_tau_of_different_parity(capsys):
+    # no closed four-manifold has chi + tau odd: bad input, not an internal failure
+    for route in ("both", "kawasaki", "closed"):
+        rc, out, err = run(capsys, ["--json", "index", *_ODD_PARITY, "--p", "3",
+                                    "--duality", "asd", "--route", route])
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage error:") and "parity" in err
+
+
+def test_ricci_flat_rejects_chi_and_tau_of_different_parity(capsys):
+    rc, out, err = run(capsys, ["--json", "example", "ricci-flat", *_ODD_PARITY])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error:") and "parity" in err
+
+
 def test_index_route_agreement_random(capsys):
     import random
     rng = random.Random(31)
@@ -181,7 +199,8 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
                             good.cee, good.ceh, good.chh)
 
     monkeypatch.setattr(bundles, "ch_thom", bad_thom)
-    index_mod.correction_class.cache_clear()  # derive it with the fault
+    bundles.generic_characters.cache_clear()  # derive everything with the fault
+    index_mod.correction_class.cache_clear()
     try:
         rc, data, _ = run_json(capsys, ["verify", "--p-max", "4"])
         assert rc == 2
@@ -190,6 +209,7 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
     finally:
         index_mod.correction_sum.cache_clear()  # drop values poisoned above
         index_mod.correction_class.cache_clear()
+        bundles.generic_characters.cache_clear()
 
 
 def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):

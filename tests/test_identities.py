@@ -154,7 +154,7 @@ def test_importing_the_cli_does_not_derive_the_class():
     code = ("import orbifold_index.cli\n"
             "from orbifold_index import bundles, index\n"
             "assert index.correction_class.cache_info().currsize == 0\n"
-            "assert bundles.ch_symbol.cache_info().currsize == 0\n")
+            "assert bundles.generic_characters.cache_info().currsize == 0\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 

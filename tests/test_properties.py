@@ -22,6 +22,7 @@ from orbifold_index.index import (  # noqa: E402
     index_smooth,
 )
 from orbifold_index.scalars import Cyclotomic, Laurent, euler_phi  # noqa: E402
+from oracles import laurent_at  # noqa: E402
 
 # fixed examples keep the suite deterministic; the counts keep it quick
 _settings = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -230,6 +231,29 @@ def test_laurent_inverse_rejects_non_units(a):
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
+
+
+# k = 0 classes, the form every character coefficient takes
+polynomials = st.dictionaries(st.integers(-12, 12), rationals, max_size=6).map(Laurent)
+
+
+@_settings
+@given(polynomials, orders)
+def test_laurent_at_matches_the_literal_evaluation(a, p):
+    for j in range(1, p):
+        v = a.at(p, j)
+        assert v == laurent_at(a, p, j), j
+        assert_canonical(v)
+    assert a.at(p, 0) == sum(a.coeffs)  # z = 1
+    assert_canonical(a.at(p, 0))
+
+
+@_settings
+@given(laurents.filter(lambda a: a.k > 0), orders)
+def test_laurent_at_rejects_powers_of_t(a, p):
+    for j in range(p):
+        with pytest.raises(ValueError):
+            a.at(p, j)
 
 
 cone_orders = st.integers(min_value=1, max_value=60)
