@@ -126,16 +126,17 @@ def _cmd_correction(args) -> int:
     p = args.p
     if p < 1:
         raise UsageError("p must be a positive integer")
-    brute = index_mod.correction_sum(p)
-    payload: dict = {"p": p, "brute": brute.to_json()}
+    traced = index_mod.correction_sum(p)
+    # the JSON key keeps its old name "brute": readers of --json depend on it
+    payload: dict = {"p": p, "brute": traced.to_json()}
     human = [f"correction sum at p={p}:",
-             f"  brute force:  e: {brute.coeff_e}  h: {brute.coeff_h}"]
+             f"  class traces: e: {traced.coeff_e}  h: {traced.coeff_h}"]
     if p >= 2:
         closed = correction_sum_closed_form(p)
         payload["closed"] = closed.to_json()
-        payload["agree"] = brute == closed
+        payload["agree"] = traced == closed
         human.append(f"  closed form:  e: {closed.coeff_e}  h: {closed.coeff_h}")
-        human.append(f"  agree: {'yes' if brute == closed else 'NO'}")
+        human.append(f"  agree: {'yes' if traced == closed else 'NO'}")
     else:
         payload["closed"] = None
         payload["agree"] = True

@@ -16,19 +16,26 @@ representative of 1/t, the integer vector
     u = (1/d^2) sum_r C_r x^r,   C_r = T2 - r*T1 + d*r(r-1)/2,
     T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6,
 
-checked once per class against its exact ring identity
+checked against its exact ring identity
 
     (2 - x - x^-1) * d^2 u  =  d^2 - d N_d      in Z[x]/(x^d - 1),
 
 where the all-ones N_d vanishes at every primitive d-th root, so u is the
 true inverse at zeta_d and, the identity having integer coefficients, at all
-its Galois images.  The sums are rational by construction; the tests keep
-the literal per-element sweeps over Q(zeta_p) as the independent route.
+its Galois images.
+
+A class trace depends on d and the class only, never on p, so each (d,
+class) trace is computed, its u_d checked first, once per process and kept
+as one integer (_class_trace); a group sum adds those integers over one
+common denominator.  A failed check is not kept and raises on every call.
+The sums are rational by construction; the tests keep the literal
+per-element sweeps over Q(zeta_p) as the independent route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import sub
@@ -81,23 +88,34 @@ def sparse_trace(d: int, terms: dict[int, int]) -> int:
     return sum(c * sum(w for m, w in weights if s % m == 0) for s, c in terms.items())
 
 
-def class_traces(classes, c: Laurent) -> Fraction:
+@lru_cache(maxsize=None)
+def _class_trace(d: int, k: int, terms: tuple[tuple[int, int], ...]) -> int:
+    """The integer trace of the class sum_s c_s z^s / t^k, (s, c_s) in terms,
+    at z = zeta_d: Tr of the polynomial when k = 0, and d^2 times Tr of the
+    class when k = 1, from the representative u_d of 1/t checked first."""
+    if k == 0:
+        return sparse_trace(d, dict(terms))
+    u, u_den = inv_two_minus_two_cos_vec(d)
+    verify_inverse_vec(d, u, u_den)
+    return trace(u, dict(terms))
+
+
+def class_traces(classes: list[int], c: Laurent) -> Fraction:
     """Sum over d in classes, d >= 2, of Tr_{Q(zeta_d)/Q} of the class
     c = N(z) / t^k, k <= 1, at z = zeta_d, which is the sum of c over the
     elements of exact order d: N traced term by term when k = 0, and N times
-    the checked representative of 1/t when k = 1."""
-    den = lcm(*(q.denominator for q in c.coeffs))
-    terms = {s: q.numerator * (den // q.denominator) for s, q in c.terms().items()}
-    if c.k == 0:
-        return Fraction(sum(sparse_trace(d, terms) for d in classes), den)
+    the checked representative of 1/t when k = 1.  The integer traces of
+    _class_trace are added over one denominator, den(N) * m^2 with m the
+    lcm of the classes when k = 1."""
     if c.k > 1:
         raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
-    total = Fraction(0)
-    for d in classes:
-        u, u_den = inv_two_minus_two_cos_vec(d)
-        verify_inverse_vec(d, u, u_den)
-        total += Fraction(trace(u, terms), u_den)
-    return total / den
+    den = lcm(*(q.denominator for q in c.coeffs))
+    terms = tuple((s, q.numerator * (den // q.denominator)) for s, q in c.terms().items())
+    if c.k == 0:
+        return Fraction(sum(_class_trace(d, 0, terms) for d in classes), den)
+    m = lcm(*classes)
+    return Fraction(sum(_class_trace(d, 1, terms) * (m // d) ** 2 for d in classes),
+                    den * m * m)
 
 
 def class_sum(p: int, c: Laurent) -> Fraction:

@@ -309,6 +309,17 @@ class Cyclotomic(_Scalar):
         return cls._canonical(order, _reduce_mod_phi(order, vec), den)
 
     @classmethod
+    def _from_terms(cls, order: int, terms, den: int = 1) -> "Cyclotomic":
+        """sum c zeta^s / den over the (s, c) in terms, 0 <= s < order, for
+        integers c and den > 0: only the given powers are reduced."""
+        rows = _reduction_rows(order)
+        nums = [0] * (len(cyclotomic_polynomial(order)) - 1)
+        for s, c in terms:
+            for i, r in rows[s]:
+                nums[i] += c * r
+        return cls._canonical(order, nums, den)
+
+    @classmethod
     def from_rational(cls, order: int, value: RationalLike) -> "Cyclotomic":
         q = _check_rational(value)
         phi = len(cyclotomic_polynomial(order)) - 1
@@ -416,10 +427,8 @@ class Cyclotomic(_Scalar):
         k %= p
         if gcd(k, p) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for order {p}")
-        vec = [0] * p
-        for s, c in enumerate(self.nums):
-            vec[(s * k) % p] += c
-        return Cyclotomic._from_vector(p, vec, self.den)
+        return Cyclotomic._from_terms(
+            p, [(s * k % p, c) for s, c in enumerate(self.nums) if c], self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -561,18 +570,20 @@ class Laurent(_Scalar):
         return Laurent({0: 1 / cs[0]}, m - self.k)
 
     def at(self, p: int, j: int) -> Cyclotomic:
-        """The value at z = zeta_p^j of a polynomial (k = 0): one integer
-        vector in Z[x]/(x^p - 1) over the common denominator, projected to
-        Q(zeta_p).  At j = 0 it is the sum of the coefficients.  A class
-        with k > 0 raises ValueError: t vanishes at j = 0, and its inverse
-        is the identities module's business."""
+        """The value at z = zeta_p^j of a polynomial (k = 0): its nonzero
+        terms moved to the powers s*j mod p over the common denominator and
+        reduced to Q(zeta_p) one by one; zero at once when there are none.
+        At j = 0 it is the sum of the coefficients.  A class with k > 0
+        raises ValueError: t vanishes at j = 0, and its inverse is the
+        identities module's business."""
         if self.k:
             raise ValueError(f"{self!r} has a power of t in the denominator")
+        if not self.coeffs:
+            return Cyclotomic.zero(p)
         den = lcm(*(c.denominator for c in self.coeffs))
-        vec = [0] * p
-        for s, c in enumerate(self.coeffs, self.lo):
-            vec[s * j % p] += c.numerator * (den // c.denominator)
-        return Cyclotomic._from_vector(p, vec, den)
+        return Cyclotomic._from_terms(
+            p, [(s * j % p, c.numerator * (den // c.denominator))
+                for s, c in enumerate(self.coeffs, self.lo) if c], den)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""

@@ -257,6 +257,16 @@ def test_human_output_on_tty(capsys, monkeypatch):
     assert "{" not in out  # table, not JSON
 
 
+def test_correction_human_output_names_the_class_traces(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _Tty(sys.stdout))
+    rc = cli.main(["correction", "--p", "15"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[1:] == ["  class traces: e: -3  h: -548/45",
+                                    "  closed form:  e: -3  h: -548/45",
+                                    "  agree: yes"]
+
+
 def test_json_flag_before_or_after_the_subcommand(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _Tty(sys.stdout))
     argv = ["index", "--chi", "2", "--tau", "0", "--sigma-chi", "1",

@@ -25,10 +25,13 @@ from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     Laurent,
+    TrigSums,
+    _trig_closed_forms,
     as_rational,
     cos_of,
     divisors,
     mobius,
+    trig_sums,
     zeta_power,
 )
 
@@ -152,9 +155,10 @@ def test_derived_class_is_the_docstring_formula():
 
 def test_importing_the_cli_does_not_derive_the_class():
     code = ("import orbifold_index.cli\n"
-            "from orbifold_index import bundles, index\n"
+            "from orbifold_index import bundles, identities, index\n"
             "assert index.correction_class.cache_info().currsize == 0\n"
-            "assert bundles.generic_characters.cache_info().currsize == 0\n")
+            "assert bundles.generic_characters.cache_info().currsize == 0\n"
+            "assert identities._class_trace.cache_info().currsize == 0\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
@@ -221,6 +225,74 @@ def test_derived_class_rejects_skew_and_t_squared(monkeypatch, fault):
 def test_class_trace_rejects_higher_t_powers():
     with pytest.raises(ValueError):
         ident.class_traces([5], Laurent({0: 1}, 2))
+
+
+def test_failed_inverse_check_is_not_kept(monkeypatch):
+    real = ident.inv_two_minus_two_cos_vec
+
+    def skewed(d):
+        vec, den = real(d)
+        return [vec[0] + 1] + vec[1:], den
+
+    ident._class_trace.cache_clear()
+    monkeypatch.setattr(ident, "inv_two_minus_two_cos_vec", skewed)
+    try:
+        for _ in range(2):  # a failed check raises on every call
+            for p in (2, 12, 97):
+                with pytest.raises(ConsistencyError):
+                    trig_sums(p)
+                with pytest.raises(ConsistencyError):
+                    _correction_sum(p)
+        monkeypatch.undo()
+        for p in (2, 12, 97):
+            assert trig_sums(p) == _trig_closed_forms(p)
+            assert _correction_sum(p) == correction_sum_closed_form(p)
+    finally:
+        ident._class_trace.cache_clear()
+
+
+def test_each_representative_is_checked_once_per_class(monkeypatch):
+    real = ident.verify_inverse_vec
+    checked = []
+
+    def counting(d, vec, den):
+        checked.append(d)
+        real(d, vec, den)
+
+    ident._class_trace.cache_clear()
+    monkeypatch.setattr(ident, "verify_inverse_vec", counting)
+    for _ in range(2):
+        for p in range(2, 201):
+            trig_sums(p)
+    assert sorted(checked) == list(range(2, 201))
+    # the correction class h is a second class over 1/t: one more check per d
+    for p in range(2, 201):
+        _correction_sum(p)
+    assert sorted(checked) == sorted(2 * list(range(2, 201)))
+
+
+def test_sums_do_not_depend_on_what_the_memo_holds():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    orders = st.integers(2, 400)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(st.booleans(), st.lists(orders, max_size=8),
+           st.lists(st.tuples(orders, st.booleans()), min_size=1, max_size=12))
+    def check(clear, warm, queries):
+        if clear:
+            ident._class_trace.cache_clear()
+        for p in warm:  # leave part of the memo filled
+            ident.sum_inv_one_minus_cos(p)
+        for p, correction in queries:
+            if correction:
+                assert _correction_sum(p) == correction_sum_closed_form(p), p
+            else:
+                traced = TrigSums(*ident.sum_cos_and_cos_sq(p), ident.sum_inv_one_minus_cos(p))
+                assert traced == _trig_closed_forms(p) == trig_sums(p), p
+
+    check()
 
 
 def test_correction_sum_routes_agree():
