@@ -27,7 +27,7 @@ from .index import (
     index_kawasaki,
     index_smooth,
 )
-from .scalars import ConsistencyError, as_rational, parse_rational, trig_sums
+from .scalars import ConsistencyError, Cyclotomic, as_rational, parse_rational, trig_sums
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,10 +173,8 @@ def _check_conjugation(p: int) -> bool:
     for j in range(1, p):
         a, b = GroupElement(p, j), GroupElement(p, p - j)
         for fn in (bundles.ch_symbol, bundles.ch_thom, bundles.ch_lambda_plus):
-            x, y = fn(a), fn(b)
-            for slot in ("c0", "ce", "ch", "cee", "ceh", "chh"):
-                if getattr(x, slot).conjugate() != getattr(y, slot):
-                    return False
+            if fn(a).map(Cyclotomic.conjugate) != fn(b):
+                return False
     return True
 
 

@@ -105,17 +105,17 @@ def class_traces(classes: list[int], c: Laurent) -> Fraction:
     c = N(z) / t^k, k <= 1, at z = zeta_d, which is the sum of c over the
     elements of exact order d: N traced term by term when k = 0, and N times
     the checked representative of 1/t when k = 1.  The integer traces of
-    _class_trace are added over one denominator, den(N) * m^2 with m the
-    lcm of the classes when k = 1."""
+    _class_trace, taken on the integer numerators of N, are added over one
+    denominator: N's own, times m^2 with m the lcm of the classes when
+    k = 1."""
     if c.k > 1:
         raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
-    den = lcm(*(q.denominator for q in c.coeffs))
-    terms = tuple((s, q.numerator * (den // q.denominator)) for s, q in c.terms().items())
+    terms = tuple((s, n) for s, n in enumerate(c.nums, c.lo) if n)
     if c.k == 0:
-        return Fraction(sum(_class_trace(d, 0, terms) for d in classes), den)
+        return Fraction(sum(_class_trace(d, 0, terms) for d in classes), c.den)
     m = lcm(*classes)
     return Fraction(sum(_class_trace(d, 1, terms) * (m // d) ** 2 for d in classes),
-                    den * m * m)
+                    c.den * m * m)
 
 
 def class_sum(p: int, c: Laurent) -> Fraction:

@@ -5,14 +5,16 @@ Group-element phases e^{i 2*pi*j/p} are carried as exact elements of the
 cyclotomic field Q(zeta_p) = Q[x] / (Phi_p(x)), where Phi_p is the p-th
 cyclotomic polynomial.  Working modulo Phi_p (degree phi(p)) rather than
 modulo x^p - 1 keeps the quotient a field, so denominators like
-2 - 2*cos(theta) can be inverted exactly.  An element is stored as integer
-numerators over one positive common denominator in lowest terms, so field
-arithmetic is integer arithmetic; rationals at the interface are
-`fractions.Fraction`.  No floating point appears anywhere.
+2 - 2*cos(theta) can be inverted exactly.
 
 A Laurent scalar keeps the phase as the indeterminate z instead, for
 expressions that hold at every nontrivial element at once; its only
 inverses are those of c * t^m, the one denominator the index needs.
+
+Both store their coefficients the same way: integer numerators over one
+positive common denominator, in lowest terms, so arithmetic and evaluation
+are integer arithmetic; rationals at the interface are `fractions.Fraction`.
+No floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -187,19 +189,6 @@ def _reduction_rows(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
 
 
-def _reduce_mod_phi(p: int, coeffs) -> list[int]:
-    """Reduce an integer coefficient list, as long as the rows reach, mod Phi_p."""
-    rows = _reduction_rows(p)
-    phi = len(cyclotomic_polynomial(p)) - 1
-    out = list(coeffs[:phi]) + [0] * (phi - min(phi, len(coeffs)))
-    for s in range(phi, len(coeffs)):
-        c = coeffs[s]
-        if c:
-            for i, r in rows[s]:
-                out[i] += c * r
-    return out
-
-
 def _check_rational(c: RationalLike) -> RationalLike:
     # a float, complex or Decimal would silently bring in a rounded value
     if not isinstance(c, (int, Fraction)):
@@ -207,11 +196,44 @@ def _check_rational(c: RationalLike) -> RationalLike:
     return c
 
 
+def _integer_form(cs: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with cs == nums / den: over the lcm of the reduced
+    denominators, gcd(den, *nums) == 1, so the form is already canonical."""
+    cs = tuple(_check_rational(c) for c in cs)
+    den = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
 class _Scalar:
-    """Shared by the exact scalars: +, -, / and ** via _coerce, _add and
-    inverse; == and hash via the canonical _key, hashing as a rational."""
+    """Shared by the exact scalars, each stored as integer numerators `nums`
+    over one positive denominator `den` in lowest terms: +, -, / and ** via
+    _coerce, _add and inverse; == and hash via the canonical _key, which
+    lists the slots in order, hashing as a rational."""
 
     __slots__ = ()
+
+    def __init__(self, *state):
+        # the slots, in order, set to an already canonical state
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _raw(cls, *state):
+        self = object.__new__(cls)
+        _Scalar.__init__(self, *state)
+        return self
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through the blocked __setattr__
+        return (type(self)._raw, self._key())
+
+    def __bool__(self):
+        return any(self.nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -275,25 +297,13 @@ class Cyclotomic(_Scalar):
     __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: Iterable[RationalLike]):
-        cs = tuple(_check_rational(c) for c in coeffs)
+        nums, den = _integer_form(coeffs)
         phi = len(cyclotomic_polynomial(order)) - 1
-        if len(cs) != phi:
-            raise ValueError(f"need {phi} coefficients for order {order}, got {len(cs)}")
-        # over the lcm of the reduced denominators the form is already canonical
-        den = lcm(*(c.denominator for c in cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
-        object.__setattr__(self, "den", den)
+        if len(nums) != phi:
+            raise ValueError(f"need {phi} coefficients for order {order}, got {len(nums)}")
+        super().__init__(order, nums, den)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _raw(cls, order: int, nums: tuple[int, ...], den: int) -> "Cyclotomic":
-        self = object.__new__(cls)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        return self
 
     @classmethod
     def _canonical(cls, order: int, nums, den: int) -> "Cyclotomic":
@@ -304,19 +314,16 @@ class Cyclotomic(_Scalar):
         return cls._raw(order, tuple(nums), den)
 
     @classmethod
-    def _from_vector(cls, order: int, vec, den: int = 1) -> "Cyclotomic":
-        """sum_s vec_s zeta^s / den for integers vec_s and den > 0."""
-        return cls._canonical(order, _reduce_mod_phi(order, vec), den)
-
-    @classmethod
     def _from_terms(cls, order: int, terms, den: int = 1) -> "Cyclotomic":
-        """sum c zeta^s / den over the (s, c) in terms, 0 <= s < order, for
-        integers c and den > 0: only the given powers are reduced."""
+        """sum c zeta^s / den over the (s, c) in terms, for integers c and
+        den > 0 and 0 <= s <= max(order - 1, 2*phi - 2): the one reduction
+        modulo Phi_p, of the nonzero terms only."""
         rows = _reduction_rows(order)
         nums = [0] * (len(cyclotomic_polynomial(order)) - 1)
         for s, c in terms:
-            for i, r in rows[s]:
-                nums[i] += c * r
+            if c:
+                for i, r in rows[s]:
+                    nums[i] += c * r
         return cls._canonical(order, nums, den)
 
     @classmethod
@@ -332,11 +339,6 @@ class Cyclotomic(_Scalar):
     @classmethod
     def one(cls, order: int) -> "Cyclotomic":
         return cls.from_rational(order, 1)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational power-basis coefficients."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- helpers -------------------------------------------------------------
 
@@ -386,7 +388,7 @@ class Cyclotomic(_Scalar):
             if ai:
                 for k, bk in b_nz:
                     prod[i + k] += ai * bk
-        return Cyclotomic._from_vector(self.order, prod, self.den * other.den)
+        return Cyclotomic._from_terms(self.order, enumerate(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -444,9 +446,6 @@ class Cyclotomic(_Scalar):
 
     # -- protocol ------------------------------------------------------------
 
-    def __bool__(self):
-        return any(self.nums)
-
     def _key(self):
         return self.order, self.nums, self.den
 
@@ -461,10 +460,6 @@ class Cyclotomic(_Scalar):
     @classmethod
     def from_json(cls, data: dict) -> "Cyclotomic":
         return cls(int(data["order"]), [parse_rational(c) for c in data["coeffs"]])
-
-    def __reduce__(self):
-        # pickle and copy would restore the slots through the blocked __setattr__
-        return (Cyclotomic._raw, (self.order, self.nums, self.den))
 
 
 # ---------------------------------------------------------------------------
@@ -503,31 +498,33 @@ class Laurent(_Scalar):
     a nontrivial group element kept as the indeterminate z, so one value
     stands for the same expression at every zeta_p^j, j != 0.
 
-    N is the tuple `coeffs` of the Fraction coefficients of z^lo,
-    z^(lo+1), ...  The form is canonical (no zero coefficient at either end,
-    k >= 0, and t does not divide N when k > 0; zero is () with lo = k = 0),
-    so equal elements have equal (lo, coeffs, k).  The units are exactly
-    Laurent({0: c}, -m) = c * t^m, m any integer.
+    Stored as Cyclotomic is: N is the integer numerators `nums` of z^lo,
+    z^(lo+1), ... over one positive denominator `den`, in lowest terms;
+    `coeffs` is the rational view.  The form is canonical (gcd(den, *nums)
+    == 1, no zero numerator at either end, k >= 0, and t does not divide N
+    when k > 0; zero is ()/1 with lo = k = 0), so equal elements have equal
+    (lo, nums, den, k).  The units are exactly Laurent({0: c}, -m) =
+    c * t^m, m any integer.
     """
 
-    __slots__ = ("lo", "coeffs", "k")
+    __slots__ = ("lo", "nums", "den", "k")
 
     def __init__(self, terms: dict[int, RationalLike], k: int = 0):
         """sum_s terms[s] z^s / t^k for any integer k, t cancelled exactly."""
         cs = {s: c for s, c in terms.items() if _check_rational(c)}
         lo = min(cs, default=0)
-        cs = tuple(cs.get(s, 0) for s in range(lo, max(cs, default=lo - 1) + 1))
-        for _ in range(-k if cs else 0):  # a power of t in the numerator
-            lo, cs, k = lo - 1, _poly_mul_int(cs, (-1, 2, -1)), k + 1
-        while k and (q := _div_by_t(lo, cs)) is not None:
-            (lo, cs), k = q, k - 1
-        state = (lo, tuple(map(Fraction, cs)), k) if cs else (0, (), 0)
-        for name, value in zip(Laurent.__slots__, state):
-            object.__setattr__(self, name, value)
+        nums, den = _integer_form(cs.get(s, 0) for s in range(lo, max(cs, default=lo - 1) + 1))
+        # t = -(z - 1)^2 / z is primitive, so by Gauss's lemma multiplying or
+        # dividing nums by it keeps their content: nums / den stays in lowest terms
+        for _ in range(-k if nums else 0):  # a power of t in the numerator
+            lo, nums, k = lo - 1, _poly_mul_int(nums, (-1, 2, -1)), k + 1
+        while k and (q := _div_by_t(lo, nums)) is not None:
+            (lo, nums), k = q, k - 1
+        super().__init__(*((lo, nums, den, k) if nums else (0, (), 1, 0)))
 
     def terms(self) -> dict[int, Fraction]:
         """The nonzero coefficients of N by power of z."""
-        return {s: c for s, c in enumerate(self.coeffs, self.lo) if c}
+        return {s: Fraction(c, self.den) for s, c in enumerate(self.nums, self.lo) if c}
 
     @staticmethod
     def _coerce(other) -> Optional["Laurent"]:
@@ -553,37 +550,37 @@ class Laurent(_Scalar):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        product = _poly_mul_int(self.coeffs, o.coeffs)
-        return Laurent(dict(enumerate(product, self.lo + o.lo)), self.k + o.k)
+        product = _poly_mul_int(self.nums, o.nums)
+        den = self.den * o.den
+        return Laurent({s: Fraction(c, den) for s, c in enumerate(product, self.lo + o.lo)},
+                       self.k + o.k)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Laurent":
         """1/self for a unit c * t^m; any other element, zero included,
         raises ZeroDivisionError."""
-        lo, cs, m = self.lo, self.coeffs, 0
-        while (q := _div_by_t(lo, cs)) is not None:
-            (lo, cs), m = q, m + 1
-        if lo or len(cs) != 1:
+        lo, nums, m = self.lo, self.nums, 0
+        while (q := _div_by_t(lo, nums)) is not None:
+            (lo, nums), m = q, m + 1
+        if lo or len(nums) != 1:
             raise ZeroDivisionError(f"{self!r} is not a unit c * t^m")
-        # self = c * t^m / t^k, so 1/self = t^k / (c * t^m)
-        return Laurent({0: 1 / cs[0]}, m - self.k)
+        # self = c * t^m / t^k with c = nums[0] / den, so 1/self = t^k / (c * t^m)
+        return Laurent({0: Fraction(self.den, nums[0])}, m - self.k)
 
     def at(self, p: int, j: int) -> Cyclotomic:
         """The value at z = zeta_p^j of a polynomial (k = 0): its nonzero
-        terms moved to the powers s*j mod p over the common denominator and
-        reduced to Q(zeta_p) one by one; zero at once when there are none.
-        At j = 0 it is the sum of the coefficients.  A class with k > 0
-        raises ValueError: t vanishes at j = 0, and its inverse is the
+        numerators moved to the powers s*j mod p and reduced to Q(zeta_p)
+        one by one over the same denominator; zero at once when there are
+        none.  At j = 0 it is the sum of the coefficients.  A class with
+        k > 0 raises ValueError: t vanishes at j = 0, and its inverse is the
         identities module's business."""
         if self.k:
             raise ValueError(f"{self!r} has a power of t in the denominator")
-        if not self.coeffs:
+        if not self.nums:
             return Cyclotomic.zero(p)
-        den = lcm(*(c.denominator for c in self.coeffs))
         return Cyclotomic._from_terms(
-            p, [(s * j % p, c.numerator * (den // c.denominator))
-                for s, c in enumerate(self.coeffs, self.lo) if c], den)
+            p, [(s * j % p, c) for s, c in enumerate(self.nums, self.lo) if c], self.den)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""
@@ -591,24 +588,17 @@ class Laurent(_Scalar):
 
     def as_rational(self) -> Optional[Fraction]:
         """The value if the element is a constant, else None."""
-        if self.k or self.lo or len(self.coeffs) > 1:
+        if self.k or self.lo or len(self.nums) > 1:
             return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(sum(self.nums), self.den)  # zero is ()/1
 
     # -- protocol ------------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def _key(self):
-        return self.lo, self.coeffs, self.k
+        return self.lo, self.nums, self.den, self.k
 
     def __repr__(self):
         return f"Laurent({ {s: str(c) for s, c in self.terms().items()} }, k={self.k})"
-
-    def __reduce__(self):
-        # pickle and copy would restore the slots through the blocked __setattr__
-        return (Laurent, (self.terms(), self.k))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +609,7 @@ def zeta_power(p: int, k: int) -> Cyclotomic:
     """zeta_p^(k mod p), reduced modulo Phi_p."""
     if p < 1:
         raise ValueError("p must be a positive integer")
-    return Cyclotomic._from_vector(p, [0] * (k % p) + [1])
+    return Cyclotomic._from_terms(p, [(k % p, 1)])
 
 
 def cos_of(p: int, j: int) -> Cyclotomic:

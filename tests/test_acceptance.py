@@ -58,7 +58,7 @@ def test_criterion_1_correction_closed_form():
         expect_e = F(-(7 * p - 15), 2 * p)
         expect_h = (4 - F(5, 6) * (p * p - 1)) / p
         assert (got.coeff_e, got.coeff_h) == (expect_e, expect_h), p
-    _passed(1, "brute-force correction sum equals its closed form, p in [2, 200]")
+    _passed(1, "class-traced correction sum equals its closed form, p in [2, 200]")
 
 
 def test_criterion_2_route_equivalence_and_p_independence():
@@ -139,7 +139,7 @@ def test_criterion_8_ricci_flat_dimension():
 
 def test_criterion_9_trig_identities():
     for p in range(2, 1001):
-        sums = trig_sums(p)  # brute-vs-closed equality asserted inside
+        sums = trig_sums(p)  # class-traced-vs-closed equality asserted inside
         assert sums.sum_cos == -1
         # the p = 2 sum is the single term cos^2(pi) = 1; the (p-2)/2 form
         # holds from p = 3 on, where the doubled angles average out

@@ -1,5 +1,5 @@
 """Byte-exact stdout of four CLI commands against the recorded files in
-tests/golden/; the same verify file is diffed against the installed console
+tests/golden/; the same four files are diffed against the installed console
 script in CI."""
 
 from pathlib import Path

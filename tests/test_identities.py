@@ -60,7 +60,7 @@ def _spot_pairs():
 def test_inverse_vectors_match_ext_gcd(p, k):
     # checking the representative once makes every Galois image exact
     vec, den = ident.inv_two_minus_two_cos_vec(p // gcd(k, p))
-    got = Cyclotomic._from_vector(p, _image(p, k, vec), den)
+    got = Cyclotomic._from_terms(p, enumerate(_image(p, k, vec)), den)
     assert got == (2 - 2 * cos_of(p, k)).inverse()
 
 
@@ -68,7 +68,7 @@ def test_inverse_vectors_match_ext_gcd(p, k):
 def test_representative_matches_ext_gcd(d):
     vec, den = ident.inv_two_minus_two_cos_vec(d)
     ident.verify_inverse_vec(d, vec, den)
-    assert Cyclotomic._from_vector(d, vec, den) == (2 - 2 * cos_of(d, 1)).inverse()
+    assert Cyclotomic._from_terms(d, enumerate(vec), den) == (2 - 2 * cos_of(d, 1)).inverse()
 
 
 def test_inverse_constructors_reject_identity():

@@ -142,12 +142,14 @@ laurents = st.builds(lambda terms, k, m: Laurent(terms, k) * t_power(m),
 
 
 def assert_laurent_canonical(a):
-    assert type(a.coeffs) is tuple and all(type(c) is F for c in a.coeffs)
+    assert type(a.nums) is tuple and all(type(c) is int for c in a.nums)
+    assert type(a.den) is int and a.den > 0 and gcd(a.den, *a.nums) == 1
+    assert a.coeffs == tuple(F(c, a.den) for c in a.nums)
     assert type(a.lo) is int and type(a.k) is int and a.k >= 0
-    if not a.coeffs:
-        assert (a.lo, a.k) == (0, 0)
+    if not a.nums:
+        assert (a.lo, a.den, a.k) == (0, 1, 0)
         return
-    assert a.coeffs[0] and a.coeffs[-1]
+    assert a.nums[0] and a.nums[-1]
     if a.k:
         # t = -(z - 1)^2 / z divides N exactly when N(1) = N'(1) = 0
         assert sum(a.coeffs) or sum(s * c for s, c in enumerate(a.coeffs, a.lo))
@@ -203,6 +205,7 @@ def test_laurent_eq_and_hash(q, a, b):
     assert len({a, a * 1, a + 0, copy_a}) == 1
     for b2 in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(b2) is Laurent and b2 == a and hash(b2) == hash(a)
+        assert_laurent_canonical(b2)
     with pytest.raises(AttributeError):
         a.k = 0
     if a == b:
