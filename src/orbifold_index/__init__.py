@@ -8,7 +8,6 @@ reproduces the deformation-complex index and its corollaries exactly.
 from .scalars import (
     ConsistencyError,
     Cyclotomic,
-    TrigSums,
     as_rational,
     cos_of,
     cyclotomic_polynomial,
@@ -16,9 +15,9 @@ from .scalars import (
     format_rational,
     parse_rational,
     sin_times_i_of,
-    trig_sums,
     zeta_power,
 )
+from .identities import TrigSums, trig_sums
 from .ring import (
     CohomElement,
     PairingData,

@@ -124,15 +124,9 @@ def orientable_verdict(j: int) -> ModuliReport:
                            sigma_sq=0, p=2)
     idx = index_closed_form(data, Duality.SD)
     bound = h0_bound(kind)
-    if j >= 1 and idx > bound:
-        return ModuliReport(
-            index=idx, dim_h0=bound, dim_h1=None, dim_h2=None,
-            verdict="nonexistence",
-            assumptions=("unobstructed", f"dim_h0<={bound}"))
-    return ModuliReport(
-        index=idx, dim_h0=bound, dim_h1=None, dim_h2=None,
-        verdict="inconclusive",
-        assumptions=("unobstructed", f"dim_h0<={bound}"))
+    verdict = "nonexistence" if j >= 1 and idx > bound else "inconclusive"
+    return ModuliReport(index=idx, dim_h0=bound, dim_h1=None, dim_h2=None,
+                        verdict=verdict, assumptions=("unobstructed", f"dim_h0<={bound}"))
 
 
 def hitchin_report(k: int) -> ModuliReport:

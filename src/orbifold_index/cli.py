@@ -5,9 +5,10 @@ Output is a human-readable table on a terminal and deterministic JSON when
 redirected or with --json (before or after the subcommand); exact rationals
 are never rendered as decimals.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 internal
-consistency failure (including a verification check that raised instead of
-answering).
+Exit codes: 0 success, 1 usage error (a ValueError included), 2 verification
+failure, 3 internal consistency failure or any other exception raised in any
+subcommand (a crash; in verify, also a check that raised instead of
+answering).  A crash names the exception's type and message on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from . import applications, bundles, index as index_mod
 from .bundles import GroupElement
+from .identities import trig_sums
 from .index import (
     Duality,
     TopologicalData,
@@ -27,7 +29,7 @@ from .index import (
     index_kawasaki,
     index_smooth,
 )
-from .scalars import ConsistencyError, Cyclotomic, as_rational, parse_rational, trig_sums
+from .scalars import ConsistencyError, Cyclotomic, as_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
+    except Exception as exc:  # a crash is neither a usage error nor a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
 
 

@@ -7,11 +7,12 @@ split by exact order d | p, d > 1, into the Galois orbits of zeta_d, so
 
 for any f with rational coefficients.  Each summand here is a class
 f = N(z)/t^k over t = 2 - z - z^-1 with k <= 1 (scalars.Laurent): cos,
-cos^2 and 1/(1 - cos), and the correction class that index.py derives from
-bundles.py.  It is evaluated at x = zeta_d in Z[x]/(x^d - 1) and traced: x^s
-traces to the Ramanujan sum c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, so with
-k = 0 each term of N takes one Ramanujan sum.  With k = 1, N multiplies the
-representative of 1/t, the integer vector
+cos^2 and 1/(1 - cos) (trig_sums, checked against their closed forms), and
+the correction class that index.py derives from bundles.py.  It is evaluated
+at x = zeta_d in Z[x]/(x^d - 1) and traced: x^s traces to the Ramanujan sum
+c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, so with k = 0 each term of N takes
+one Ramanujan sum.  With k = 1, N multiplies the representative of 1/t, the
+integer vector
 
     u = (1/d^2) sum_r C_r x^r,   C_r = T2 - r*T1 + d*r(r-1)/2,
     T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6,
@@ -39,6 +40,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import sub
+from typing import NamedTuple
 
 from .scalars import (
     ConsistencyError,
@@ -145,3 +147,34 @@ def sum_inv_one_minus_cos(p: int) -> Fraction:
     """Sum of 1/(1 - cos(theta_j)), j = 1..p-1, traced per divisor class
     from 2/t, each representative of 1/t checked first."""
     return class_sum(p, _INV_ONE_MINUS_COS)
+
+
+class TrigSums(NamedTuple):
+    sum_cos: Fraction
+    sum_cos_sq: Fraction
+    sum_inv_one_minus_cos: Fraction
+
+
+def _trig_closed_forms(p: int) -> TrigSums:
+    # sum cos^2 is (p-2)/2 only for p >= 3; the p = 2 sum has the single
+    # term cos^2(pi) = 1 because 2*theta wraps to a full turn.
+    sum_cos_sq = Fraction(1) if p == 2 else Fraction(p - 2, 2)
+    return TrigSums(Fraction(-1), sum_cos_sq, Fraction(p * p - 1, 6))
+
+
+def trig_sums(p: int) -> TrigSums:
+    """Exact sums over the nontrivial group elements, theta_j = 2*pi*j/p:
+
+        sum cos(theta_j),  sum cos^2(theta_j),  sum 1/(1 - cos(theta_j))
+
+    for j = 1..p-1, each traced per divisor class as above, and checked
+    against the closed forms -1, (p-2)/2 (p >= 3; 1 at p = 2), (p^2-1)/6.
+    """
+    if p < 2:
+        raise ValueError("p must be at least 2 (empty sums are the caller's business)")
+    traced = TrigSums(*sum_cos_and_cos_sq(p), sum_inv_one_minus_cos(p))
+    closed = _trig_closed_forms(p)
+    if traced != closed:
+        raise ConsistencyError(
+            f"trig sums disagree at p={p}: traced {traced} vs closed {closed}")
+    return closed

@@ -14,7 +14,13 @@ inverses are those of c * t^m, the one denominator the index needs.
 Both store their coefficients the same way: integer numerators over one
 positive common denominator, in lowest terms, so arithmetic and evaluation
 are integer arithmetic; rationals at the interface are `fractions.Fraction`.
-No floating point appears anywhere.
+No floating point appears anywhere.  Every element of Q(zeta_p) that is built
+from powers of zeta (products, Galois images, zeta powers, Laurent values)
+goes through one kernel, Cyclotomic._from_terms, the only place that takes
+exponents mod p.
+
+This is the package's bottom layer: it imports no other module of it.  The
+group sums over these scalars, the trig sums included, are in identities.py.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -102,12 +108,12 @@ def ramanujan_weights(d: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    b_nz = [(k, bk) for k, bk in enumerate(b) if bk]
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for k, bk in enumerate(b):
-                if bk:
-                    out[i + k] += ai * bk
+            for k, bk in b_nz:
+                out[i + k] += ai * bk
     return tuple(out)
 
 
@@ -162,31 +168,18 @@ def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _reduction_rows(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """rows[s] = the nonzero (i, coefficient of x^i) of x^s mod Phi_p, for
-    0 <= s <= max(p - 1, 2*phi - 2).  Covers zeta powers and products of
-    two reduced elements."""
+    the p exponents 0 <= s < p: Phi_p divides x^p - 1, so every power of
+    zeta_p is one of these once its exponent is taken mod p."""
     phi_p = cyclotomic_polynomial(p)
-    phi = len(phi_p) - 1
-    hi = max(p - 1, 2 * phi - 2)
-    rows: list[tuple[int, ...]] = []
-    for s in range(phi):
-        row = [0] * phi
-        row[s] = 1
-        rows.append(tuple(row))
-    # x^phi = -(Phi_p - x^phi); iterate upward
-    top = tuple(-phi_p[i] for i in range(phi))
-    if phi <= hi:
-        rows.append(top)
-        cur = list(top)
-        for _ in range(phi + 1, hi + 1):
-            lead = cur[-1]
-            nxt = [0] + cur[:-1]
-            if lead:
-                for i in range(phi):
-                    if top[i]:
-                        nxt[i] += lead * top[i]
-            cur = nxt
-            rows.append(tuple(cur))
-    return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in rows)
+    cur = [1] + [0] * (len(phi_p) - 2)
+    rows = []
+    for _ in range(p):
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
+        # x * cur, with x^phi replaced by x^phi - Phi_p
+        lead, cur = cur[-1], [0] + cur[:-1]
+        if lead:
+            cur = [c - lead * f for c, f in zip(cur, phi_p)]
+    return tuple(rows)
 
 
 def _check_rational(c: RationalLike) -> RationalLike:
@@ -315,14 +308,15 @@ class Cyclotomic(_Scalar):
 
     @classmethod
     def _from_terms(cls, order: int, terms, den: int = 1) -> "Cyclotomic":
-        """sum c zeta^s / den over the (s, c) in terms, for integers c and
-        den > 0 and 0 <= s <= max(order - 1, 2*phi - 2): the one reduction
-        modulo Phi_p, of the nonzero terms only."""
+        """sum c zeta^s / den over the (s, c) in terms, for integers s and c
+        and den > 0: the one place that uses zeta^p = 1, taking each exponent
+        mod p, and the one reduction modulo Phi_p, of the nonzero terms
+        only."""
         rows = _reduction_rows(order)
         nums = [0] * (len(cyclotomic_polynomial(order)) - 1)
         for s, c in terms:
             if c:
-                for i, r in rows[s]:
+                for i, r in rows[s % order]:
                     nums[i] += c * r
         return cls._canonical(order, nums, den)
 
@@ -375,20 +369,13 @@ class Cyclotomic(_Scalar):
         if isinstance(other, (int, Fraction)):
             return Cyclotomic._canonical(self.order, [a * other.numerator for a in self.nums],
                                          self.den * other.denominator)
-        if not isinstance(other, Cyclotomic):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        if other.order != self.order:
-            raise ValueError(
-                f"cyclotomic order mismatch: {self.order} vs {other.order}")
-        b_nz = [(k, bk) for k, bk in enumerate(other.nums) if bk]
-        if not b_nz or not any(self.nums):
+        if not (self and o):  # common in the ring algebra; skips the kernel
             return Cyclotomic._raw(self.order, (0,) * len(self.nums), 1)
-        prod = [0] * (2 * len(self.nums) - 1)
-        for i, ai in enumerate(self.nums):
-            if ai:
-                for k, bk in b_nz:
-                    prod[i + k] += ai * bk
-        return Cyclotomic._from_terms(self.order, enumerate(prod), self.den * other.den)
+        return Cyclotomic._from_terms(
+            self.order, enumerate(_poly_mul_int(self.nums, o.nums)), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -426,17 +413,14 @@ class Cyclotomic(_Scalar):
     def galois(self, k: int) -> "Cyclotomic":
         """Image under the field automorphism zeta -> zeta^k (gcd(k, p) = 1)."""
         p = self.order
-        k %= p
         if gcd(k, p) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for order {p}")
         return Cyclotomic._from_terms(
-            p, [(s * k % p, c) for s, c in enumerate(self.nums) if c], self.den)
+            p, [(s * k, c) for s, c in enumerate(self.nums) if c], self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        if self.order == 1:
-            return self
-        return self.galois(self.order - 1)
+        return self.galois(-1)
 
     def as_rational(self) -> Optional[Fraction]:
         """The constant coefficient if the element is rational, else None."""
@@ -580,7 +564,7 @@ class Laurent(_Scalar):
         if not self.nums:
             return Cyclotomic.zero(p)
         return Cyclotomic._from_terms(
-            p, [(s * j % p, c) for s, c in enumerate(self.nums, self.lo) if c], self.den)
+            p, [(s * j, c) for s, c in enumerate(self.nums, self.lo) if c], self.den)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""
@@ -606,10 +590,8 @@ class Laurent(_Scalar):
 # ---------------------------------------------------------------------------
 
 def zeta_power(p: int, k: int) -> Cyclotomic:
-    """zeta_p^(k mod p), reduced modulo Phi_p."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    return Cyclotomic._from_terms(p, [(k % p, 1)])
+    """zeta_p^k, reduced modulo Phi_p; p < 1 raises ValueError."""
+    return Cyclotomic._from_terms(p, [(k, 1)])
 
 
 def cos_of(p: int, j: int) -> Cyclotomic:
@@ -627,37 +609,3 @@ def as_rational(a) -> Optional[Fraction]:
     if isinstance(a, _Scalar):
         return a.as_rational()
     return Fraction(a)
-
-
-class TrigSums(NamedTuple):
-    sum_cos: Fraction
-    sum_cos_sq: Fraction
-    sum_inv_one_minus_cos: Fraction
-
-
-def _trig_closed_forms(p: int) -> TrigSums:
-    # sum cos^2 is (p-2)/2 only for p >= 3; the p = 2 sum has the single
-    # term cos^2(pi) = 1 because 2*theta wraps to a full turn.
-    sum_cos_sq = Fraction(1) if p == 2 else Fraction(p - 2, 2)
-    return TrigSums(Fraction(-1), sum_cos_sq, Fraction(p * p - 1, 6))
-
-
-def trig_sums(p: int) -> TrigSums:
-    """Exact sums over the nontrivial group elements, theta_j = 2*pi*j/p:
-
-        sum cos(theta_j),  sum cos^2(theta_j),  sum 1/(1 - cos(theta_j))
-
-    for j = 1..p-1, each as one Galois trace per divisor class (see
-    identities.py), and checked against the closed forms -1, (p-2)/2
-    (p >= 3; 1 at p = 2), (p^2-1)/6.
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2 (empty sums are the caller's business)")
-    from . import identities
-    sc, sc2 = identities.sum_cos_and_cos_sq(p)
-    traced = TrigSums(sc, sc2, identities.sum_inv_one_minus_cos(p))
-    closed = _trig_closed_forms(p)
-    if traced != closed:
-        raise ConsistencyError(
-            f"trig sums disagree at p={p}: traced {traced} vs closed {closed}")
-    return closed

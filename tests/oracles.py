@@ -8,11 +8,11 @@ raises ConsistencyError.
 
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement
+from orbifold_index.identities import TrigSums
 from orbifold_index.index import CorrectionSum
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
-    TrigSums,
     cos_of,
     zeta_power,
 )

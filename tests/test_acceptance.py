@@ -22,6 +22,7 @@ from orbifold_index.cli import (
     _check_divisibility,
     _check_rank,
 )
+from orbifold_index.identities import trig_sums
 from orbifold_index.index import (
     Duality,
     TopologicalData,
@@ -31,7 +32,7 @@ from orbifold_index.index import (
     index_smooth,
 )
 from orbifold_index.ring import CohomElement, invert_unit, ring_mul
-from orbifold_index.scalars import Cyclotomic, euler_phi, trig_sums
+from orbifold_index.scalars import Cyclotomic, euler_phi
 
 
 def _passed(n, text):

@@ -3,6 +3,9 @@
 import json
 import sys
 
+import pytest
+
+import orbifold_index.applications as applications
 import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 from orbifold_index import cli
@@ -223,6 +226,39 @@ def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "suite rank at p=2" in err and "RuntimeError: not a verdict" in err
+
+
+_HITCHIN = ["--chi", "2", "--tau", "0", "--sigma-chi", "1", "--sigma-sq", "-2"]
+
+
+@pytest.mark.parametrize("target, name, exc, argv", [
+    (bundles, "character_dump", ZeroDivisionError,
+     ["correction", "--p", "5", "--dump-element", "2"]),
+    (cli, "index_kawasaki", KeyError, ["index", *_HITCHIN, "--p", "5", "--duality", "sd"]),
+    (index_mod, "tau_orb", TypeError, ["orbifold-char", *_HITCHIN, "--beta", "1/2"]),
+    (applications, "whitney_massey_values", RuntimeError, ["surfaces", "--j", "3"]),
+    (applications, "hitchin_report", AttributeError, ["example", "hitchin", "--k", "7"]),
+], ids=["correction", "index", "orbifold-char", "surfaces", "example"])
+def test_crash_in_any_subcommand_exits_3_and_names_the_exception(
+        capsys, monkeypatch, target, name, exc, argv):
+    # a library bug is not a usage error (1) or a failed verification (2)
+    def boom(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(target, name, boom)
+    rc, out, err = run(capsys, ["--json", *argv])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error:") and exc.__name__ in err and "injected" in err
+
+
+def test_value_error_from_the_library_stays_a_usage_error(capsys, monkeypatch):
+    def bad(*args, **kwargs):
+        raise ValueError("out of range")
+
+    monkeypatch.setattr(applications, "whitney_massey_values", bad)
+    rc, _, err = run(capsys, ["surfaces", "--j", "3"])
+    assert rc == 1 and err == "usage error: out of range\n"
 
 
 def test_json_output_is_deterministic(capsys):

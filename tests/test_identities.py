@@ -14,6 +14,7 @@ from oracles import correction_sum_pipeline, laurent_at, trig_sums_brute
 from orbifold_index import identities as ident
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement
+from orbifold_index.identities import TrigSums, _trig_closed_forms, trig_sums
 from orbifold_index.index import (
     _correction_sum,
     correction_at,
@@ -25,13 +26,10 @@ from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     Laurent,
-    TrigSums,
-    _trig_closed_forms,
     as_rational,
     cos_of,
     divisors,
     mobius,
-    trig_sums,
     zeta_power,
 )
 

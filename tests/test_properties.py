@@ -21,7 +21,14 @@ from orbifold_index.index import (  # noqa: E402
     index_kawasaki,
     index_smooth,
 )
-from orbifold_index.scalars import Cyclotomic, Laurent, euler_phi  # noqa: E402
+from orbifold_index.scalars import (  # noqa: E402
+    Cyclotomic,
+    Laurent,
+    _poly_divmod_int,
+    _reduction_rows,
+    cyclotomic_polynomial,
+    euler_phi,
+)
 from oracles import laurent_at  # noqa: E402
 
 # fixed examples keep the suite deterministic; the counts keep it quick
@@ -65,6 +72,33 @@ def test_canonical_form_after_every_operation(abc, q, k):
     results += [a.galois(j) for j in units[:3]]
     for r in results:
         assert_canonical(r)
+
+
+@st.composite
+def term_lists(draw):
+    p = draw(st.integers(1, 60))
+    terms = draw(st.lists(st.tuples(st.integers(-3 * p, 3 * p), st.integers(-1000, 1000)),
+                          max_size=12))
+    return p, terms, draw(st.integers(1, 12))
+
+
+@_settings
+@given(term_lists())
+def test_from_terms_takes_any_integer_exponent(args):
+    # the kernel folds each exponent mod p itself, from a table of p rows
+    p, terms, den = args
+    a = Cyclotomic._from_terms(p, terms, den)
+    folded = [(s % p, c) for s, c in terms]
+    assert a == Cyclotomic._from_terms(p, folded, den)
+    assert_canonical(a)
+    assert len(_reduction_rows(p)) == p
+    # and agrees with long division of sum c x^(s mod p) by Phi_p
+    poly = [0] * p
+    for s, c in folded:
+        poly[s] += c
+    _, rem = _poly_divmod_int(tuple(poly), cyclotomic_polynomial(p))
+    rem += (0,) * (euler_phi(p) - len(rem))
+    assert a == Cyclotomic(p, [F(c, den) for c in rem])
 
 
 @_settings

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from oracles import trig_sums_brute
+from orbifold_index.identities import trig_sums
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
@@ -22,7 +23,6 @@ from orbifold_index.scalars import (
     parse_rational,
     ramanujan_weights,
     sin_times_i_of,
-    trig_sums,
     zeta_power,
 )
 
