@@ -20,12 +20,10 @@ from .scalars import (
 from .identities import TrigSums, trig_sums
 from .ring import (
     CohomElement,
-    PairingData,
     a_hat_squared,
     divide_by_e,
     exp_class,
     invert_unit,
-    pair_with_sigma,
     ring_mul,
     scalar_mul,
 )

@@ -146,13 +146,10 @@ def generic_characters() -> MappingProxyType:
     return MappingProxyType(chars)
 
 
-def _character(name: str, gamma) -> CohomElement:
-    """The derived character `name` at gamma: itself at the generic element,
-    each coefficient evaluated at zeta_p^j at a GroupElement."""
-    c = generic_characters()[name]
-    if gamma is GENERIC:
-        return c
-    return c.map(lambda s: s.at(gamma.p, gamma.j))
+def _character(name: str, gamma: GroupElement) -> CohomElement:
+    """The derived character `name` at gamma, each coefficient evaluated at
+    zeta_p^j."""
+    return generic_characters()[name].map(lambda s: s.at(gamma.p, gamma.j))
 
 
 def ch_cotangent(gamma) -> CohomElement:

@@ -5,10 +5,10 @@ Output is a human-readable table on a terminal and deterministic JSON when
 redirected or with --json (before or after the subcommand); exact rationals
 are never rendered as decimals.
 
-Exit codes: 0 success, 1 usage error (a ValueError included), 2 verification
-failure, 3 internal consistency failure or any other exception raised in any
-subcommand (a crash; in verify, also a check that raised instead of
-answering).  A crash names the exception's type and message on stderr.
+Exit codes: 0 success, 1 usage error (raised as UsageError by the argument
+checks), 2 verification failure, 3 internal consistency failure or any other
+exception, a library ValueError included (a crash; in verify, also a check
+that raised instead of answering), named by type and message on stderr.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _topology(args) -> TopologicalData:
+    if args.p < 1:
+        raise UsageError("cone order --p must be a positive integer")
     if (args.chi - args.tau) % 2:
         raise UsageError("chi(M) and tau(M) must have the same parity, as on "
                          "every closed four-manifold")
@@ -330,6 +332,8 @@ def _cmd_example(args) -> int:
             if getattr(args, flag) is None:
                 raise UsageError("ricci-flat needs --chi --tau --sigma-chi --sigma-sq")
         data = _topology(args)
+        if data.p < 2:
+            raise UsageError("ricci-flat needs --p P with P >= 2")
         dim = applications.ricci_flat_moduli_dim(data)
         payload = {"inputs": {"chi": args.chi, "tau": args.tau,
                               "sigma_chi": args.sigma_chi,
@@ -421,7 +425,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.fn(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:

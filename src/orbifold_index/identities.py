@@ -23,7 +23,9 @@ checked against its exact ring identity
 
 where the all-ones N_d vanishes at every primitive d-th root, so u is the
 true inverse at zeta_d and, the identity having integer coefficients, at all
-its Galois images.
+its Galois images.  Both u_d and its check live in scalars, where Laurent.at
+multiplies the same checked u_d into N to evaluate a class at one element;
+a trace reads the product's entries off u without forming it.
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed, its u_d checked first, once per process and kept
@@ -37,42 +39,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import lcm
-from operator import sub
 from typing import NamedTuple
 
 from .scalars import (
     ConsistencyError,
     Laurent,
     divisors,
+    inv_two_minus_two_cos_vec,
     ramanujan_weights,
+    verify_inverse_vec,
 )
-
-
-def inv_two_minus_two_cos_vec(d: int) -> tuple[list[int], int]:
-    """(vector, denominator) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2,
-    as an element of Z[x]/(x^d - 1)."""
-    if d < 2:
-        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
-    t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
-    # C_(r+1) - C_r = d*r - T1, r = 0..d-2
-    return list(accumulate(range(-t1, d * (d - 1) - t1, d), initial=t2)), d * d
-
-
-def verify_inverse_vec(d: int, vec: list[int], den: int) -> None:
-    """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1)."""
-    if den % d:
-        raise ValueError("denominator must absorb the 1/d of the identity")
-    # 2 v_r - v_(r-1) - v_(r+1) = diff_r - diff_(r+1), where
-    # diff_r = v_r - v_(r-1) is the cyclic first difference
-    diff = list(map(sub, vec, vec[-1:] + vec[:-1]))
-    lhs = list(map(sub, diff, diff[1:] + diff[:1]))
-    rhs = [-(den // d)] * d
-    rhs[0] += den
-    if lhs != rhs:
-        raise ConsistencyError(
-            f"closed-form inverse failed its ring identity at d={d}")
 
 
 def trace(vec: list[int], terms: dict[int, int]) -> int:

@@ -10,8 +10,10 @@ The fixed-point route assembles
 and must land on the same integer as the closed form
 (1/2)(15 chi +- 29 tau) - 4 chi(Sigma) -+ 4 [Sigma]^2 for every cone order p.
 
-The summand is one function of z = zeta^j: correction_class derives it once
-and the group sum traces it per divisor class d | p (identities.py).
+The summand is one function of z = zeta^j: correction_class derives it once,
+correction_at evaluates it at one element (Laurent.at), and the group sum
+traces it per divisor class d | p (identities.py).  No path here inverts a
+Cyclotomic: the same algebra run per element is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 from . import bundles, identities
 from .bundles import GroupElement
 from .ring import CohomElement, a_hat_squared, divide_by_e, invert_unit, ring_mul
-from .scalars import ConsistencyError, Laurent
+from .scalars import ConsistencyError
 
 @dataclass(frozen=True)
 class TopologicalData:
@@ -64,32 +66,37 @@ class CorrectionSum:
         return {"e": str(self.coeff_e), "h": str(self.coeff_h)}
 
 
-def correction_at(gamma: GroupElement) -> CohomElement:
-    """Fixed-point contribution of one nontrivial group element:
-    (symbol/e) * thom^-1 * Ahat^2, truncated, from the characters evaluated
-    at gamma (or, at bundles.GENERIC, as functions of z).  Degree-2
-    coefficients are -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h."""
-    if gamma.j == 0:
-        raise ValueError("identity element is excluded from correction terms")
-    q = divide_by_e(bundles.ch_symbol(gamma))
-    t_inv = invert_unit(bundles.ch_thom(gamma))
-    return ring_mul(ring_mul(q, t_inv), a_hat_squared())
+def correction_term(symbol: CohomElement, thom: CohomElement) -> CohomElement:
+    """The fixed-point contribution (symbol/e) * thom^-1 * Ahat^2, truncated,
+    from the symbol and Thom characters of one element, over whichever
+    scalars they carry."""
+    return ring_mul(ring_mul(divide_by_e(symbol), invert_unit(thom)), a_hat_squared())
 
 
 @lru_cache(maxsize=1)
-def correction_class() -> tuple[Laurent, Laurent]:
-    """The e and h coefficients of correction_at as functions of z = zeta^j:
-    the same ring algebra run once, on first use, over the characters that
-    bundles.generic_characters derives at the generic element.  Both are
-    checked to be invariant under z -> z^-1 (the coefficients of a real
-    class) and to carry at most one power of t = 2 - z - z^-1, the one
+def correction_class() -> CohomElement:
+    """correction_term as six functions of z = zeta^j, each a Laurent class
+    N(z)/t^k: run once, on first use, over the characters that
+    bundles.generic_characters derives.  The e and h coefficients are
+    checked, once, to be invariant under z -> z^-1 (the coefficients of a
+    real class) and to carry at most one power of t = 2 - z - z^-1, the one
     inverse the class traces evaluate."""
-    c = correction_at(bundles.GENERIC)
+    chars = bundles.generic_characters()
+    c = correction_term(chars["symbol"], chars["thom"])
     for name, s in (("e", c.ce), ("h", c.ch)):
         if s.conjugate() != s or s.k > 1:
             raise ConsistencyError(f"derived correction class {name} = {s!r} is not "
                                    "symmetric under z -> 1/z over at most one power of t")
-    return c.ce, c.ch
+    return c
+
+
+def correction_at(gamma: GroupElement) -> CohomElement:
+    """Fixed-point contribution of one nontrivial group element: the derived
+    correction class evaluated at z = zeta_p^j.  Degree-2 coefficients are
+    -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h."""
+    if gamma.j == 0:
+        raise ValueError("identity element is excluded from correction terms")
+    return correction_class().map(lambda s: s.at(gamma.p, gamma.j))
 
 
 def _correction_sum(p: int) -> CorrectionSum:
@@ -97,8 +104,8 @@ def _correction_sum(p: int) -> CorrectionSum:
         raise ValueError("p must be a positive integer")
     if p == 1:
         return CorrectionSum(Fraction(0), Fraction(0))  # empty sum over nontrivial elements
-    e, h = correction_class()
-    return CorrectionSum(identities.class_sum(p, e) / p, identities.class_sum(p, h) / p)
+    c = correction_class()
+    return CorrectionSum(identities.class_sum(p, c.ce) / p, identities.class_sum(p, c.ch) / p)
 
 
 @lru_cache(maxsize=None)

@@ -135,24 +135,3 @@ def a_hat_squared() -> CohomElement:
     coefficients; mixed products coerce through the cyclotomic operand)."""
     z = Fraction(0)
     return CohomElement(Fraction(1), z, z, Fraction(-1, 12), z, z)
-
-
-@dataclass(frozen=True)
-class PairingData:
-    """Pairings of the generators with the fundamental class of the surface:
-    <e, [S]> = chi(Sigma) and <h, [S]> = [Sigma]^2 / p."""
-
-    chi_Sigma: int
-    sigma_hat_sq: Fraction
-
-    @classmethod
-    def from_topology(cls, chi_Sigma: int, sigma_sq: int, p: int) -> "PairingData":
-        if p < 1:
-            raise ValueError("p must be a positive integer")
-        return cls(chi_Sigma, Fraction(sigma_sq, p))
-
-
-def pair_with_sigma(a: CohomElement, d: PairingData) -> Scalar:
-    """Pair the degree-2 part with the fundamental class; degree-4
-    coefficients are invisible on a surface."""
-    return a.ce * d.chi_Sigma + a.ch * d.sigma_hat_sq

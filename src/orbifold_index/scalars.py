@@ -10,6 +10,9 @@ modulo x^p - 1 keeps the quotient a field, so denominators like
 A Laurent scalar keeps the phase as the indeterminate z instead, for
 expressions that hold at every nontrivial element at once; its only
 inverses are those of c * t^m, the one denominator the index needs.
+Laurent.at evaluates N(z)/t^k at every k through the checked representative
+u_d of 1/t; the extended-Euclid Cyclotomic.inverse serves only `/` and
+.inverse() for library users and the tests' per-element oracle.
 
 Both store their coefficients the same way: integer numerators over one
 positive common denominator, in lowest terms, so arithmetic and evaluation
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -468,6 +473,32 @@ def _axpy(b: int, u: list[int], a: int, v: list[int], k: int) -> list[int]:
 # p-independent scalars: Laurent polynomials in z over powers of t
 # ---------------------------------------------------------------------------
 
+def inv_two_minus_two_cos_vec(d: int) -> tuple[list[int], int]:
+    """(vector, denominator) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2,
+    as an element of Z[x]/(x^d - 1)."""
+    if d < 2:
+        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
+    t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
+    # C_(r+1) - C_r = d*r - T1, r = 0..d-2
+    return list(accumulate(range(-t1, d * (d - 1) - t1, d), initial=t2)), d * d
+
+
+def verify_inverse_vec(d: int, vec: list[int], den: int) -> None:
+    """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1):
+    the all-ones N_d vanishes at every primitive d-th root of unity."""
+    if den % d:
+        raise ValueError("denominator must absorb the 1/d of the identity")
+    # 2 v_r - v_(r-1) - v_(r+1) = diff_r - diff_(r+1), where
+    # diff_r = v_r - v_(r-1) is the cyclic first difference
+    diff = list(map(sub, vec, vec[-1:] + vec[:-1]))
+    lhs = list(map(sub, diff, diff[1:] + diff[:1]))
+    rhs = [-(den // d)] * d
+    rhs[0] += den
+    if lhs != rhs:
+        raise ConsistencyError(
+            f"closed-form inverse failed its ring identity at d={d}")
+
+
 def _div_by_t(lo: int, cs) -> Optional[tuple[int, tuple]]:
     """(lo + 1, q) with t * q == cs, both from their lowest power upward,
     or None when t = 2 - z - z^-1 = -(z - 1)^2 / z does not divide cs."""
@@ -553,18 +584,24 @@ class Laurent(_Scalar):
         return Laurent({0: Fraction(self.den, nums[0])}, m - self.k)
 
     def at(self, p: int, j: int) -> Cyclotomic:
-        """The value at z = zeta_p^j of a polynomial (k = 0): its nonzero
-        numerators moved to the powers s*j mod p and reduced to Q(zeta_p)
-        one by one over the same denominator; zero at once when there are
-        none.  At j = 0 it is the sum of the coefficients.  A class with
-        k > 0 raises ValueError: t vanishes at j = 0, and its inverse is the
-        identities module's business."""
-        if self.k:
-            raise ValueError(f"{self!r} has a power of t in the denominator")
-        if not self.nums:
+        """The value at z = zeta_p^j, of exact order d = p/gcd(p, j).  With
+        k > 0, N is first multiplied k times by the checked representative
+        u_d of 1/t in Z[x]/(x^d - 1); the nonzero numerators then go to the
+        powers s*j mod p and are reduced to Q(zeta_p) over one denominator.
+        At j = 0 a polynomial is the sum of its coefficients, and a class
+        with k > 0 raises ZeroDivisionError: t vanishes there."""
+        if not self.nums:  # a zero slot skips the kernel
             return Cyclotomic.zero(p)
+        nums, den = self.nums, self.den
+        if self.k:
+            d = p // gcd(p, j)
+            u, u_den = inv_two_minus_two_cos_vec(d)
+            verify_inverse_vec(d, u, u_den)
+            for _ in range(self.k):
+                nums = _poly_mul_int(nums, u)
+            den *= u_den ** self.k
         return Cyclotomic._from_terms(
-            p, [(s * j, c) for s, c in enumerate(self.nums, self.lo) if c], self.den)
+            p, [(s * j, c) for s, c in enumerate(nums, self.lo) if c], den)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""

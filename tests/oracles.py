@@ -1,13 +1,17 @@
-"""Literal per-element sweeps over Q(zeta_p), kept as the independent route
-for the traced group sums of the library.
+"""Literal per-element routes over Q(zeta_p), kept as the independent route
+for the library's derived classes, their evaluation and their traced group
+sums.
 
-Every term is built and summed as a Cyclotomic, element by element, and the
-group sum must come out rational (Galois invariance); a sum that does not
-raises ConsistencyError.
+Every term is built as a Cyclotomic, element by element: the characters by
+the line-bundle algebra over the element's own phase, the correction term by
+the library's ring algebra over them, and every inverse by the extended
+Euclid (Cyclotomic.inverse, inside ring.invert_unit).  A group sum must come
+out rational (Galois invariance); a sum that does not raises
+ConsistencyError.
 """
 
 from orbifold_index import index as index_mod
-from orbifold_index.bundles import GroupElement
+from orbifold_index.bundles import GroupElement, derive_characters
 from orbifold_index.identities import TrigSums
 from orbifold_index.index import CorrectionSum
 from orbifold_index.scalars import (
@@ -25,12 +29,19 @@ def _rational(total, what, p):
     return q
 
 
+def correction_at_pipeline(gamma):
+    """The correction term at one group element, by index.correction_term
+    over the characters derived at gamma's own Cyclotomic phase."""
+    chars = derive_characters(gamma)
+    return index_mod.correction_term(chars["symbol"], chars["thom"])
+
+
 def correction_sum_pipeline(p):
-    """The ring pipeline's correction_at on every element j = 1..p-1,
-    summed and scaled by 1/p."""
+    """correction_at_pipeline on every element j = 1..p-1, summed and
+    scaled by 1/p."""
     total_e = total_h = Cyclotomic.zero(p)
     for j in range(1, p):
-        c = index_mod.correction_at(GroupElement(p, j))
+        c = correction_at_pipeline(GroupElement(p, j))
         total_e, total_h = total_e + c.ce, total_h + c.ch
     return CorrectionSum(_rational(total_e, "correction", p) / p,
                          _rational(total_h, "correction", p) / p)

@@ -10,6 +10,7 @@ import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 from orbifold_index import cli
 from orbifold_index.ring import CohomElement
+from orbifold_index.scalars import Cyclotomic
 
 
 def run(capsys, argv):
@@ -119,6 +120,10 @@ def test_usage_errors(capsys):
     assert run(capsys, ["example", "ricci-flat"])[0] == 1
     assert run(capsys, ["correction", "--p", "0"])[0] == 1
     assert run(capsys, ["correction", "--p", "4", "--dump-element", "4"])[0] == 1
+    # range checks the library would otherwise raise as ValueError
+    assert run(capsys, ["index", *_HITCHIN, "--p", "0", "--duality", "sd"])[0] == 1
+    assert run(capsys, ["example", "ricci-flat", *_HITCHIN, "--p", "0"])[0] == 1
+    assert run(capsys, ["example", "ricci-flat", *_HITCHIN, "--p", "1"])[0] == 1
 
 
 def test_correction_command(capsys):
@@ -192,16 +197,20 @@ def test_verify_minimal_run(capsys):
 
 
 def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
-    real = bundles.ch_thom
+    real = bundles.derive_characters
 
     def bad_thom(gamma):
-        # sign fault on the -2 i sin(theta) h term; invisible at p = 2
+        # sign fault on the -2 i sin(theta) h term of the derived Thom
+        # character; it passes the conjugation check, is invisible at p = 2
         # (sin pi = 0) but poisons every correction sum from p = 3 on
-        good = real(gamma)
-        return CohomElement(good.c0, good.ce, -good.ch,
-                            good.cee, good.ceh, good.chh)
+        chars = real(gamma)
+        if gamma.j is None:  # both generic runs, never a GroupElement
+            good = chars["thom"]
+            chars["thom"] = CohomElement(good.c0, good.ce, -good.ch,
+                                         good.cee, good.ceh, good.chh)
+        return chars
 
-    monkeypatch.setattr(bundles, "ch_thom", bad_thom)
+    monkeypatch.setattr(bundles, "derive_characters", bad_thom)
     bundles.generic_characters.cache_clear()  # derive everything with the fault
     index_mod.correction_class.cache_clear()
     try:
@@ -252,13 +261,13 @@ def test_crash_in_any_subcommand_exits_3_and_names_the_exception(
     assert err.startswith("internal error:") and exc.__name__ in err and "injected" in err
 
 
-def test_value_error_from_the_library_stays_a_usage_error(capsys, monkeypatch):
-    def bad(*args, **kwargs):
-        raise ValueError("out of range")
-
-    monkeypatch.setattr(applications, "whitney_massey_values", bad)
-    rc, _, err = run(capsys, ["surfaces", "--j", "3"])
-    assert rc == 1 and err == "usage error: out of range\n"
+def test_value_error_from_the_library_is_an_internal_error(capsys, monkeypatch):
+    # a ValueError that no argument check raised is a library bug: exit 3
+    monkeypatch.setattr(index_mod, "correction_sum",
+                        lambda p: Cyclotomic.one(5) + Cyclotomic.one(7))
+    rc, out, err = run(capsys, ["--json", "correction", "--p", "5"])
+    assert rc == 3 and out == ""
+    assert err == "internal error: ValueError: cyclotomic order mismatch: 5 vs 7\n"
 
 
 def test_json_output_is_deterministic(capsys):

@@ -1,5 +1,5 @@
-"""Byte-exact stdout of four CLI commands against the recorded files in
-tests/golden/; the same four files are diffed against the installed console
+"""Byte-exact stdout of five CLI commands against the recorded files in
+tests/golden/; the same five files are diffed against the installed console
 script in CI."""
 
 from pathlib import Path
@@ -13,6 +13,8 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "verify_p36.json": ["--json", "verify", "--p-max", "36"],
     "correction_p24_dump5.json": ["--json", "correction", "--p", "24", "--dump-element", "5"],
+    # j = 9 shares the factor 3 with p: an element of order 8
+    "correction_p24_dump9.json": ["--json", "correction", "--p", "24", "--dump-element", "9"],
     "correction_p300.json": ["--json", "correction", "--p", "300"],
     "index_p7_sd.json": ["--json", "index", "--chi", "5", "--tau", "3", "--sigma-chi", "2",
                          "--sigma-sq", "3", "--p", "7", "--duality", "sd"],

@@ -1,6 +1,6 @@
 """The per-divisor trace evaluator and the derived correction class against
-the extended-Euclid route, the literal per-element ring pipeline, and the
-closed forms."""
+the extended-Euclid route, the literal per-element ring pipeline over
+Cyclotomic characters, and the closed forms."""
 
 import os
 import subprocess
@@ -10,9 +10,10 @@ from math import gcd
 
 import pytest
 
-from oracles import correction_sum_pipeline, laurent_at, trig_sums_brute
+from oracles import correction_at_pipeline, correction_sum_pipeline, trig_sums_brute
 from orbifold_index import identities as ident
 from orbifold_index import index as index_mod
+from orbifold_index import scalars
 from orbifold_index.bundles import GroupElement
 from orbifold_index.identities import TrigSums, _trig_closed_forms, trig_sums
 from orbifold_index.index import (
@@ -137,18 +138,15 @@ def test_trace_is_sum_over_units():
         assert ident.trace([1] * d, {0: 1}) == 0  # N_d traces to 0
 
 
-def _derived_at(p, j):
-    """The derived e and h classes evaluated at zeta_p^j."""
-    e, h = correction_class()
-    return laurent_at(e, p, j), laurent_at(h, p, j)
-
-
 def test_derived_class_is_the_docstring_formula():
     # -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h, with t = 2 - 2 cos
-    e, h = correction_class()
+    c = correction_class()
+    e, h = c.ce, c.ch
     assert e == Laurent({1: -2, 0: F(-7, 2), -1: -2})
     assert h == Laurent({2: 2, 1: -4, 0: -6, -1: -4, -2: 2}, 1)
     assert h == Laurent({1: -2, -1: -2}) - 10 / Laurent({-1: -1, 0: 2, 1: -1})
+    # the powers of t that correction_at evaluates, slot by slot
+    assert [s.k for s in (c.c0, c.ce, c.ch, c.cee, c.ceh, c.chh)] == [1, 0, 1, 1, 1, 2]
 
 
 def test_importing_the_cli_does_not_derive_the_class():
@@ -162,12 +160,11 @@ def test_importing_the_cli_does_not_derive_the_class():
 
 
 def test_fast_correction_matches_pipeline_exhaustive():
+    # all six slots of the evaluated class against the per-element algebra
     for p in range(2, 25):
         for j in range(1, p):
-            full = correction_at(GroupElement(p, j))
-            ce, ch = _derived_at(p, j)
-            assert ce == full.ce, (p, j)
-            assert ch == full.ch, (p, j)
+            gamma = GroupElement(p, j)
+            assert correction_at(gamma) == correction_at_pipeline(gamma), (p, j)
 
 
 @pytest.mark.parametrize("p,j", [(24, 1), (24, 9), (31, 1), (31, 17),
@@ -175,26 +172,25 @@ def test_fast_correction_matches_pipeline_exhaustive():
 def test_fast_correction_matches_pipeline_spots(p, j):
     # 105 covers non-coprime elements, including j = 35 where the doubled
     # shift 2j collides with -j
-    full = correction_at(GroupElement(p, j))
-    ce, ch = _derived_at(p, j)
-    assert ce == full.ce and ch == full.ch
+    gamma = GroupElement(p, j)
+    assert correction_at(gamma) == correction_at_pipeline(gamma)
 
 
 @pytest.mark.parametrize("d", list(range(2, 41)) + [47, 97, 105])
 def test_representative_slots_match_pipeline(d):
-    full = correction_at(GroupElement(d, 1))
-    assert _derived_at(d, 1) == (full.ce, full.ch)
+    gamma = GroupElement(d, 1)
+    assert correction_at(gamma) == correction_at_pipeline(gamma)
 
 
 def test_class_traces_match_pipeline_unit_sums():
-    e, h = correction_class()
+    derived = correction_class()
     for d in range(2, 31):
         sum_e = sum_h = Cyclotomic.zero(d)
         for k in range(1, d):
             if gcd(k, d) == 1:
-                c = correction_at(GroupElement(d, k))
+                c = correction_at_pipeline(GroupElement(d, k))
                 sum_e, sum_h = sum_e + c.ce, sum_h + c.ch
-        traces = (ident.class_traces([d], e), ident.class_traces([d], h))
+        traces = (ident.class_traces([d], derived.ce), ident.class_traces([d], derived.ch))
         assert traces == (as_rational(sum_e), as_rational(sum_h)), d
 
 
@@ -208,8 +204,9 @@ def _t_squared(c):  # h/t carries t^2
 
 @pytest.mark.parametrize("fault", [_skewed, _t_squared])
 def test_derived_class_rejects_skew_and_t_squared(monkeypatch, fault):
-    real = index_mod.correction_at
-    monkeypatch.setattr(index_mod, "correction_at", lambda gamma: fault(real(gamma)))
+    real = index_mod.correction_term
+    monkeypatch.setattr(index_mod, "correction_term",
+                        lambda symbol, thom: fault(real(symbol, thom)))
     correction_class.cache_clear()
     try:
         with pytest.raises(ConsistencyError):
@@ -247,6 +244,22 @@ def test_failed_inverse_check_is_not_kept(monkeypatch):
             assert _correction_sum(p) == correction_sum_closed_form(p)
     finally:
         ident._class_trace.cache_clear()
+
+
+def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
+    # correction_at evaluates its classes over t through the checked
+    # representative of 1/t at the element's order, 12 here
+    real = scalars.inv_two_minus_two_cos_vec
+
+    def skewed(d):
+        vec, den = real(d)
+        return [vec[0] + 1] + vec[1:], den
+
+    monkeypatch.setattr(scalars, "inv_two_minus_two_cos_vec", skewed)
+    with pytest.raises(ConsistencyError, match="d=12"):
+        correction_at(GroupElement(12, 5))
+    monkeypatch.undo()
+    assert correction_at(GroupElement(12, 5)) == correction_at_pipeline(GroupElement(12, 5))
 
 
 def test_each_representative_is_checked_once_per_class(monkeypatch):

@@ -15,6 +15,7 @@ from orbifold_index.index import (
     _correction_sum,
     chi_orb,
     correction_at,
+    correction_class,
     correction_sum,
     correction_sum_closed_form,
     index_closed_form,
@@ -22,7 +23,7 @@ from orbifold_index.index import (
     index_smooth,
     tau_orb,
 )
-from orbifold_index.scalars import as_rational, cos_of, zeta_power
+from orbifold_index.scalars import Cyclotomic, Laurent, as_rational, cos_of, zeta_power
 
 
 def test_correction_at_p2_full_element():
@@ -101,21 +102,27 @@ def test_correction_sum_against_sympy_trig():
 def test_correction_sum_rejects_non_rational_sums(monkeypatch):
     # skewing a single group element breaks Galois symmetry, so the literal
     # sweep's summed coefficients stop being rational and its guard must
-    # fire; skewing the generic element (j is None) breaks the symmetry
-    # check of the derived class
+    # fire; skewing the generic run of the algebra (Laurent scalars) breaks
+    # the symmetry check of the derived class
+    import oracles
     import orbifold_index.index as index_mod
     from orbifold_index.ring import CohomElement
 
-    real = index_mod.correction_at
+    def skew(c, z):
+        return c + CohomElement(z * 0, z, z, z * 0, z * 0, z * 0)
 
-    def skewed(gamma):
-        out = real(gamma)
-        if gamma.j in (1, None):
-            z = gamma.zeta()
-            out = out + CohomElement(z * 0, z, z, z * 0, z * 0, z * 0)
-        return out
+    real_element, real_term = oracles.correction_at_pipeline, index_mod.correction_term
 
-    monkeypatch.setattr(index_mod, "correction_at", skewed)
+    def skewed_element(gamma):
+        out = real_element(gamma)
+        return skew(out, gamma.zeta()) if gamma.j == 1 else out
+
+    def skewed_term(symbol, thom):
+        out = real_term(symbol, thom)
+        return skew(out, Laurent({1: 1})) if isinstance(out.ce, Laurent) else out
+
+    monkeypatch.setattr(oracles, "correction_at_pipeline", skewed_element)
+    monkeypatch.setattr(index_mod, "correction_term", skewed_term)
     index_mod.correction_class.cache_clear()
     try:
         with pytest.raises(ConsistencyError):
@@ -124,6 +131,29 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
             _correction_sum(5)
     finally:
         index_mod.correction_class.cache_clear()
+
+
+def test_correction_at_never_inverts_a_cyclotomic(capsys, monkeypatch):
+    # the evaluated class needs no inverse in Q(zeta_p): neither
+    # correction_at nor the CLI's element dump reaches the extended Euclid
+    # or the ring's unit inverse, at any element of any order up to 40
+    import orbifold_index.index as index_mod
+    from orbifold_index import cli, ring
+
+    correction_class()  # the generic derivation inverts its Laurent Thom class once
+
+    def boom(*args):
+        raise AssertionError("inverse called")
+
+    monkeypatch.setattr(Cyclotomic, "inverse", boom)
+    monkeypatch.setattr(ring, "invert_unit", boom)
+    monkeypatch.setattr(index_mod, "invert_unit", boom)
+    for p in range(2, 41):
+        for j in range(1, p):
+            correction_at(GroupElement(p, j))
+            argv = ["--json", "correction", "--p", str(p), "--dump-element", str(j)]
+            assert cli.main(argv) == 0, (p, j)
+    capsys.readouterr()
 
 
 def test_index_examples():

@@ -285,12 +285,26 @@ def test_laurent_at_matches_the_literal_evaluation(a, p):
     assert_canonical(a.at(p, 0))
 
 
+# classes N/t^k over up to three powers of t: the derived correction
+# class carries k <= 2
+classes = st.builds(Laurent, st.dictionaries(st.integers(-12, 12), rationals, max_size=6),
+                    st.integers(0, 3))
+
+
 @_settings
-@given(laurents.filter(lambda a: a.k > 0), orders)
-def test_laurent_at_rejects_powers_of_t(a, p):
-    for j in range(p):
-        with pytest.raises(ValueError):
-            a.at(p, j)
+@given(classes, st.integers(2, 60))
+def test_laurent_at_evaluates_every_power_of_t(a, p):
+    for j in range(1, p):  # j sharing a factor with p included
+        v = a.at(p, j)
+        assert v == laurent_at(a, p, j), j
+        assert_canonical(v)
+
+
+@_settings
+@given(classes.filter(lambda a: a.k > 0), orders, st.integers(-2, 2))
+def test_laurent_at_raises_where_t_vanishes(a, p, m):
+    with pytest.raises(ZeroDivisionError):
+        a.at(p, m * p)  # z = 1
 
 
 cone_orders = st.integers(min_value=1, max_value=60)

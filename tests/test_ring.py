@@ -1,4 +1,4 @@
-"""Truncated ring: products, units, division by e, pairings."""
+"""Truncated ring: products, units, division by e."""
 
 import random
 from fractions import Fraction as F
@@ -7,12 +7,10 @@ import pytest
 
 from orbifold_index.ring import (
     CohomElement,
-    PairingData,
     a_hat_squared,
     divide_by_e,
     exp_class,
     invert_unit,
-    pair_with_sigma,
     ring_mul,
     scalar_mul,
 )
@@ -140,20 +138,6 @@ def test_a_hat_squared_mixes_with_cyclotomic_elements():
     a = CohomElement.constant(z)
     prod = ring_mul(a, a_hat_squared())
     assert prod.c0 == z and prod.cee == z * F(-1, 12)
-
-
-def test_pairing_examples():
-    assert pair_with_sigma(E, PairingData(2, F(0))) == 2
-    assert pair_with_sigma(scalar_mul(F(3), H), PairingData(1, F(-2, 5))) == F(-6, 5)
-    assert pair_with_sigma(E * E, PairingData(7, F(9))) == 0
-
-
-def test_pairing_data_from_topology():
-    d = PairingData.from_topology(chi_Sigma=1, sigma_sq=-2, p=5)
-    assert d.sigma_hat_sq == F(-2, 5)
-    assert d.sigma_hat_sq * 5 == -2
-    with pytest.raises(ValueError):
-        PairingData.from_topology(1, 1, 0)
 
 
 def test_cohom_serialization():
