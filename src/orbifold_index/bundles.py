@@ -101,9 +101,9 @@ def ch_line(bundle: LineBundleId, gamma) -> CohomElement:
 
 
 def derive_characters(gamma) -> dict[str, CohomElement]:
-    """The seven characters of _CHARACTERS by the line-bundle algebra over
-    gamma's own phase, uncached: Laurent scalars at a GenericElement,
-    Cyclotomic ones at a GroupElement."""
+    """The seven characters by the line-bundle algebra over gamma's own
+    phase, uncached: Laurent scalars at a GenericElement, Cyclotomic ones at
+    a GroupElement."""
     t1, t1_bar, t2, t2_bar = (ch_line(b, gamma) for b in (
         LineBundleId.THETA1, LineBundleId.THETA1_BAR,
         LineBundleId.THETA2, LineBundleId.THETA2_BAR))
@@ -199,18 +199,7 @@ def ch_thom(gamma) -> CohomElement:
     return _character("thom", gamma)
 
 
-_CHARACTERS = {
-    "cotangent": ch_cotangent,
-    "lambda_plus": ch_lambda_plus,
-    "lambda_minus": ch_lambda_minus,
-    "s20_cotangent": ch_s20_cotangent,
-    "s20_lambda_plus": ch_s20_lambda_plus,
-    "symbol": ch_symbol,
-    "thom": ch_thom,
-}
-
-
 def character_dump(gamma: GroupElement) -> dict:
     """Debug dump: all character coefficients at one group element, in the
     JSON forms of the scalar and ring modules."""
-    return {name: fn(gamma).to_json() for name, fn in _CHARACTERS.items()}
+    return {name: _character(name, gamma).to_json() for name in generic_characters()}

@@ -165,7 +165,7 @@ def _cmd_correction(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_correction(p: int) -> bool:
-    return index_mod._correction_sum(p) == correction_sum_closed_form(p)
+    return index_mod.correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
 
 
 def _check_trig(p: int) -> bool:

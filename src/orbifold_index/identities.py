@@ -23,14 +23,15 @@ checked against its exact ring identity
 
 where the all-ones N_d vanishes at every primitive d-th root, so u is the
 true inverse at zeta_d and, the identity having integer coefficients, at all
-its Galois images.  Both u_d and its check live in scalars, where Laurent.at
-multiplies the same checked u_d into N to evaluate a class at one element;
-a trace reads the product's entries off u without forming it.
+its Galois images.  u_d is built and checked in one place,
+scalars.inv_two_minus_two_cos_vec, which returns no unchecked vector;
+Laurent.at multiplies the same u_d into N to evaluate a class at one
+element, and a trace reads the product's entries off u without forming it.
 
 A class trace depends on d and the class only, never on p, so each (d,
-class) trace is computed, its u_d checked first, once per process and kept
-as one integer (_class_trace); a group sum adds those integers over one
-common denominator.  A failed check is not kept and raises on every call.
+class) trace is computed once per process and kept as one integer
+(_class_trace); a group sum adds those integers over one common
+denominator.  A failed check is not kept and raises on every call.
 The sums are rational by construction; the tests keep the literal
 per-element sweeps over Q(zeta_p) as the independent route.
 """
@@ -48,7 +49,6 @@ from .scalars import (
     divisors,
     inv_two_minus_two_cos_vec,
     ramanujan_weights,
-    verify_inverse_vec,
 )
 
 
@@ -71,12 +71,10 @@ def sparse_trace(d: int, terms: dict[int, int]) -> int:
 def _class_trace(d: int, k: int, terms: tuple[tuple[int, int], ...]) -> int:
     """The integer trace of the class sum_s c_s z^s / t^k, (s, c_s) in terms,
     at z = zeta_d: Tr of the polynomial when k = 0, and d^2 times Tr of the
-    class when k = 1, from the representative u_d of 1/t checked first."""
+    class when k = 1, from the checked representative u_d of 1/t."""
     if k == 0:
         return sparse_trace(d, dict(terms))
-    u, u_den = inv_two_minus_two_cos_vec(d)
-    verify_inverse_vec(d, u, u_den)
-    return trace(u, dict(terms))
+    return trace(inv_two_minus_two_cos_vec(d)[0], dict(terms))
 
 
 def class_traces(classes: list[int], c: Laurent) -> Fraction:
@@ -114,18 +112,6 @@ _COS_SQ = _COS * _COS
 _INV_ONE_MINUS_COS = Laurent({0: 2}, 1)  # 1/(1 - cos) = 2/t
 
 
-def sum_cos_and_cos_sq(p: int) -> tuple[Fraction, Fraction]:
-    """Sum of cos(theta_j) and cos^2(theta_j), j = 1..p-1, traced per
-    divisor class from (z + z^-1)/2 and its square."""
-    return class_sum(p, _COS), class_sum(p, _COS_SQ)
-
-
-def sum_inv_one_minus_cos(p: int) -> Fraction:
-    """Sum of 1/(1 - cos(theta_j)), j = 1..p-1, traced per divisor class
-    from 2/t, each representative of 1/t checked first."""
-    return class_sum(p, _INV_ONE_MINUS_COS)
-
-
 class TrigSums(NamedTuple):
     sum_cos: Fraction
     sum_cos_sq: Fraction
@@ -144,12 +130,13 @@ def trig_sums(p: int) -> TrigSums:
 
         sum cos(theta_j),  sum cos^2(theta_j),  sum 1/(1 - cos(theta_j))
 
-    for j = 1..p-1, each traced per divisor class as above, and checked
-    against the closed forms -1, (p-2)/2 (p >= 3; 1 at p = 2), (p^2-1)/6.
+    for j = 1..p-1, each traced per divisor class as above from (z + z^-1)/2,
+    its square and 2/t, and checked against the closed forms -1, (p-2)/2
+    (p >= 3; 1 at p = 2), (p^2-1)/6.
     """
     if p < 2:
         raise ValueError("p must be at least 2 (empty sums are the caller's business)")
-    traced = TrigSums(*sum_cos_and_cos_sq(p), sum_inv_one_minus_cos(p))
+    traced = TrigSums(*(class_sum(p, c) for c in (_COS, _COS_SQ, _INV_ONE_MINUS_COS)))
     closed = _trig_closed_forms(p)
     if traced != closed:
         raise ConsistencyError(

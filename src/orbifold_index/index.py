@@ -99,22 +99,18 @@ def correction_at(gamma: GroupElement) -> CohomElement:
     return correction_class().map(lambda s: s.at(gamma.p, gamma.j))
 
 
-def _correction_sum(p: int) -> CorrectionSum:
+@lru_cache(maxsize=None)
+def correction_sum(p: int) -> CorrectionSum:
+    """Sum of correction_at over j = 1..p-1, scaled by 1/p; p = 1 is the
+    empty sum.  Evaluated at every p >= 2 from the derived correction class,
+    traced once per divisor class d | p, d > 1, and rational by
+    construction.  correction_sum.__wrapped__ is the uncached evaluation."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     if p == 1:
         return CorrectionSum(Fraction(0), Fraction(0))  # empty sum over nontrivial elements
     c = correction_class()
     return CorrectionSum(identities.class_sum(p, c.ce) / p, identities.class_sum(p, c.ch) / p)
-
-
-@lru_cache(maxsize=None)
-def correction_sum(p: int) -> CorrectionSum:
-    """Sum of correction_at over j = 1..p-1, scaled by 1/p; p = 1 is the
-    empty sum.  Evaluated at every p >= 2 from the derived correction class,
-    traced once per divisor class d | p, d > 1, and rational by
-    construction."""
-    return _correction_sum(p)
 
 
 def correction_sum_closed_form(p: int) -> CorrectionSum:

@@ -10,9 +10,10 @@ modulo x^p - 1 keeps the quotient a field, so denominators like
 A Laurent scalar keeps the phase as the indeterminate z instead, for
 expressions that hold at every nontrivial element at once; its only
 inverses are those of c * t^m, the one denominator the index needs.
-Laurent.at evaluates N(z)/t^k at every k through the checked representative
-u_d of 1/t; the extended-Euclid Cyclotomic.inverse serves only `/` and
-.inverse() for library users and the tests' per-element oracle.
+Laurent.at evaluates N(z)/t^k at every k through the representative u_d of
+1/t, checked where it is built (inv_two_minus_two_cos_vec): no caller gets
+an unchecked vector.  The extended-Euclid Cyclotomic.inverse serves only
+`/` and .inverse() for library users and the tests' per-element oracle.
 
 Both store their coefficients the same way: integer numerators over one
 positive common denominator, in lowest terms, so arithmetic and evaluation
@@ -475,12 +476,15 @@ def _axpy(b: int, u: list[int], a: int, v: list[int], k: int) -> list[int]:
 
 def inv_two_minus_two_cos_vec(d: int) -> tuple[list[int], int]:
     """(vector, denominator) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2,
-    as an element of Z[x]/(x^d - 1)."""
+    as an element of Z[x]/(x^d - 1), checked by verify_inverse_vec before
+    it is returned: no caller gets an unchecked vector."""
     if d < 2:
         raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
     t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
     # C_(r+1) - C_r = d*r - T1, r = 0..d-2
-    return list(accumulate(range(-t1, d * (d - 1) - t1, d), initial=t2)), d * d
+    vec = list(accumulate(range(-t1, d * (d - 1) - t1, d), initial=t2))
+    verify_inverse_vec(d, vec, d * d)
+    return vec, d * d
 
 
 def verify_inverse_vec(d: int, vec: list[int], den: int) -> None:
@@ -596,7 +600,6 @@ class Laurent(_Scalar):
         if self.k:
             d = p // gcd(p, j)
             u, u_den = inv_two_minus_two_cos_vec(d)
-            verify_inverse_vec(d, u, u_den)
             for _ in range(self.k):
                 nums = _poly_mul_int(nums, u)
             den *= u_den ** self.k

@@ -16,7 +16,6 @@ from fractions import Fraction as F
 
 from orbifold_index import bundles, cli, index as index_mod
 from orbifold_index.bundles import (
-    _CHARACTERS,
     GroupElement,
     LineBundleId,
     ch_cotangent,
@@ -198,8 +197,8 @@ def test_evaluated_characters_match_the_cyclotomic_algebra(p):
     for j in range(p):
         gamma = GroupElement(p, j)
         built = derive_characters(gamma)  # the algebra over zeta_p^j itself
-        for name, fn in _CHARACTERS.items():
-            got = fn(gamma)
+        for name in bundles.generic_characters():
+            got = getattr(bundles, f"ch_{name}")(gamma)
             assert got == built[name], (p, j, name)
             assert all(type(s) is Cyclotomic for s in vars(got).values()), (p, j, name)
 

@@ -1,7 +1,8 @@
 """Byte-exact stdout of five CLI commands against the recorded files in
-tests/golden/; the same five files are diffed against the installed console
-script in CI."""
+tests/golden/, and of the largest element dump against its recorded sha256;
+CI checks the same six against the installed console script."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,12 @@ def test_stdout_matches_golden_file(capsys, name):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_largest_element_dump_matches_golden_digest(capsys):
+    # every slot of the class at an element of prime order 809, the h^2
+    # slot over t^2 included; 260199 bytes, so only its digest is recorded
+    digest = (GOLDEN / "correction_p809_dump1.sha256").read_text().split()[0]
+    rc = cli.main(["--json", "correction", "--p", "809", "--dump-element", "1"])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -17,9 +17,9 @@ from orbifold_index import scalars
 from orbifold_index.bundles import GroupElement
 from orbifold_index.identities import TrigSums, _trig_closed_forms, trig_sums
 from orbifold_index.index import (
-    _correction_sum,
     correction_at,
     correction_class,
+    correction_sum,
     correction_sum_closed_form,
 )
 from orbifold_index.ring import CohomElement
@@ -58,41 +58,41 @@ def _spot_pairs():
 @pytest.mark.parametrize("p,k", _spot_pairs())
 def test_inverse_vectors_match_ext_gcd(p, k):
     # checking the representative once makes every Galois image exact
-    vec, den = ident.inv_two_minus_two_cos_vec(p // gcd(k, p))
+    vec, den = scalars.inv_two_minus_two_cos_vec(p // gcd(k, p))
     got = Cyclotomic._from_terms(p, enumerate(_image(p, k, vec)), den)
     assert got == (2 - 2 * cos_of(p, k)).inverse()
 
 
 @pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
 def test_representative_matches_ext_gcd(d):
-    vec, den = ident.inv_two_minus_two_cos_vec(d)
-    ident.verify_inverse_vec(d, vec, den)
+    vec, den = scalars.inv_two_minus_two_cos_vec(d)
+    scalars.verify_inverse_vec(d, vec, den)
     assert Cyclotomic._from_terms(d, enumerate(vec), den) == (2 - 2 * cos_of(d, 1)).inverse()
 
 
 def test_inverse_constructors_reject_identity():
     for d in (0, 1):
         with pytest.raises(ZeroDivisionError):
-            ident.inv_two_minus_two_cos_vec(d)
+            scalars.inv_two_minus_two_cos_vec(d)
 
 
 def test_inverse_vector_is_the_closed_form():
     for d in list(range(2, 301)) + [1009]:
         t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
-        vec, den = ident.inv_two_minus_two_cos_vec(d)
+        vec, den = scalars.inv_two_minus_two_cos_vec(d)
         assert vec == [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d
         assert den == d * d, d
 
 
 def test_verify_inverse_vec_accepts_and_rejects():
     for d in (2, 3, 12, 31, 64, 97):
-        vec, den = ident.inv_two_minus_two_cos_vec(d)
-        ident.verify_inverse_vec(d, vec, den)
+        vec, den = scalars.inv_two_minus_two_cos_vec(d)
+        scalars.verify_inverse_vec(d, vec, den)
         for i in range(d):
             bad = list(vec)
             bad[i] += 1
             with pytest.raises(ConsistencyError):
-                ident.verify_inverse_vec(d, bad, den)
+                scalars.verify_inverse_vec(d, bad, den)
 
 
 def _cos_sums_per_element(p):
@@ -115,9 +115,13 @@ def _cos_sums_per_element(p):
     return tuple(values)
 
 
+def _traced_cos_sums(p):
+    return ident.class_sum(p, ident._COS), ident.class_sum(p, ident._COS_SQ)
+
+
 def test_traced_cos_sums_match_per_element_sums():
     for p in list(range(2, 301)) + [1009, 1024, 1680, 2003]:
-        assert ident.sum_cos_and_cos_sq(p) == _cos_sums_per_element(p), p
+        assert _traced_cos_sums(p) == _cos_sums_per_element(p), p
     for p in range(2, 33):
         small = trig_sums_brute(p)
         assert _cos_sums_per_element(p) == (small.sum_cos, small.sum_cos_sq), p
@@ -212,7 +216,7 @@ def test_derived_class_rejects_skew_and_t_squared(monkeypatch, fault):
         with pytest.raises(ConsistencyError):
             correction_class()
         with pytest.raises(ConsistencyError):
-            _correction_sum(7)
+            correction_sum.__wrapped__(7)
     finally:
         correction_class.cache_clear()
 
@@ -222,26 +226,27 @@ def test_class_trace_rejects_higher_t_powers():
         ident.class_traces([5], Laurent({0: 1}, 2))
 
 
+def _skew_the_checked_vector(monkeypatch):
+    """Make scalars.verify_inverse_vec see u_d with its first entry off by one."""
+    real = scalars.verify_inverse_vec
+    monkeypatch.setattr(scalars, "verify_inverse_vec",
+                        lambda d, vec, den: real(d, [vec[0] + 1] + vec[1:], den))
+
+
 def test_failed_inverse_check_is_not_kept(monkeypatch):
-    real = ident.inv_two_minus_two_cos_vec
-
-    def skewed(d):
-        vec, den = real(d)
-        return [vec[0] + 1] + vec[1:], den
-
     ident._class_trace.cache_clear()
-    monkeypatch.setattr(ident, "inv_two_minus_two_cos_vec", skewed)
+    _skew_the_checked_vector(monkeypatch)
     try:
         for _ in range(2):  # a failed check raises on every call
             for p in (2, 12, 97):
                 with pytest.raises(ConsistencyError):
                     trig_sums(p)
                 with pytest.raises(ConsistencyError):
-                    _correction_sum(p)
+                    correction_sum.__wrapped__(p)
         monkeypatch.undo()
         for p in (2, 12, 97):
             assert trig_sums(p) == _trig_closed_forms(p)
-            assert _correction_sum(p) == correction_sum_closed_form(p)
+            assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
     finally:
         ident._class_trace.cache_clear()
 
@@ -249,13 +254,7 @@ def test_failed_inverse_check_is_not_kept(monkeypatch):
 def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
     # correction_at evaluates its classes over t through the checked
     # representative of 1/t at the element's order, 12 here
-    real = scalars.inv_two_minus_two_cos_vec
-
-    def skewed(d):
-        vec, den = real(d)
-        return [vec[0] + 1] + vec[1:], den
-
-    monkeypatch.setattr(scalars, "inv_two_minus_two_cos_vec", skewed)
+    _skew_the_checked_vector(monkeypatch)
     with pytest.raises(ConsistencyError, match="d=12"):
         correction_at(GroupElement(12, 5))
     monkeypatch.undo()
@@ -263,7 +262,7 @@ def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
 
 
 def test_each_representative_is_checked_once_per_class(monkeypatch):
-    real = ident.verify_inverse_vec
+    real = scalars.verify_inverse_vec
     checked = []
 
     def counting(d, vec, den):
@@ -271,15 +270,37 @@ def test_each_representative_is_checked_once_per_class(monkeypatch):
         real(d, vec, den)
 
     ident._class_trace.cache_clear()
-    monkeypatch.setattr(ident, "verify_inverse_vec", counting)
+    monkeypatch.setattr(scalars, "verify_inverse_vec", counting)
     for _ in range(2):
         for p in range(2, 201):
             trig_sums(p)
     assert sorted(checked) == list(range(2, 201))
     # the correction class h is a second class over 1/t: one more check per d
     for p in range(2, 201):
-        _correction_sum(p)
+        correction_sum.__wrapped__(p)
     assert sorted(checked) == sorted(2 * list(range(2, 201)))
+
+
+def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
+    # u_d is checked where scalars builds it, so a failing check stops the
+    # element evaluation at every power of t, the class traces and the group
+    # sum alike; no caller holds a copy of the check of its own
+    def failing(d, vec, den):
+        raise ConsistencyError(f"injected failure at d={d}")
+
+    ident._class_trace.cache_clear()
+    monkeypatch.setattr(scalars, "verify_inverse_vec", failing)
+    p = 7
+    try:
+        for k in (1, 2):
+            with pytest.raises(ConsistencyError):
+                Laurent({0: 1}, k).at(p, 1)
+        with pytest.raises(ConsistencyError):
+            ident.class_sum(p, ident._INV_ONE_MINUS_COS)
+        with pytest.raises(ConsistencyError):
+            correction_sum.__wrapped__(p)
+    finally:
+        ident._class_trace.cache_clear()
 
 
 def test_sums_do_not_depend_on_what_the_memo_holds():
@@ -295,12 +316,13 @@ def test_sums_do_not_depend_on_what_the_memo_holds():
         if clear:
             ident._class_trace.cache_clear()
         for p in warm:  # leave part of the memo filled
-            ident.sum_inv_one_minus_cos(p)
+            ident.class_sum(p, ident._INV_ONE_MINUS_COS)
         for p, correction in queries:
             if correction:
-                assert _correction_sum(p) == correction_sum_closed_form(p), p
+                assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p), p
             else:
-                traced = TrigSums(*ident.sum_cos_and_cos_sq(p), ident.sum_inv_one_minus_cos(p))
+                traced = TrigSums(*_traced_cos_sums(p),
+                                  ident.class_sum(p, ident._INV_ONE_MINUS_COS))
                 assert traced == _trig_closed_forms(p) == trig_sums(p), p
 
     check()
@@ -309,25 +331,25 @@ def test_sums_do_not_depend_on_what_the_memo_holds():
 def test_correction_sum_routes_agree():
     # the literal per-element sweep, with its rationality check
     for p in range(2, 33):
-        assert correction_sum_pipeline(p) == _correction_sum(p), p
+        assert correction_sum_pipeline(p) == correction_sum.__wrapped__(p), p
 
 
 def test_trig_paths_agree_with_small_brute():
     for p in range(2, 33):
         small = trig_sums_brute(p)
-        sc, sc2 = ident.sum_cos_and_cos_sq(p)
+        sc, sc2 = _traced_cos_sums(p)
         assert (sc, sc2) == (small.sum_cos, small.sum_cos_sq), p
-        assert ident.sum_inv_one_minus_cos(p) == small.sum_inv_one_minus_cos, p
+        assert ident.class_sum(p, ident._INV_ONE_MINUS_COS) == small.sum_inv_one_minus_cos, p
 
 
 def test_correction_sum_matches_closed_form_beyond_old_ceiling():
     # the int64 evaluator stopped at p = 300; the trace route has no ceiling
     for p in list(range(2, 601)) + [1009, 2003, 5040, 10007]:
-        assert _correction_sum(p) == correction_sum_closed_form(p), p
+        assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p), p
 
 
 def test_trig_sums_match_closed_form_beyond_old_ceiling():
     # the int64 evaluator stopped at p = 2000
     for p in list(range(2, 2001)) + [10007]:
-        assert ident.sum_cos_and_cos_sq(p) == (-1, 1 if p == 2 else F(p - 2, 2)), p
-        assert ident.sum_inv_one_minus_cos(p) == F(p * p - 1, 6), p
+        assert _traced_cos_sums(p) == (-1, 1 if p == 2 else F(p - 2, 2)), p
+        assert ident.class_sum(p, ident._INV_ONE_MINUS_COS) == F(p * p - 1, 6), p

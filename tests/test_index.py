@@ -12,7 +12,6 @@ from orbifold_index.index import (
     CorrectionSum,
     Duality,
     TopologicalData,
-    _correction_sum,
     chi_orb,
     correction_at,
     correction_class,
@@ -128,7 +127,7 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
         with pytest.raises(ConsistencyError):
             correction_sum_pipeline(5)
         with pytest.raises(ConsistencyError):
-            _correction_sum(5)
+            correction_sum.__wrapped__(5)
     finally:
         index_mod.correction_class.cache_clear()
 
