@@ -24,9 +24,8 @@ checked against its exact ring identity
 where the all-ones N_d vanishes at every primitive d-th root, so u is the
 true inverse at zeta_d and, the identity having integer coefficients, at all
 its Galois images.  u_d is built and checked in one place,
-scalars.inv_two_minus_two_cos_vec, which returns no unchecked vector;
-Laurent.at multiplies the same u_d into N to evaluate a class at one
-element, and a trace reads the product's entries off u without forming it.
+scalars.inv_two_minus_two_cos_vec, for these traces only (Laurent.at divides
+by t in O(d) instead): a trace reads N * u off u without forming it.
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer

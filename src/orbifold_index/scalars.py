@@ -10,9 +10,9 @@ modulo x^p - 1 keeps the quotient a field, so denominators like
 A Laurent scalar keeps the phase as the indeterminate z instead, for
 expressions that hold at every nontrivial element at once; its only
 inverses are those of c * t^m, the one denominator the index needs.
-Laurent.at evaluates N(z)/t^k at every k through the representative u_d of
-1/t, checked where it is built (inv_two_minus_two_cos_vec): no caller gets
-an unchecked vector.  The extended-Euclid Cyclotomic.inverse serves only
+Laurent.at evaluates N(z)/t^k at every k by checked O(d) divisions by t
+(divide_by_t_vec); the checked representative u_d of 1/t serves the class
+traces only.  The extended-Euclid Cyclotomic.inverse serves only
 `/` and .inverse() for library users and the tests' per-element oracle.
 
 Both store their coefficients the same way: integer numerators over one
@@ -440,12 +440,14 @@ class Cyclotomic(_Scalar):
         return self.order, self.nums, self.den
 
     def __repr__(self):
-        return f"Cyclotomic({self.order}, {[str(c) for c in self.coeffs]})"
+        return f"Cyclotomic({self.order}, {self.to_json()['coeffs']})"
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        den = self.den  # each coefficient as str(Fraction(c, den)), from the integers
+        return {"order": self.order, "coeffs": [str(c // g) if (g := gcd(c, den)) == den
+                                                else f"{c // g}/{den // g}" for c in self.nums]}
 
     @classmethod
     def from_json(cls, data: dict) -> "Cyclotomic":
@@ -487,20 +489,45 @@ def inv_two_minus_two_cos_vec(d: int) -> tuple[list[int], int]:
     return vec, d * d
 
 
+def _times_t(vec: list[int]) -> list[int]:
+    """t * vec in Z[x]/(x^d - 1), d = len(vec): 2 v_r - v_(r-1) - v_(r+1) is
+    diff_r - diff_(r+1) for the cyclic first difference diff_r = v_r - v_(r-1)."""
+    diff = list(map(sub, vec, vec[-1:] + vec[:-1]))
+    return list(map(sub, diff, diff[1:] + diff[:1]))
+
+
 def verify_inverse_vec(d: int, vec: list[int], den: int) -> None:
     """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1):
     the all-ones N_d vanishes at every primitive d-th root of unity."""
     if den % d:
         raise ValueError("denominator must absorb the 1/d of the identity")
-    # 2 v_r - v_(r-1) - v_(r+1) = diff_r - diff_(r+1), where
-    # diff_r = v_r - v_(r-1) is the cyclic first difference
-    diff = list(map(sub, vec, vec[-1:] + vec[:-1]))
-    lhs = list(map(sub, diff, diff[1:] + diff[:1]))
     rhs = [-(den // d)] * d
     rhs[0] += den
-    if lhs != rhs:
+    if _times_t(vec) != rhs:
         raise ConsistencyError(
             f"closed-form inverse failed its ring identity at d={d}")
+
+
+def divide_by_t_vec(n: list[int]) -> list[int]:
+    """q in Z[x]/(x^d - 1), d = len(n) >= 2, with t * q = d^2 n - d (sum n) N_d
+    in O(d): the right side fixes each drop diff_r - diff_(r+1) of the cyclic
+    diff_r = q_r - q_(r-1), whose sum is zero.  Checked before it is returned."""
+    d, s = len(n), sum(n)
+    if d < 2:
+        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
+    drops = list(accumulate((d * (d * c - s) for c in n[:-1]), initial=0))  # diff_0 - diff_r
+    diff_0 = sum(drops) // d
+    q = list(accumulate((diff_0 - c for c in drops[1:]), initial=0))
+    verify_quotient_vec(n, q)
+    return q
+
+
+def verify_quotient_vec(n: list[int], q: list[int]) -> None:
+    """Check t * q = d^2 n - d (sum n) N_d in Z[x]/(x^d - 1), d = len(n): the
+    all-ones N_d vanishes at every primitive d-th root, so q = d^2 n / t there."""
+    d, s = len(n), sum(n)
+    if _times_t(q) != [d * (d * c - s) for c in n]:
+        raise ConsistencyError(f"quotient by t failed its ring identity at d={d}")
 
 
 def _div_by_t(lo: int, cs) -> Optional[tuple[int, tuple]]:
@@ -589,22 +616,24 @@ class Laurent(_Scalar):
 
     def at(self, p: int, j: int) -> Cyclotomic:
         """The value at z = zeta_p^j, of exact order d = p/gcd(p, j).  With
-        k > 0, N is first multiplied k times by the checked representative
-        u_d of 1/t in Z[x]/(x^d - 1); the nonzero numerators then go to the
-        powers s*j mod p and are reduced to Q(zeta_p) over one denominator.
+        k > 0, N is first folded into Z[x]/(x^d - 1) and divided there k times
+        by t, times d^2; the nonzero numerators then go to the powers s*j mod
+        p and are reduced to Q(zeta_p) over one denominator.
         At j = 0 a polynomial is the sum of its coefficients, and a class
         with k > 0 raises ZeroDivisionError: t vanishes there."""
         if not self.nums:  # a zero slot skips the kernel
             return Cyclotomic.zero(p)
-        nums, den = self.nums, self.den
+        lo, nums, den = self.lo, self.nums, self.den
         if self.k:
             d = p // gcd(p, j)
-            u, u_den = inv_two_minus_two_cos_vec(d)
+            nums = [0] * d  # N mod x^d - 1
+            for s, c in enumerate(self.nums, lo):
+                nums[s % d] += c
             for _ in range(self.k):
-                nums = _poly_mul_int(nums, u)
-            den *= u_den ** self.k
+                nums = divide_by_t_vec(nums)
+            lo, den = 0, den * d ** (2 * self.k)
         return Cyclotomic._from_terms(
-            p, [(s * j, c) for s, c in enumerate(nums, self.lo) if c], den)
+            p, [(s * j, c) for s, c in enumerate(nums, lo) if c], den)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""

@@ -224,6 +224,23 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
         bundles.generic_characters.cache_clear()
 
 
+@pytest.mark.parametrize("p", [7, 8])
+def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
+    # a conjugation that is right on every value at j <= p/2 but not on the
+    # values at p - j is no involution; each pair {j, p - j} is evaluated
+    # once, so only the comparison from the p - j side can catch it
+    fns = (bundles.ch_symbol, bundles.ch_thom, bundles.ch_lambda_plus)
+    low = set()
+    for j in range(1, p // 2 + 1):
+        for fn in fns:
+            fn(bundles.GroupElement(p, j)).map(low.add)
+    real = Cyclotomic.conjugate
+    monkeypatch.setattr(Cyclotomic, "conjugate", lambda a: real(a) if a in low else real(a) + 1)
+    assert cli._check_conjugation(p) is False
+    monkeypatch.undo()
+    assert cli._check_conjugation(p) is True
+
+
 def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):
     # a suite that raises has not answered: exit 3, not a failed check
     def boom(p):

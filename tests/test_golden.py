@@ -1,6 +1,6 @@
 """Byte-exact stdout of five CLI commands against the recorded files in
-tests/golden/, and of the largest element dump against its recorded sha256;
-CI checks the same six against the installed console script."""
+tests/golden/, and of two large element dumps against their recorded
+sha256; CI checks the same seven against the installed console script."""
 
 import hashlib
 from pathlib import Path
@@ -30,10 +30,21 @@ def test_stdout_matches_golden_file(capsys, name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+def _dump_digest(capsys, p, j):
+    rc = cli.main(["--json", "correction", "--p", str(p), "--dump-element", str(j)])
+    assert rc == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 def test_largest_element_dump_matches_golden_digest(capsys):
     # every slot of the class at an element of prime order 809, the h^2
     # slot over t^2 included; 260199 bytes, so only its digest is recorded
     digest = (GOLDEN / "correction_p809_dump1.sha256").read_text().split()[0]
-    rc = cli.main(["--json", "correction", "--p", "809", "--dump-element", "1"])
-    assert rc == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert _dump_digest(capsys, 809, 1) == digest
+
+
+def test_composite_order_dump_matches_golden_digest(capsys):
+    # d = 720 = 2^4 3^2 5: every power of t is divided out at an order whose
+    # Phi is not (x^d - 1)/(x - 1); 50708 bytes
+    digest = (GOLDEN / "correction_p720_dump1.sha256").read_text().split()[0]
+    assert _dump_digest(capsys, 720, 1) == digest

@@ -95,6 +95,43 @@ def test_verify_inverse_vec_accepts_and_rejects():
                 scalars.verify_inverse_vec(d, bad, den)
 
 
+@pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
+def test_quotient_by_t_matches_ext_gcd(d):
+    inv_t = (2 - 2 * cos_of(d, 1)).inverse()
+    for n in ([1] + [0] * (d - 1), [(-1) ** r * (r * r % 7 - 3) for r in range(d)]):
+        q = scalars.divide_by_t_vec(n)
+        scalars.verify_quotient_vec(n, q)
+        got = Cyclotomic._from_terms(d, enumerate(q), d * d)
+        assert got == Cyclotomic._from_terms(d, enumerate(n)) * inv_t
+
+
+def test_verify_quotient_vec_accepts_and_rejects():
+    for d in (2, 3, 12, 31, 64, 97):
+        n = [r * r - 5 * r + 1 for r in range(d)]
+        q = scalars.divide_by_t_vec(n)
+        for i in range(d):
+            bad = list(q)
+            bad[i] += 1
+            with pytest.raises(ConsistencyError, match=f"d={d}"):
+                scalars.verify_quotient_vec(n, bad)
+
+
+def test_quotient_constructor_rejects_identity():
+    for n in ([], [3]):
+        with pytest.raises(ZeroDivisionError):
+            scalars.divide_by_t_vec(n)
+
+
+def test_element_evaluation_never_builds_the_representative(monkeypatch):
+    # u_d serves the class traces only: Laurent.at divides by t instead
+    def failing(d):
+        raise AssertionError(f"u_{d} built")
+
+    monkeypatch.setattr(scalars, "inv_two_minus_two_cos_vec", failing)
+    for p, j in ((12, 5), (12, 9), (97, 3)):
+        assert correction_at(GroupElement(p, j)) == correction_at_pipeline(GroupElement(p, j))
+
+
 def _cos_sums_per_element(p):
     """Reference: add up cos = (z^j + z^-j)/2 and cos^2 = (z^2j + 2 + z^-2j)/4
     for j = 1..p-1 as vectors over Z[x]/(x^p - 1), require the sums to be
@@ -252,9 +289,11 @@ def test_failed_inverse_check_is_not_kept(monkeypatch):
 
 
 def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
-    # correction_at evaluates its classes over t through the checked
-    # representative of 1/t at the element's order, 12 here
-    _skew_the_checked_vector(monkeypatch)
+    # correction_at divides its classes by t through checked quotients in
+    # Z[x]/(x^d - 1) at the element's order, 12 here
+    real = scalars.verify_quotient_vec
+    monkeypatch.setattr(scalars, "verify_quotient_vec",
+                        lambda n, q: real(n, [q[0] + 1] + q[1:]))
     with pytest.raises(ConsistencyError, match="d=12"):
         correction_at(GroupElement(12, 5))
     monkeypatch.undo()
@@ -282,19 +321,22 @@ def test_each_representative_is_checked_once_per_class(monkeypatch):
 
 
 def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
-    # u_d is checked where scalars builds it, so a failing check stops the
-    # element evaluation at every power of t, the class traces and the group
-    # sum alike; no caller holds a copy of the check of its own
-    def failing(d, vec, den):
-        raise ConsistencyError(f"injected failure at d={d}")
+    # each quotient by t is checked where scalars makes it, so a failing
+    # check stops the element evaluation at every power of t, and u_d is
+    # checked where scalars builds it, so a failing check stops the class
+    # traces and the group sum alike; no caller holds a copy of a check
+    def failing(*args):
+        raise ConsistencyError("injected failure")
 
     ident._class_trace.cache_clear()
-    monkeypatch.setattr(scalars, "verify_inverse_vec", failing)
     p = 7
     try:
-        for k in (1, 2):
-            with pytest.raises(ConsistencyError):
-                Laurent({0: 1}, k).at(p, 1)
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "verify_quotient_vec", failing)
+            for k in (1, 2):
+                with pytest.raises(ConsistencyError):
+                    Laurent({0: 1}, k).at(p, 1)
+        monkeypatch.setattr(scalars, "verify_inverse_vec", failing)
         with pytest.raises(ConsistencyError):
             ident.class_sum(p, ident._INV_ONE_MINUS_COS)
         with pytest.raises(ConsistencyError):

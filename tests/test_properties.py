@@ -157,6 +157,27 @@ def test_json_roundtrip(a):
         assert_canonical(b)
 
 
+@st.composite
+def format_cases(draw):
+    """Canonical elements weighted towards what the formatter must get right:
+    zero and negative numerators, den == 1, large integers, composite orders."""
+    p = draw(st.sampled_from([4, 6, 9, 12, 15, 16, 30, 36, 720]) | orders)
+    numerators = st.sampled_from([0, 1, -1]) | st.integers(-60, 60) | st.integers(-10**30, 10**30)
+    nums = draw(st.lists(numerators, min_size=euler_phi(p), max_size=euler_phi(p)))
+    den = draw(st.sampled_from([1, 2, 6, 12, 36, 210]) | st.integers(1, 10**12))
+    return Cyclotomic(p, [F(c, den) for c in nums])
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(format_cases())
+def test_json_and_repr_format_each_coefficient_as_its_fraction(a):
+    assert_canonical(a)
+    data = a.to_json()
+    assert data == {"order": a.order, "coeffs": [str(c) for c in a.coeffs]}
+    assert repr(a) == f"Cyclotomic({a.order}, {[str(c) for c in a.coeffs]})"
+    assert Cyclotomic.from_json(data) == a
+
+
 T = Laurent({-1: -1, 0: 2, 1: -1})  # t = 2 - z - z^-1
 
 
