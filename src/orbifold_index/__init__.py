@@ -9,12 +9,10 @@ from .scalars import (
     ConsistencyError,
     Cyclotomic,
     as_rational,
-    cos_of,
     cyclotomic_polynomial,
     euler_phi,
     format_rational,
     parse_rational,
-    sin_times_i_of,
     zeta_power,
 )
 from .identities import TrigSums, trig_sums

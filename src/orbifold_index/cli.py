@@ -183,25 +183,20 @@ def _check_conjugation(p: int) -> bool:
     return True
 
 
-_RANKS = (("ch_cotangent", 4), ("ch_lambda_plus", 3), ("ch_lambda_minus", 3),
-          ("ch_s20_cotangent", 9), ("ch_s20_lambda_plus", 5))
+_RANKS = (("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),
+          ("s20_cotangent", 9), ("s20_lambda_plus", 5))
 
 
 def _check_rank(p: int) -> bool:
-    identity = GroupElement(p, 0)
-    for name, rank in _RANKS:
-        c0 = getattr(bundles, name)(identity).c0
-        if as_rational(c0) != rank:
-            return False
-    return True
+    # the rank is the degree-0 part at the identity: only c0 is evaluated
+    chars = bundles.generic_characters()
+    return all(as_rational(chars[name].c0.at(p, 0)) == rank for name, rank in _RANKS)
 
 
 def _check_divisibility(p: int) -> bool:
-    for j in range(1, p):
-        c = bundles.ch_symbol(GroupElement(p, j))
-        if c.c0 or c.ch or c.chh:
-            return False
-    return True
+    # the symbol's 1, h and h^2 parts, the ones read, at every nontrivial element
+    symbol = bundles.generic_characters()["symbol"]
+    return not any(s.at(p, j) for j in range(1, p) for s in (symbol.c0, symbol.ch, symbol.chh))
 
 
 _P_INDEPENDENCE_SAMPLES = ((2, 0, 1, -2), (2, 0, 2, 0), (5, 3, 2, 3), (4, -2, -1, 6))

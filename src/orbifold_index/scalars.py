@@ -16,12 +16,14 @@ traces only.  The extended-Euclid Cyclotomic.inverse serves only
 `/` and .inverse() for library users and the tests' per-element oracle.
 
 Both store their coefficients the same way: integer numerators over one
-positive common denominator, in lowest terms, so arithmetic and evaluation
-are integer arithmetic; rationals at the interface are `fractions.Fraction`.
-No floating point appears anywhere.  Every element of Q(zeta_p) that is built
-from powers of zeta (products, Galois images, zeta powers, Laurent values)
-goes through one kernel, Cyclotomic._from_terms, the only place that takes
-exponents mod p.
+positive common denominator, in lowest terms, and both do their arithmetic
+and evaluation on that integer form, each through one canonicaliser
+(_canonical) and one slot setter (_raw); rationals at the interface are
+`fractions.Fraction`.  No floating point appears anywhere.  Every element of
+Q(zeta_p) that is built from powers of zeta (products, Galois images, zeta
+powers, Laurent values) goes through one kernel, Cyclotomic._from_terms, the
+only place that takes exponents mod p; Galois maps fix Q, so a rational
+element skips it.
 
 This is the package's bottom layer: it imports no other module of it.  The
 group sums over these scalars, the trig sums included, are in identities.py.
@@ -37,6 +39,8 @@ from operator import sub
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
+
+_set = object.__setattr__  # for _raw: each scalar's __setattr__ refuses
 
 
 class ConsistencyError(ArithmeticError):
@@ -177,9 +181,10 @@ def _reduction_rows(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     the p exponents 0 <= s < p: Phi_p divides x^p - 1, so every power of
     zeta_p is one of these once its exponent is taken mod p."""
     phi_p = cyclotomic_polynomial(p)
-    cur = [1] + [0] * (len(phi_p) - 2)
-    rows = []
-    for _ in range(p):
+    # below phi each power is a monomial; x^phi = x^phi - Phi_p starts the recurrence
+    rows = [((s, 1),) for s in range(len(phi_p) - 1)]
+    cur = [-f for f in phi_p[:-1]]
+    for _ in range(len(rows), p):
         rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
         # x * cur, with x^phi replaced by x^phi - Phi_p
         lead, cur = cur[-1], [0] + cur[:-1]
@@ -211,19 +216,9 @@ class _Scalar:
 
     __slots__ = ()
 
-    def __init__(self, *state):
-        # the slots, in order, set to an already canonical state
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _raw(cls, *state):
-        self = object.__new__(cls)
-        _Scalar.__init__(self, *state)
-        return self
-
     def __reduce__(self):
-        # pickle and copy would restore the slots through the blocked __setattr__
+        # pickle and copy would restore the slots through the blocked __setattr__;
+        # each class's _raw sets its slots, in _key order, to a canonical state
         return (type(self)._raw, self._key())
 
     def __bool__(self):
@@ -295,14 +290,22 @@ class Cyclotomic(_Scalar):
 
     __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[RationalLike]):
+    def __new__(cls, order: int, coeffs: Iterable[RationalLike]):
         nums, den = _integer_form(coeffs)
         phi = len(cyclotomic_polynomial(order)) - 1
         if len(nums) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(nums)}")
-        super().__init__(order, nums, den)
+        return cls._raw(order, nums, den)
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _raw(cls, order: int, nums: tuple, den: int) -> "Cyclotomic":
+        self = object.__new__(cls)
+        _set(self, "order", order)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+        return self
 
     @classmethod
     def _canonical(cls, order: int, nums, den: int) -> "Cyclotomic":
@@ -421,6 +424,8 @@ class Cyclotomic(_Scalar):
         p = self.order
         if gcd(k, p) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for order {p}")
+        if not any(self.nums[1:]):  # Galois maps fix Q; skips the kernel
+            return self
         return Cyclotomic._from_terms(
             p, [(s * k, c) for s, c in enumerate(self.nums) if c], self.den)
 
@@ -555,18 +560,43 @@ class Laurent(_Scalar):
 
     __slots__ = ("lo", "nums", "den", "k")
 
-    def __init__(self, terms: dict[int, RationalLike], k: int = 0):
+    def __new__(cls, terms: dict[int, RationalLike], k: int = 0):
         """sum_s terms[s] z^s / t^k for any integer k, t cancelled exactly."""
         cs = {s: c for s, c in terms.items() if _check_rational(c)}
         lo = min(cs, default=0)
         nums, den = _integer_form(cs.get(s, 0) for s in range(lo, max(cs, default=lo - 1) + 1))
+        return cls._canonical(lo, nums, den, k)
+
+    @classmethod
+    def _raw(cls, lo: int, nums: tuple, den: int, k: int) -> "Laurent":
+        self = object.__new__(cls)
+        _set(self, "lo", lo)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+        _set(self, "k", k)
+        return self
+
+    @classmethod
+    def _canonical(cls, lo: int, nums, den: int, k: int) -> "Laurent":
+        """The element nums / den / t^k, nums the integer numerators of z^lo,
+        z^(lo+1), ..., for den > 0 and any integer k: zero ends trimmed, the
+        common factor removed and t cancelled."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        start = next((i for i in range(end) if nums[i]), end)
+        if start == end:
+            return cls._raw(0, (), 1, 0)
+        lo, nums = lo + start, nums[start:end]
+        if (g := gcd(den, *nums)) != 1:
+            nums, den = [c // g for c in nums], den // g
         # t = -(z - 1)^2 / z is primitive, so by Gauss's lemma multiplying or
         # dividing nums by it keeps their content: nums / den stays in lowest terms
-        for _ in range(-k if nums else 0):  # a power of t in the numerator
+        for _ in range(-k):  # a power of t in the numerator
             lo, nums, k = lo - 1, _poly_mul_int(nums, (-1, 2, -1)), k + 1
         while k and (q := _div_by_t(lo, nums)) is not None:
             (lo, nums), k = q, k - 1
-        super().__init__(*((lo, nums, den, k) if nums else (0, (), 1, 0)))
+        return cls._raw(lo, tuple(nums), den, k)
 
     def terms(self) -> dict[int, Fraction]:
         """The nonzero coefficients of N by power of z."""
@@ -585,21 +615,26 @@ class Laurent(_Scalar):
     def _add(self, o: "Laurent", sign: int) -> "Laurent":
         # over the common t^k, the numerators are N * t^(k - own k)
         k = max(self.k, o.k)
-        a, b = (x.terms() if x.k == k else Laurent(x.terms(), x.k - k).terms()
+        a, b = (x if x.k == k else Laurent._canonical(x.lo, x.nums, x.den, x.k - k)
                 for x in (self, o))
-        return Laurent({s: a.get(s, 0) + sign * b.get(s, 0) for s in a.keys() | b.keys()}, k)
+        g = gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        lo = min(a.lo, b.lo)
+        out = [0] * (max(a.lo + len(a.nums), b.lo + len(b.nums)) - lo)
+        for x, f in ((a, fa), (b, fb)):
+            for s, c in enumerate(x.nums, x.lo - lo):
+                out[s] += f * c
+        return Laurent._canonical(lo, out, a.den * fa, k)
 
     def __neg__(self):
-        return self * -1
+        return Laurent._raw(self.lo, tuple(-c for c in self.nums), self.den, self.k)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        product = _poly_mul_int(self.nums, o.nums)
-        den = self.den * o.den
-        return Laurent({s: Fraction(c, den) for s, c in enumerate(product, self.lo + o.lo)},
-                       self.k + o.k)
+        return Laurent._canonical(self.lo + o.lo, _poly_mul_int(self.nums, o.nums),
+                                  self.den * o.den, self.k + o.k)
 
     __rmul__ = __mul__
 
@@ -637,7 +672,7 @@ class Laurent(_Scalar):
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""
-        return Laurent({-s: c for s, c in self.terms().items()}, self.k)
+        return Laurent._canonical(1 - self.lo - len(self.nums), self.nums[::-1], self.den, self.k)
 
     def as_rational(self) -> Optional[Fraction]:
         """The value if the element is a constant, else None."""
@@ -661,16 +696,6 @@ class Laurent(_Scalar):
 def zeta_power(p: int, k: int) -> Cyclotomic:
     """zeta_p^k, reduced modulo Phi_p; p < 1 raises ValueError."""
     return Cyclotomic._from_terms(p, [(k, 1)])
-
-
-def cos_of(p: int, j: int) -> Cyclotomic:
-    """Exact cos(2*pi*j/p) = (zeta^j + zeta^-j) / 2."""
-    return (zeta_power(p, j) + zeta_power(p, -j)) * Fraction(1, 2)
-
-
-def sin_times_i_of(p: int, j: int) -> Cyclotomic:
-    """Exact i*sin(2*pi*j/p) = (zeta^j - zeta^-j) / 2."""
-    return (zeta_power(p, j) - zeta_power(p, -j)) * Fraction(1, 2)
 
 
 def as_rational(a) -> Optional[Fraction]:

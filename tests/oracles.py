@@ -1,6 +1,8 @@
 """Literal per-element routes over Q(zeta_p), kept as the independent route
 for the library's derived classes, their evaluation and their traced group
-sums.
+sums; and the plain constructions that the library's integer kernels are
+checked against (the dense reduction rows, Laurent arithmetic through
+Fraction dicts).
 
 Every term is built as a Cyclotomic, element by element: the characters by
 the line-bundle algebra over the element's own phase, the correction term by
@@ -10,6 +12,8 @@ out rational (Galois invariance); a sum that does not raises
 ConsistencyError.
 """
 
+from fractions import Fraction
+
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement, derive_characters
 from orbifold_index.identities import TrigSums
@@ -17,9 +21,52 @@ from orbifold_index.index import CorrectionSum
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
-    cos_of,
+    Laurent,
+    cyclotomic_polynomial,
     zeta_power,
 )
+
+
+def cos_of(p, j):
+    """Exact cos(2*pi*j/p) = (zeta^j + zeta^-j) / 2."""
+    return (zeta_power(p, j) + zeta_power(p, -j)) * Fraction(1, 2)
+
+
+def sin_times_i_of(p, j):
+    """Exact i*sin(2*pi*j/p) = (zeta^j - zeta^-j) / 2."""
+    return (zeta_power(p, j) - zeta_power(p, -j)) * Fraction(1, 2)
+
+
+def reduction_rows_dense(p):
+    """x^s mod Phi_p for s = 0..p-1 as nonzero (i, coefficient) pairs, each
+    row from the dense previous one by x * row, x^phi replaced by
+    x^phi - Phi_p."""
+    phi_p = cyclotomic_polynomial(p)
+    cur = [1] + [0] * (len(phi_p) - 2)
+    rows = []
+    for _ in range(p):
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
+        lead, cur = cur[-1], [0] + cur[:-1]
+        if lead:
+            cur = [c - lead * f for c, f in zip(cur, phi_p)]
+    return tuple(rows)
+
+
+def laurent_add(a, b, sign=1):
+    """a + sign * b through {power: Fraction} dicts: over the common t^k,
+    each numerator is N * t^(k - own k), rebuilt by the constructor."""
+    k = max(a.k, b.k)
+    x, y = (c.terms() if c.k == k else Laurent(c.terms(), c.k - k).terms() for c in (a, b))
+    return Laurent({s: x.get(s, 0) + sign * y.get(s, 0) for s in x.keys() | y.keys()}, k)
+
+
+def laurent_mul(a, b):
+    """a * b by the schoolbook product of their {power: Fraction} dicts."""
+    out = {}
+    for s, c in a.terms().items():
+        for r, d in b.terms().items():
+            out[s + r] = out.get(s + r, 0) + c * d
+    return Laurent(out, a.k + b.k)
 
 
 def _rational(total, what, p):

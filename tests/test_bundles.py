@@ -14,6 +14,7 @@ import json
 import pytest
 from fractions import Fraction as F
 
+from oracles import cos_of, sin_times_i_of
 from orbifold_index import bundles, cli, index as index_mod
 from orbifold_index.bundles import (
     GroupElement,
@@ -35,8 +36,6 @@ from orbifold_index.scalars import (
     Cyclotomic,
     Laurent,
     as_rational,
-    cos_of,
-    sin_times_i_of,
     zeta_power,
 )
 

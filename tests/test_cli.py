@@ -1,7 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism, fault detection."""
 
+import copy
+import dataclasses
 import json
 import sys
+from types import MappingProxyType
 
 import pytest
 
@@ -10,7 +13,7 @@ import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 from orbifold_index import cli
 from orbifold_index.ring import CohomElement
-from orbifold_index.scalars import Cyclotomic
+from orbifold_index.scalars import Cyclotomic, Laurent
 
 
 def run(capsys, argv):
@@ -239,6 +242,39 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
     assert cli._check_conjugation(p) is False
     monkeypatch.undo()
     assert cli._check_conjugation(p) is True
+
+
+def _inject(monkeypatch, name, slot, j, wrong):
+    """Make one slot of the derived character `name` evaluate to wrong(p) at
+    the element j only: the slot is swapped for a copy of its own, and
+    Laurent.at answers for that copy at j."""
+    chars = dict(bundles.generic_characters())
+    marked = copy.copy(getattr(chars[name], slot))
+    chars[name] = dataclasses.replace(chars[name], **{slot: marked})
+    monkeypatch.setattr(bundles, "generic_characters", lambda: MappingProxyType(chars))
+    real_at = Laurent.at
+    monkeypatch.setattr(Laurent, "at", lambda a, p, i: wrong(p) if a is marked and i == j
+                        else real_at(a, p, i))
+
+
+@pytest.mark.parametrize("slot", ["c0", "ch", "chh"])
+def test_divisibility_suite_checks_each_read_slot_at_every_element(monkeypatch, slot):
+    p = 7
+    for j in range(1, p):
+        with monkeypatch.context() as m:
+            _inject(m, "symbol", slot, j, Cyclotomic.one)
+            assert cli._check_divisibility(p) is False, j
+    assert cli._check_divisibility(p) is True
+
+
+@pytest.mark.parametrize("name, rank", [("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),
+                                        ("s20_cotangent", 9), ("s20_lambda_plus", 5)])
+def test_rank_suite_checks_each_character_at_the_identity(monkeypatch, name, rank):
+    p = 5
+    with monkeypatch.context() as m:
+        _inject(m, name, "c0", 0, lambda q: Cyclotomic.from_rational(q, rank + 1))
+        assert cli._check_rank(p) is False
+    assert cli._check_rank(p) is True
 
 
 def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):

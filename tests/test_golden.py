@@ -1,13 +1,14 @@
 """Byte-exact stdout of five CLI commands against the recorded files in
-tests/golden/, and of two large element dumps against their recorded
-sha256; CI checks the same seven against the installed console script."""
+tests/golden/, and of two large element dumps and the verify sweep to
+p = 100 against their recorded sha256; CI checks the same eight against the
+installed console script.  The repr of every derived class is recorded too."""
 
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from orbifold_index import cli
+from orbifold_index import bundles, cli, index as index_mod
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,3 +49,20 @@ def test_composite_order_dump_matches_golden_digest(capsys):
     # Phi is not (x^d - 1)/(x - 1); 50708 bytes
     digest = (GOLDEN / "correction_p720_dump1.sha256").read_text().split()[0]
     assert _dump_digest(capsys, 720, 1) == digest
+
+
+def test_verify_sweep_to_100_matches_golden_digest(capsys):
+    # every suite at every order up to 100; 274 bytes
+    digest = (GOLDEN / "verify_p100.sha256").read_text().split()[0]
+    rc = cli.main(["--json", "verify", "--p-max", "100"])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_derived_classes_match_golden_reprs():
+    # the seven characters and the correction class, derived afresh by the
+    # Laurent arithmetic, in their canonical forms
+    chars = bundles.generic_characters.__wrapped__()
+    lines = [f"{name}: {c!r}" for name, c in chars.items()]
+    lines.append(f"correction_class: {index_mod.correction_class.__wrapped__()!r}")
+    assert "\n".join(lines) + "\n" == (GOLDEN / "derived_classes.txt").read_text()

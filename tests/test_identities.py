@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from oracles import correction_at_pipeline, correction_sum_pipeline, trig_sums_brute
+from oracles import correction_at_pipeline, correction_sum_pipeline, cos_of, trig_sums_brute
 from orbifold_index import identities as ident
 from orbifold_index import index as index_mod
 from orbifold_index import scalars
@@ -28,7 +28,6 @@ from orbifold_index.scalars import (
     Cyclotomic,
     Laurent,
     as_rational,
-    cos_of,
     divisors,
     mobius,
     zeta_power,

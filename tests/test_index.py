@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import correction_sum_pipeline
+from oracles import correction_sum_pipeline, cos_of
 from orbifold_index.bundles import GroupElement
 from orbifold_index.index import (
     ConsistencyError,
@@ -22,7 +22,7 @@ from orbifold_index.index import (
     index_smooth,
     tau_orb,
 )
-from orbifold_index.scalars import Cyclotomic, Laurent, as_rational, cos_of, zeta_power
+from orbifold_index.scalars import Cyclotomic, Laurent, as_rational, zeta_power
 
 
 def test_correction_at_p2_full_element():

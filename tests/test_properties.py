@@ -28,8 +28,9 @@ from orbifold_index.scalars import (  # noqa: E402
     _reduction_rows,
     cyclotomic_polynomial,
     euler_phi,
+    zeta_power,
 )
-from oracles import laurent_at  # noqa: E402
+from oracles import laurent_add, laurent_at, laurent_mul, reduction_rows_dense  # noqa: E402
 
 # fixed examples keep the suite deterministic; the counts keep it quick
 _settings = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -99,6 +100,28 @@ def test_from_terms_takes_any_integer_exponent(args):
     _, rem = _poly_divmod_int(tuple(poly), cyclotomic_polynomial(p))
     rem += (0,) * (euler_phi(p) - len(rem))
     assert a == Cyclotomic(p, [F(c, den) for c in rem])
+
+
+def test_reduction_rows_match_the_dense_construction():
+    # the monomial rows below phi(p) and the recurrence from x^phi on give
+    # the rows that the dense recurrence from x^0 builds; uncached, so the
+    # sweep leaves no tables behind
+    for p in range(1, 301):
+        assert _reduction_rows.__wrapped__(p) == reduction_rows_dense(p), p
+
+
+@_settings
+@given(orders, rationals, st.integers(-200, 200))
+def test_galois_fixes_rationals(p, q, k):
+    c = Cyclotomic.from_rational(p, q)
+    if gcd(k, p) != 1:
+        with pytest.raises(ValueError, match="not an automorphism"):
+            c.galois(k)
+    else:
+        assert c.galois(k) == c == q
+        assert_canonical(c.galois(k))
+        # one nonzero coefficient off the constant is not rational: it moves
+        assert (q * zeta_power(p, 1)).galois(k) == q * zeta_power(p, k)
 
 
 @_settings
@@ -235,6 +258,25 @@ def test_laurent_canonical_form_after_every_operation(a, b, q, k, terms, tk):
         assert value(a - b, z) == value(a, z) - value(b, z)
         assert value(a * b, z) == value(a, z) * value(b, z)
         assert value(a.conjugate(), z) == value(a, 1 / F(z))
+
+
+# integer Laurents the arithmetic must handle: zero, negative lo, k = 0..2,
+# 30-digit numerators, and N * t^m over t^k so that t cancels
+big_rationals = st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**9))
+int_laurents = st.just(Laurent({})) | st.builds(
+    lambda terms, k, m: laurent_mul(Laurent(terms, k), Laurent({0: 1}, -m)),
+    st.dictionaries(st.integers(-6, 4), rationals | big_rationals, max_size=5),
+    st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(int_laurents, int_laurents)
+def test_laurent_integer_arithmetic_matches_the_fraction_route(a, b):
+    for x, y in ((a, b), (a, laurent_add(b, a, -1))):  # a + (b - a) cancels back to b
+        for got, want in ((x * y, laurent_mul(x, y)), (x + y, laurent_add(x, y)),
+                          (x - y, laurent_add(x, y, -1))):
+            assert got == want
+            assert_laurent_canonical(got)
 
 
 @_settings

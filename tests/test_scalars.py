@@ -7,14 +7,13 @@ from math import gcd
 
 import pytest
 
-from oracles import trig_sums_brute
+from oracles import cos_of, sin_times_i_of, trig_sums_brute
 from orbifold_index.identities import trig_sums
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     _poly_mul_int,
     as_rational,
-    cos_of,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -22,7 +21,6 @@ from orbifold_index.scalars import (
     mobius,
     parse_rational,
     ramanujan_weights,
-    sin_times_i_of,
     zeta_power,
 )
 
