@@ -10,22 +10,30 @@ assumptions recorded in the reports, never computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .index import Duality, TopologicalData, index_closed_form
+from .scalars import _Record, _set
 
 
-@dataclass(frozen=True)
-class SurfaceKind:
+class SurfaceKind(_Record):
     """Closed surface: sphere, orientable genus j >= 1, or j >= 1 crosscaps."""
 
-    orientable: bool
-    j: int
+    _fields = ("orientable", "j")
 
-    def __post_init__(self):
-        if self.j < 0 or (not self.orientable and self.j < 1):
+    def __init__(self, orientable: bool, j: int):
+        if j < 0 or (not orientable and j < 1):
             raise ValueError("invalid surface description")
+        _set(self, "orientable", orientable)
+        _set(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.orientable, self.j) == (other.orientable, other.j)
+
+    def __hash__(self):
+        return hash((self.orientable, self.j))
 
     @classmethod
     def sphere(cls) -> "SurfaceKind":
@@ -50,22 +58,35 @@ class SurfaceKind:
         return 2 - self.j
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(_Record):
     """Index plus the declared cohomology dimensions and the verdict they
     force through index = dim H0 - dim H1 + dim H2."""
 
-    index: int
-    dim_h0: int
-    dim_h1: Optional[int]
-    dim_h2: Optional[int]
-    verdict: str
-    assumptions: tuple[str, ...] = ()
+    _fields = ("index", "dim_h0", "dim_h1", "dim_h2", "verdict", "assumptions")
 
-    def __post_init__(self):
-        if self.dim_h1 is not None and self.dim_h2 is not None:
-            if self.dim_h0 - self.dim_h1 + self.dim_h2 != self.index:
+    def __init__(self, index: int, dim_h0: int, dim_h1: Optional[int],
+                 dim_h2: Optional[int], verdict: str, assumptions: tuple[str, ...] = ()):
+        if dim_h1 is not None and dim_h2 is not None:
+            if dim_h0 - dim_h1 + dim_h2 != index:
                 raise ValueError("cohomology dimensions contradict the index")
+        _set(self, "index", index)
+        _set(self, "dim_h0", dim_h0)
+        _set(self, "dim_h1", dim_h1)
+        _set(self, "dim_h2", dim_h2)
+        _set(self, "verdict", verdict)
+        _set(self, "assumptions", assumptions)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.index, self.dim_h0, self.dim_h1, self.dim_h2, self.verdict,
+                 self.assumptions)
+                == (other.index, other.dim_h0, other.dim_h1, other.dim_h2, other.verdict,
+                    other.assumptions))
+
+    def __hash__(self):
+        return hash((self.index, self.dim_h0, self.dim_h1, self.dim_h2, self.verdict,
+                     self.assumptions))
 
     def to_json(self) -> dict:
         return {"index": self.index, "dim_h0": self.dim_h0,

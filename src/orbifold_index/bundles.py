@@ -18,28 +18,35 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
 from .ring import CohomElement, exp_class, ring_mul, scalar_mul
-from .scalars import ConsistencyError, Cyclotomic, Laurent, zeta_power
+from .scalars import ConsistencyError, Cyclotomic, Laurent, _Record, _set, zeta_power
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """Generator power j of the cyclic group of order p; rotation angle
     theta = 2*pi*j/p on the normal plane.  j = 0 is the identity."""
 
-    p: int
-    j: int
+    _fields = ("p", "j")
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, p: int, j: int):
+        if p < 1:
             raise ValueError("group order p must be a positive integer")
-        if not (0 <= self.j < self.p):
+        if not (0 <= j < p):
             raise ValueError("generator power must satisfy 0 <= j < p")
+        _set(self, "p", p)
+        _set(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.j) == (other.p, other.j)
+
+    def __hash__(self):
+        return hash((self.p, self.j))
 
     def zeta(self) -> Cyclotomic:
         return zeta_power(self.p, self.j)

@@ -18,8 +18,6 @@ Cyclotomic: the same algebra run per element is the tests' oracle.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -27,22 +25,32 @@ from functools import lru_cache
 from . import bundles, identities
 from .bundles import GroupElement
 from .ring import CohomElement, a_hat_squared, divide_by_e, invert_unit, ring_mul
-from .scalars import ConsistencyError
+from .scalars import ConsistencyError, _Record, _set
 
-@dataclass(frozen=True)
-class TopologicalData:
+
+class TopologicalData(_Record):
     """Everything the index formulas see: (chi(M), tau(M), chi(Sigma),
     [Sigma]^2, cone order p)."""
 
-    chi_M: int
-    tau_M: int
-    chi_Sigma: int
-    sigma_sq: int
-    p: int
+    _fields = ("chi_M", "tau_M", "chi_Sigma", "sigma_sq", "p")
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __init__(self, chi_M: int, tau_M: int, chi_Sigma: int, sigma_sq: int, p: int):
+        if p < 1:
             raise ValueError("cone order p must be a positive integer")
+        _set(self, "chi_M", chi_M)
+        _set(self, "tau_M", tau_M)
+        _set(self, "chi_Sigma", chi_Sigma)
+        _set(self, "sigma_sq", sigma_sq)
+        _set(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.chi_M, self.tau_M, self.chi_Sigma, self.sigma_sq, self.p)
+                == (other.chi_M, other.tau_M, other.chi_Sigma, other.sigma_sq, other.p))
+
+    def __hash__(self):
+        return hash((self.chi_M, self.tau_M, self.chi_Sigma, self.sigma_sq, self.p))
 
     @property
     def sigma_hat_sq(self) -> Fraction:
@@ -55,12 +63,22 @@ class Duality(Enum):
     SD = "sd"
 
 
-@dataclass(frozen=True)
-class CorrectionSum:
+class CorrectionSum(_Record):
     """Degree-2 coefficients of the group-averaged correction class."""
 
-    coeff_e: Fraction
-    coeff_h: Fraction
+    _fields = ("coeff_e", "coeff_h")
+
+    def __init__(self, coeff_e: Fraction, coeff_h: Fraction):
+        _set(self, "coeff_e", coeff_e)
+        _set(self, "coeff_h", coeff_h)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff_e, self.coeff_h) == (other.coeff_e, other.coeff_h)
+
+    def __hash__(self):
+        return hash((self.coeff_e, self.coeff_h))
 
     def to_json(self) -> dict:
         return {"e": str(self.coeff_e), "h": str(self.coeff_h)}
@@ -140,8 +158,7 @@ def index_kawasaki(data: TopologicalData, duality: Duality) -> int:
     """Index via the orbifold fixed-point route; independent of p and equal
     to the closed form, which the test suites assert exactly."""
     if duality is Duality.SD:
-        flipped = dataclasses.replace(data, tau_M=-data.tau_M,
-                                      sigma_sq=-data.sigma_sq)
+        flipped = data.replace(tau_M=-data.tau_M, sigma_sq=-data.sigma_sq)
         return index_kawasaki(flipped, Duality.ASD)
     p = data.p
     cs = correction_sum(p)

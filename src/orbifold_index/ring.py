@@ -12,11 +12,10 @@ degree 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .scalars import Cyclotomic, format_rational
+from .scalars import Cyclotomic, _Record, _set, format_rational
 
 Scalar = Any  # Fraction, Cyclotomic or Laurent, uniform within one element
 
@@ -27,17 +26,29 @@ def _scalar_json(s: Scalar):
     return format_rational(s)
 
 
-@dataclass(frozen=True)
-class CohomElement:
+class CohomElement(_Record):
     """c0 + ce*e + ch*h + cee*e^2 + ceh*e*h + chh*h^2, truncated above
     degree 4."""
 
-    c0: Scalar
-    ce: Scalar
-    ch: Scalar
-    cee: Scalar
-    ceh: Scalar
-    chh: Scalar
+    _fields = ("c0", "ce", "ch", "cee", "ceh", "chh")
+
+    def __init__(self, c0: Scalar, ce: Scalar, ch: Scalar,
+                 cee: Scalar, ceh: Scalar, chh: Scalar):
+        _set(self, "c0", c0)
+        _set(self, "ce", ce)
+        _set(self, "ch", ch)
+        _set(self, "cee", cee)
+        _set(self, "ceh", ceh)
+        _set(self, "chh", chh)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.c0, self.ce, self.ch, self.cee, self.ceh, self.chh)
+                == (other.c0, other.ce, other.ch, other.cee, other.ceh, other.chh))
+
+    def __hash__(self):
+        return hash((self.c0, self.ce, self.ch, self.cee, self.ceh, self.chh))
 
     @classmethod
     def constant(cls, s: Scalar) -> "CohomElement":

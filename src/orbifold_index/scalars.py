@@ -27,6 +27,8 @@ element skips it.
 
 This is the package's bottom layer: it imports no other module of it.  The
 group sums over these scalars, the trig sums included, are in identities.py.
+It also holds _Record, the immutable base of the package's small value
+types (cohomology elements, group elements, topological data, reports).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
-_set = object.__setattr__  # for _raw: each scalar's __setattr__ refuses
+_set = object.__setattr__  # for _raw and _Record.__init__s: their __setattr__ refuses
 
 
 class ConsistencyError(ArithmeticError):
@@ -274,6 +276,45 @@ class _Scalar:
     def __hash__(self):
         q = self.as_rational()
         return hash(self._key()) if q is None else hash(q)
+
+
+class _Record:
+    """Immutable record of named fields, the base of the package's value
+    types.  A subclass names its fields, in order, in `_fields`; its
+    __init__ validates its arguments and sets each field with _set, so
+    vars() of a record lists exactly its fields.  repr is
+    Name(field=value, ...); pickle, copy and replace() rebuild through
+    __init__, so every copy is validated again.  These read the fields by
+    name, not through vars(), which would turn the instance's inline
+    attribute values into a dict and slow every later read.
+
+    Each subclass writes its own __eq__ and __hash__ over the field tuple,
+    with the fields read as plain attributes: on CPython 3.11 an
+    operator.attrgetter or one shared method call there makes == 30-100%
+    slower than a dataclass's.  A record never equals an instance of
+    another type."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, validated as a new record."""
+        values = {n: getattr(self, n) for n in self._fields}
+        values.update(changes)  # an unknown name reaches __init__, which rejects it
+        return type(self)(**values)
 
 
 class Cyclotomic(_Scalar):

@@ -1,7 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism, fault detection."""
 
 import copy
-import dataclasses
 import json
 import sys
 from types import MappingProxyType
@@ -250,7 +249,7 @@ def _inject(monkeypatch, name, slot, j, wrong):
     Laurent.at answers for that copy at j."""
     chars = dict(bundles.generic_characters())
     marked = copy.copy(getattr(chars[name], slot))
-    chars[name] = dataclasses.replace(chars[name], **{slot: marked})
+    chars[name] = chars[name].replace(**{slot: marked})
     monkeypatch.setattr(bundles, "generic_characters", lambda: MappingProxyType(chars))
     real_at = Laurent.at
     monkeypatch.setattr(Laurent, "at", lambda a, p, i: wrong(p) if a is marked and i == j

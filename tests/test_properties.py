@@ -3,7 +3,6 @@ random rational coefficients, of the p-independent Laurent scalars, and of
 the index over random topological data."""
 
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction as F
 from functools import lru_cache
@@ -398,7 +397,7 @@ def test_index_is_an_integer_on_both_routes(data, duality):
 @_settings
 @given(topological_data())
 def test_sd_is_asd_of_the_negated_data(data):
-    flipped = dataclasses.replace(data, tau_M=-data.tau_M, sigma_sq=-data.sigma_sq)
+    flipped = data.replace(tau_M=-data.tau_M, sigma_sq=-data.sigma_sq)
     assert index_kawasaki(data, Duality.SD) == index_kawasaki(flipped, Duality.ASD)
     assert (index_smooth(data.chi_M, data.tau_M, Duality.SD)
             == index_smooth(flipped.chi_M, flipped.tau_M, Duality.ASD))
@@ -410,5 +409,5 @@ def test_sd_is_asd_of_the_negated_data(data):
 @_settings
 @given(topological_data(p=st.integers(2, 60)), st.integers(2, 60), dualities)
 def test_kawasaki_index_is_independent_of_the_cone_order(data, q, duality):
-    other = dataclasses.replace(data, p=q)
+    other = data.replace(p=q)
     assert index_kawasaki(data, duality) == index_kawasaki(other, duality)
