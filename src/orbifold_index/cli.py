@@ -54,12 +54,16 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _topology(args) -> TopologicalData:
-    if args.p < 1:
-        raise UsageError("cone order --p must be a positive integer")
+def _check_parity(args) -> None:
     if (args.chi - args.tau) % 2:
         raise UsageError("chi(M) and tau(M) must have the same parity, as on "
                          "every closed four-manifold")
+
+
+def _topology(args) -> TopologicalData:
+    if args.p < 1:
+        raise UsageError("cone order --p must be a positive integer")
+    _check_parity(args)
     return TopologicalData(chi_M=args.chi, tau_M=args.tau,
                            chi_Sigma=args.sigma_chi, sigma_sq=args.sigma_sq,
                            p=args.p)
@@ -265,6 +269,7 @@ def _cmd_orbifold_char(args) -> int:
         raise UsageError(str(exc))
     if beta <= 0:
         raise UsageError("beta must be a positive rational a/b")
+    _check_parity(args)
     chi = index_mod.chi_orb(args.chi, beta, args.sigma_chi)
     tau = index_mod.tau_orb(args.tau, beta, args.sigma_sq)
     payload = {"inputs": {"chi": args.chi, "tau": args.tau,

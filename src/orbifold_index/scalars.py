@@ -129,52 +129,33 @@ def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # den must be monic
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    num_l = list(num)
-    dd = len(den) - 1
-    if len(num_l) - 1 < dd:
-        return (0,), tuple(num_l)
-    q = [0] * (len(num_l) - dd)
-    for s in range(len(num_l) - 1, dd - 1, -1):
-        c = num_l[s]
-        if c:
-            q[s - dd] = c
-            for i in range(dd):
-                if den[i]:
-                    num_l[s - dd + i] -= c * den[i]
-            num_l[s] = 0
-    rem = num_l[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(q), tuple(rem)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_p, lowest degree first.
 
-    Computed by the recursive exact division
-    Phi_p = (x^p - 1) / prod_{d | p, d < p} Phi_d, memoized.
+    Computed as the binomial product Phi_p = prod_{d | p} (x^d - 1)^mu(p/d)
+    (Arnold and Monagan, Math. Comp. 80, 2011), with mu(p/d) the sign of
+    d's Ramanujan weight: the factors with mu = +1 are multiplied in, then
+    those with mu = -1 divided out exactly, each in one pass over the list.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    if p == 1:
-        return (-1, 1)
-    num = [0] * (p + 1)
-    num[0], num[p] = -1, 1
-    den: tuple[int, ...] = (1,)
-    for d in divisors(p):
-        if d < p:
-            den = _poly_mul_int(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod_int(tuple(num), den)
-    if r:
-        raise ConsistencyError(f"inexact division while building Phi_{p}")
-    if len(q) - 1 != euler_phi(p):
+    weights = ramanujan_weights(p)
+    phi_p = [1]
+    for d, w in weights:
+        if w > 0:  # times x^d - 1
+            phi_p = list(map(sub, [0] * d + phi_p, phi_p + [0] * d))
+    for d, w in weights:
+        if w < 0:  # q * (x^d - 1) = phi_p: q_i = q_(i-d) - phi_p[i], exact when q ends in d zeros
+            q = [-c for c in phi_p]
+            for i in range(d, len(q)):
+                q[i] += q[i - d]
+            if any(q[-d:]):
+                raise ConsistencyError(f"inexact division while building Phi_{p}")
+            phi_p = q[:-d]
+    if len(phi_p) - 1 != euler_phi(p):
         raise ConsistencyError(f"deg Phi_{p} != phi({p})")
-    return q
+    return tuple(phi_p)
 
 
 @lru_cache(maxsize=None)
@@ -578,11 +559,16 @@ def verify_quotient_vec(n: list[int], q: list[int]) -> None:
 
 def _div_by_t(lo: int, cs) -> Optional[tuple[int, tuple]]:
     """(lo + 1, q) with t * q == cs, both from their lowest power upward,
-    or None when t = 2 - z - z^-1 = -(z - 1)^2 / z does not divide cs."""
+    or None when t = 2 - z - z^-1 = -(1 - z)^2 / z does not divide cs.  A
+    prefix sum divides by 1 - z, exactly when its last entry (the sum of
+    what it divides) is 0."""
     if len(cs) < 3:
         return None
-    q, r = _poly_divmod_int(tuple(cs), (1, -2, 1))
-    return None if r else (lo + 1, tuple(-c for c in q))
+    for _ in range(2):
+        *cs, r = accumulate(cs)
+        if r:
+            return None
+    return lo + 1, tuple(-c for c in cs)
 
 
 class Laurent(_Scalar):

@@ -1,8 +1,8 @@
 """Literal per-element routes over Q(zeta_p), kept as the independent route
 for the library's derived classes, their evaluation and their traced group
 sums; and the plain constructions that the library's integer kernels are
-checked against (the dense reduction rows, Laurent arithmetic through
-Fraction dicts).
+checked against (the dense reduction rows, schoolbook long division,
+Laurent arithmetic through Fraction dicts).
 
 Every term is built as a Cyclotomic, element by element: the characters by
 the line-bundle algebra over the element's own phase, the correction term by
@@ -50,6 +50,30 @@ def reduction_rows_dense(p):
         if lead:
             cur = [c - lead * f for c, f in zip(cur, phi_p)]
     return tuple(rows)
+
+
+def poly_divmod_int(num, den):
+    """(quotient, remainder) of integer coefficient tuples, lowest degree
+    first, by schoolbook long division; den must be monic."""
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    num_l = list(num)
+    dd = len(den) - 1
+    if len(num_l) - 1 < dd:
+        return (0,), tuple(num_l)
+    q = [0] * (len(num_l) - dd)
+    for s in range(len(num_l) - 1, dd - 1, -1):
+        c = num_l[s]
+        if c:
+            q[s - dd] = c
+            for i in range(dd):
+                if den[i]:
+                    num_l[s - dd + i] -= c * den[i]
+            num_l[s] = 0
+    rem = num_l[:dd]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(q), tuple(rem)
 
 
 def laurent_add(a, b, sign=1):

@@ -160,6 +160,11 @@ def test_orbifold_char_command(capsys):
     assert run(capsys, ["orbifold-char", "--chi", "2", "--tau", "0",
                         "--sigma-chi", "1", "--sigma-sq", "-2",
                         "--beta", "-1/2"])[0] == 1
+    # chi + tau odd is rejected as index rejects it, though chi_orb and tau_orb exist
+    rc, out, err = run(capsys, ["--json", "orbifold-char", "--chi", "1", "--tau", "0",
+                                "--sigma-chi", "1", "--sigma-sq", "-2", "--beta", "1/2"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error:") and "parity" in err
 
 
 def test_surfaces_command(capsys):

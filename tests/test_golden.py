@@ -1,6 +1,6 @@
 """Byte-exact stdout of five CLI commands against the recorded files in
-tests/golden/, and of two large element dumps and the verify sweep to
-p = 100 against their recorded sha256; CI checks the same eight against the
+tests/golden/, and of three large element dumps and the verify sweep to
+p = 100 against their recorded sha256; CI checks the same nine against the
 installed console script.  The repr of every derived class is recorded too."""
 
 import hashlib
@@ -46,9 +46,12 @@ def test_largest_element_dump_matches_golden_digest(capsys):
 
 def test_composite_order_dump_matches_golden_digest(capsys):
     # d = 720 = 2^4 3^2 5: every power of t is divided out at an order whose
-    # Phi is not (x^d - 1)/(x - 1); 50708 bytes
-    digest = (GOLDEN / "correction_p720_dump1.sha256").read_text().split()[0]
-    assert _dump_digest(capsys, 720, 1) == digest
+    # Phi is not (x^d - 1)/(x - 1); 50708 bytes.  d = 2310 = 2 3 5 7 11: Phi
+    # has coefficients up to 3 and 16 binomial factors of each sign (Phi_720
+    # = Phi_30(x^24) has only +-1); 134980 bytes
+    for p in (720, 2310):
+        digest = (GOLDEN / f"correction_p{p}_dump1.sha256").read_text().split()[0]
+        assert _dump_digest(capsys, p, 1) == digest, p
 
 
 def test_verify_sweep_to_100_matches_golden_digest(capsys):

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from oracles import cos_of, sin_times_i_of, trig_sums_brute
+from orbifold_index import scalars
 from orbifold_index.identities import trig_sums
 from orbifold_index.scalars import (
     ConsistencyError,
@@ -27,7 +28,7 @@ from orbifold_index.scalars import (
 
 def test_cyclotomic_polynomial_examples():
     assert cyclotomic_polynomial(1) == (-1, 1)
-    # derived by dividing x^4 - 1 and x^6 - 1 by the proper-divisor product
+    # the binomial products (x^4 - 1)/(x^2 - 1) and (x^6 - 1)(x - 1)/((x^3 - 1)(x^2 - 1))
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -48,10 +49,29 @@ def test_cyclotomic_polynomial_product_identity():
 def test_cyclotomic_polynomial_against_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for p in range(1, 61):
+    # 105 = 3 5 7 is the first order with a coefficient of magnitude 2;
+    # 2310 and 3003 have 16 and 8 binomial factors of each sign
+    for p in [*range(1, 61), 105, 385, 1155, 2310, 3003]:
         ours = cyclotomic_polynomial(p)
         theirs = sympy.Poly(sympy.cyclotomic_poly(p, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs], p
+
+
+def test_cyclotomic_polynomial_rejects_a_dropped_binomial_factor(monkeypatch):
+    # without one factor (x^d - 1)^mu(105/d) the product is not Phi_105: a
+    # mu = +1 factor left out fails an exact division, a mu = -1 one the degree
+    weights = ramanujan_weights(105)
+    cyclotomic_polynomial.cache_clear()
+    try:
+        for i, (_, w) in enumerate(weights):
+            monkeypatch.setattr(scalars, "ramanujan_weights",
+                                lambda d, i=i: weights[:i] + weights[i + 1:])
+            with pytest.raises(ConsistencyError, match="inexact" if w > 0 else "deg"):
+                cyclotomic_polynomial(105)
+    finally:
+        monkeypatch.undo()
+        cyclotomic_polynomial.cache_clear()
+    assert len(cyclotomic_polynomial(105)) - 1 == euler_phi(105)
 
 
 def test_degree_is_euler_phi():
