@@ -5,6 +5,13 @@ Output is a human-readable table on a terminal and deterministic JSON when
 redirected or with --json (before or after the subcommand); exact rationals
 are never rendered as decimals.
 
+verify runs six suites at every order p = 2..N.  The conjugation suite
+relies on the identity chi(z^-1) = conj chi(z), which bundles checks once,
+in z, for every character; per order it checks the evaluation kernel,
+conj(zeta^s) = zeta^-s for each s < p, and compares the characters at
+j = 1, j = p // 2 and (composite p) the least prime factor of p with their
+conjugates at p - j, both ways.
+
 Exit codes: 0 success, 1 usage error (raised as UsageError by the argument
 checks), 2 verification failure, 3 internal consistency failure or any other
 exception, a library ValueError included (a crash; in verify, also a check
@@ -29,7 +36,14 @@ from .index import (
     index_kawasaki,
     index_smooth,
 )
-from .scalars import ConsistencyError, Cyclotomic, as_rational, parse_rational
+from .scalars import (
+    ConsistencyError,
+    Cyclotomic,
+    as_rational,
+    divisors,
+    parse_rational,
+    zeta_power,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,7 +192,18 @@ def _check_trig(p: int) -> bool:
 
 
 def _check_conjugation(p: int) -> bool:
-    for j in range(1, p // 2 + 1):
+    # The identity chi(z^-1) = conj chi(z) holds for every character as an
+    # identity in z, checked once by generic_characters(); per order, only
+    # its evaluation at zeta_p^j is checked.  Kernel: conj(zeta^s) is
+    # zeta^-s for every row s of Q(zeta_p), so by the linearity of
+    # _from_terms every value of a z-polynomial conjugates as it should.
+    if any(zeta_power(p, s).conjugate() != zeta_power(p, -s) for s in range(p)):
+        return False
+    # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range)
+    # and at the least prime factor q of a composite p (an element of
+    # smaller order), each against its conjugate at p - j
+    q = divisors(p)[1]
+    for j in sorted({1, p // 2, q if q < p else 1}):
         a, b = GroupElement(p, j), GroupElement(p, p - j)
         for fn in (bundles.ch_symbol, bundles.ch_thom, bundles.ch_lambda_plus):
             fa, fb = fn(a), fn(b)  # compared both ways: a non-involution fails

@@ -10,6 +10,7 @@ import pytest
 import orbifold_index.applications as applications
 import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
+import orbifold_index.scalars as scalars
 from orbifold_index import cli
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import Cyclotomic, Laurent
@@ -244,6 +245,27 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
     real = Cyclotomic.conjugate
     monkeypatch.setattr(Cyclotomic, "conjugate", lambda a: real(a) if a in low else real(a) + 1)
     assert cli._check_conjugation(p) is False
+    monkeypatch.undo()
+    assert cli._check_conjugation(p) is True
+
+
+@pytest.mark.parametrize("p", [7, 12, 29])
+def test_conjugation_suite_catches_one_wrong_reduction_row(capsys, monkeypatch, p):
+    # x^(p-2) mod Phi_p gains a constant 1 at the order p only: the row of a
+    # large exponent, which the kernel check conj(zeta^s) == zeta^-s reads
+    real = scalars._reduction_rows
+
+    def rows(q):
+        table = real(q)
+        if q != p:
+            return table
+        return table[:p - 2] + (table[p - 2] + ((0, 1),),) + table[p - 1:]
+
+    monkeypatch.setattr(scalars, "_reduction_rows", rows)
+    assert cli._check_conjugation(p) is False
+    rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
+    assert rc == 2
+    assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
     monkeypatch.undo()
     assert cli._check_conjugation(p) is True
 

@@ -1,7 +1,8 @@
 """Byte-exact stdout of five CLI commands against the recorded files in
-tests/golden/, and of three large element dumps and the verify sweep to
-p = 100 against their recorded sha256; CI checks the same nine against the
-installed console script.  The repr of every derived class is recorded too."""
+tests/golden/, and of three large element dumps and the verify sweeps to
+p = 100 and p = 200 against their recorded sha256; CI checks the same ten
+against the installed console script.  The repr of every derived class is
+recorded too."""
 
 import hashlib
 from pathlib import Path
@@ -58,6 +59,15 @@ def test_verify_sweep_to_100_matches_golden_digest(capsys):
     # every suite at every order up to 100; 274 bytes
     digest = (GOLDEN / "verify_p100.sha256").read_text().split()[0]
     rc = cli.main(["--json", "verify", "--p-max", "100"])
+    assert rc == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_sweep_to_200_matches_golden_digest(capsys):
+    # recorded before the conjugation suite checked its kernel per order and
+    # its characters at three elements instead of at every element; 280 bytes
+    digest = (GOLDEN / "verify_p200.sha256").read_text().split()[0]
+    rc = cli.main(["--json", "verify", "--p-max", "200"])
     assert rc == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -11,8 +11,10 @@ from math import gcd
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from orbifold_index import index as index_mod  # noqa: E402
+from orbifold_index.bundles import generic_characters  # noqa: E402
 from orbifold_index.index import (  # noqa: E402
     Duality,
     TopologicalData,
@@ -20,6 +22,7 @@ from orbifold_index.index import (  # noqa: E402
     index_kawasaki,
     index_smooth,
 )
+from orbifold_index.ring import CohomElement  # noqa: E402
 from orbifold_index.scalars import (  # noqa: E402
     Cyclotomic,
     Laurent,
@@ -82,15 +85,19 @@ def test_canonical_form_after_every_operation(abc, q, k):
 @st.composite
 def term_lists(draw):
     p = draw(st.integers(1, 60))
-    terms = draw(st.lists(st.tuples(st.integers(-3 * p, 3 * p), st.integers(-1000, 1000)),
-                          max_size=12))
+    # exponents near the rows and of any sign and size
+    exponents = st.integers(-3 * p, 3 * p) | st.integers()
+    terms = draw(st.lists(st.tuples(exponents, st.integers(-1000, 1000)), max_size=12))
     return p, terms, draw(st.integers(1, 12))
 
 
 @_settings
+@example((7, [(5 - 7 * 10**40, -3), (6 + 7 * 10**40, 2)], 5))
+@example((36, [(34 + 36 * 10**40, 1), (-2 - 36 * 10**40, 4)], 1))
 @given(term_lists())
 def test_from_terms_takes_any_integer_exponent(args):
-    # the kernel folds each exponent mod p itself, from a table of p rows
+    # the kernel folds each exponent mod p itself, from a table of p rows:
+    # zeta^(s + m p) is zeta^s for every integer m
     p, terms, den = args
     a = Cyclotomic._from_terms(p, terms, den)
     folded = [(s % p, c) for s, c in terms]
@@ -104,6 +111,33 @@ def test_from_terms_takes_any_integer_exponent(args):
     _, rem = poly_divmod_int(tuple(poly), cyclotomic_polynomial(p))
     rem += (0,) * (euler_phi(p) - len(rem))
     assert a == Cyclotomic(p, [F(c, den) for c in rem])
+
+
+@_settings
+@given(orders, st.integers(-10**6, 10**6), st.integers(-1000, 1000))
+def test_conjugate_of_a_monomial(p, s, c):
+    # the per-order kernel check of the conjugation suite, at any exponent
+    # and coefficient: conj(c zeta^s) = c zeta^-s, and conjugation is an involution
+    a = c * zeta_power(p, s)
+    assert a.conjugate() == c * zeta_power(p, -s)
+    assert a.conjugate().conjugate() == a
+
+
+def derived_slots():
+    """Every slot of the seven derived characters and of the correction class."""
+    classes = [*generic_characters().values(), index_mod.correction_class()]
+    return [getattr(c, slot) for c in classes for slot in CohomElement._fields]
+
+
+@_settings
+@given(st.integers(2, 60), st.integers(0, 10**6))
+def test_derived_values_are_galois_equivariant(p, k):
+    # the value at zeta^j is the image of the value at zeta under zeta -> zeta^j,
+    # for every unit j: Laurent.at folds s*j as galois does
+    units = [j for j in range(1, p) if gcd(j, p) == 1]
+    j = units[k % len(units)]
+    for a in derived_slots():
+        assert a.at(p, j) == a.at(p, 1).galois(j), (a, j)
 
 
 def test_reduction_rows_match_the_dense_construction():
