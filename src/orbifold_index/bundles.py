@@ -9,7 +9,17 @@ phase z = zeta^j.
 
 That algebra runs once, on first use, over Laurent scalars at the generic
 element, whose phase is the indeterminate z; conjugation symmetry and the
-divisibility of the symbol by e are checked there, once, as identities.  A
+divisibility of the symbol by e are checked there, once, as identities.
+
+The conjugation check runs the algebra again at phase z^-1 and compares it
+with Laurent.conjugate of the run at z.  That substitution is exactly what
+conjugate does, so the two runs agree whatever the algebra builds from the
+element's phases and rationals: the check guards the Laurent arithmetic and
+conjugate, and a literal z that ignores the phase, but cannot catch a fault
+in the character algebra itself.  Such a fault (a Thom class built from
+Theta2 twice, or Lambda- from Theta1-bar twice: mutants M13 and M15 of the
+project's mutant table) is caught by verify's correction and p-independence
+suites and by the tests' per-element oracle.  A
 GroupElement only evaluates the derived characters at z = zeta_p^j
 (Laurent.at), so nothing is built or cached per element.  The same algebra
 over a GroupElement's own Cyclotomic phase is the tests' element-by-element
@@ -139,7 +149,10 @@ def generic_characters() -> MappingProxyType:
     """The seven characters at the generic element, derived on first use
     (never at import).  Two identities are checked once, or ConsistencyError
     is raised: the algebra run at phase z^-1 is the conjugate of the run at
-    z, and the symbol has no 1, h or h^2 part, so it is divisible by e."""
+    z, and the symbol has no 1, h or h^2 part, so it is divisible by e.
+    The first guards the Laurent arithmetic and a literal z only: a fault in
+    the algebra is an identity under z -> 1/z by construction and passes it
+    (see the module docstring for what catches one)."""
     chars = derive_characters(GENERIC)
     flipped = derive_characters(GenericElement(-1))
     for name, c in chars.items():

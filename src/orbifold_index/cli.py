@@ -10,7 +10,13 @@ relies on the identity chi(z^-1) = conj chi(z), which bundles checks once,
 in z, for every character; per order it checks the evaluation kernel,
 conj(zeta^s) = zeta^-s for each s < p, and compares the characters at
 j = 1, j = p // 2 and (composite p) the least prime factor of p with their
-conjugates at p - j, both ways.
+conjugates at p - j, both ways.  That z <-> 1/z check guards the Laurent
+arithmetic and a literal z; it cannot catch a fault in the character
+algebra, which is an identity under z -> 1/z by construction.  The
+correction and p-independence suites catch such a fault (mutants M13 and
+M15 of the project's mutant table), as does the tests' per-element oracle.
+A derived Thom class that is no unit fails those two suites at every order
+instead of crashing the sweep.
 
 Exit codes: 0 success, 1 usage error (raised as UsageError by the argument
 checks), 2 verification failure, 3 internal consistency failure or any other

@@ -11,21 +11,25 @@ cos^2 and 1/(1 - cos) (trig_sums, checked against their closed forms), and
 the correction class that index.py derives from bundles.py.  It is evaluated
 at x = zeta_d in Z[x]/(x^d - 1) and traced: x^s traces to the Ramanujan sum
 c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, so with k = 0 each term of N takes
-one Ramanujan sum.  With k = 1, N multiplies the representative of 1/t, the
-integer vector
+one Ramanujan sum.  With k = 1, N multiplies the representative of 1/t,
+whose entries are one quadratic in the exponent r:
 
-    u = (1/d^2) sum_r C_r x^r,   C_r = T2 - r*T1 + d*r(r-1)/2,
-    T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6,
+    u = (1/(2d^2)) sum_{r < d} v(r) x^r,   v(r) = c0 + c1 r + c2 r^2 = 2 C_r,
+    C_r = T2 - r*T1 + d*r(r-1)/2,  T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6,
 
 checked against its exact ring identity
 
-    (2 - x - x^-1) * d^2 u  =  d^2 - d N_d      in Z[x]/(x^d - 1),
+    (2 - x - x^-1) * 2d^2 u  =  2d^2 - 2d N_d      in Z[x]/(x^d - 1),
 
 where the all-ones N_d vanishes at every primitive d-th root, so u is the
 true inverse at zeta_d and, the identity having integer coefficients, at all
 its Galois images.  u_d is built and checked in one place,
-scalars.inv_two_minus_two_cos_vec, for these traces only (Laurent.at divides
-by t in O(d) instead): a trace reads N * u off u without forming it.
+scalars.inv_two_minus_two_cos_quadratic, for these traces only (Laurent.at
+divides by t in O(d) instead).  The trace of x^s u reads u at the exponents
+r = -s mod m, m | d, one arithmetic progression of step m each, and the sum
+of a quadratic over a progression has a closed form (progression_sum): a
+class trace costs O(2^omega(d)) integer operations per term of N, and no
+vector of length d is built.
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer
@@ -46,17 +50,20 @@ from .scalars import (
     ConsistencyError,
     Laurent,
     divisors,
-    inv_two_minus_two_cos_vec,
+    inv_two_minus_two_cos_quadratic,
     ramanujan_weights,
 )
 
 
-def trace(vec: list[int], terms: dict[int, int]) -> int:
-    """Tr_{Q(zeta_d)/Q} of (sum_s c_s x^s) * vec at x = zeta_d, d = len(vec):
-    sum_{m | d} mu(d/m) m times the sum of the product's entries at the
-    multiples of m, read off vec at -s mod m without forming the product."""
-    return sum(w * sum(c * sum(vec[-s % m::m]) for s, c in terms.items())
-               for m, w in ramanujan_weights(len(vec)))
+def progression_sum(coeffs: tuple[int, int, int], d: int, m: int, a: int) -> int:
+    """sum of v(r) = c0 + c1 r + c2 r^2 over r = a, a + m, ..., r < d, for
+    m | d and 0 <= a < m: with r = a + m i, i < n = d/m, it is
+    n v(a) + (c1 + 2 a c2) S1 + c2 S2 for S1 = sum m i, S2 = sum (m i)^2."""
+    c0, c1, c2 = coeffs
+    n = d // m
+    s1 = m * n * (n - 1) // 2
+    s2 = m * m * (n - 1) * n * (2 * n - 1) // 6
+    return n * (c0 + a * (c1 + a * c2)) + (c1 + 2 * a * c2) * s1 + c2 * s2
 
 
 def sparse_trace(d: int, terms: dict[int, int]) -> int:
@@ -69,11 +76,15 @@ def sparse_trace(d: int, terms: dict[int, int]) -> int:
 @lru_cache(maxsize=None)
 def _class_trace(d: int, k: int, terms: tuple[tuple[int, int], ...]) -> int:
     """The integer trace of the class sum_s c_s z^s / t^k, (s, c_s) in terms,
-    at z = zeta_d: Tr of the polynomial when k = 0, and d^2 times Tr of the
-    class when k = 1, from the checked representative u_d of 1/t."""
+    at z = zeta_d: Tr of the polynomial when k = 0, and 2 d^2 times Tr of
+    the class when k = 1, from the checked representative u_d of 1/t:
+    sum_{m | d} mu(d/m) m times the sum of the entries of N * u at the
+    multiples of m, each of them u's sum over the progression -s mod m."""
     if k == 0:
         return sparse_trace(d, dict(terms))
-    return trace(inv_two_minus_two_cos_vec(d)[0], dict(terms))
+    coeffs, _ = inv_two_minus_two_cos_quadratic(d)
+    return sum(w * sum(c * progression_sum(coeffs, d, m, -s % m) for s, c in terms)
+               for m, w in ramanujan_weights(d))
 
 
 def class_traces(classes: list[int], c: Laurent) -> Fraction:
@@ -82,7 +93,7 @@ def class_traces(classes: list[int], c: Laurent) -> Fraction:
     elements of exact order d: N traced term by term when k = 0, and N times
     the checked representative of 1/t when k = 1.  The integer traces of
     _class_trace, taken on the integer numerators of N, are added over one
-    denominator: N's own, times m^2 with m the lcm of the classes when
+    denominator: N's own, times 2 m^2 with m the lcm of the classes when
     k = 1."""
     if c.k > 1:
         raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
@@ -91,7 +102,7 @@ def class_traces(classes: list[int], c: Laurent) -> Fraction:
         return Fraction(sum(_class_trace(d, 0, terms) for d in classes), c.den)
     m = lcm(*classes)
     return Fraction(sum(_class_trace(d, 1, terms) * (m // d) ** 2 for d in classes),
-                    c.den * m * m)
+                    2 * c.den * m * m)
 
 
 def class_sum(p: int, c: Laurent) -> Fraction:

@@ -98,9 +98,14 @@ def correction_class() -> CohomElement:
     bundles.generic_characters derives.  The e and h coefficients are
     checked, once, to be invariant under z -> z^-1 (the coefficients of a
     real class) and to carry at most one power of t = 2 - z - z^-1, the one
-    inverse the class traces evaluate."""
+    inverse the class traces evaluate.  A derived Thom class that is not a
+    unit c * t^m, which has no inverse to take, raises ConsistencyError too:
+    a check that fails, not a crash."""
     chars = bundles.generic_characters()
-    c = correction_term(chars["symbol"], chars["thom"])
+    try:
+        c = correction_term(chars["symbol"], chars["thom"])
+    except ZeroDivisionError as exc:
+        raise ConsistencyError(f"derived Thom class is not a unit: {exc}") from exc
     for name, s in (("e", c.ce), ("h", c.ch)):
         if s.conjugate() != s or s.k > 1:
             raise ConsistencyError(f"derived correction class {name} = {s!r} is not "

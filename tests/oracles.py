@@ -2,7 +2,8 @@
 for the library's derived classes, their evaluation and their traced group
 sums; and the plain constructions that the library's integer kernels are
 checked against (the dense reduction rows, schoolbook long division,
-Laurent arithmetic through Fraction dicts).
+Laurent arithmetic through Fraction dicts, and the representative of 1/t
+as a checked length-d vector with its entry-by-entry trace).
 
 Every term is built as a Cyclotomic, element by element: the characters by
 the line-bundle algebra over the element's own phase, the correction term by
@@ -13,6 +14,7 @@ ConsistencyError.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement, derive_characters
@@ -22,7 +24,9 @@ from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     Laurent,
+    _times_t,
     cyclotomic_polynomial,
+    ramanujan_weights,
     zeta_power,
 )
 
@@ -74,6 +78,40 @@ def poly_divmod_int(num, den):
     while rem and rem[-1] == 0:
         rem.pop()
     return tuple(q), tuple(rem)
+
+
+def inv_two_minus_two_cos_vec(d):
+    """(vector, denominator) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2, as
+    an element of Z[x]/(x^d - 1): entry r is C_r = T2 - r*T1 + d*r(r-1)/2
+    over d^2, built by its first differences and checked by
+    verify_inverse_vec before it is returned."""
+    if d < 2:
+        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
+    t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
+    # C_(r+1) - C_r = d*r - T1, r = 0..d-2
+    vec = list(accumulate(range(-t1, d * (d - 1) - t1, d), initial=t2))
+    verify_inverse_vec(d, vec, d * d)
+    return vec, d * d
+
+
+def verify_inverse_vec(d, vec, den):
+    """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1)
+    entry by entry: the all-ones N_d vanishes at every primitive d-th root
+    of unity."""
+    if den % d:
+        raise ValueError("denominator must absorb the 1/d of the identity")
+    rhs = [-(den // d)] * d
+    rhs[0] += den
+    if _times_t(vec) != rhs:
+        raise ConsistencyError(f"closed-form inverse failed its ring identity at d={d}")
+
+
+def trace(vec, terms):
+    """Tr_{Q(zeta_d)/Q} of (sum_s c_s x^s) * vec at x = zeta_d, d = len(vec):
+    sum_{m | d} mu(d/m) m times the sum of the product's entries at the
+    multiples of m, read off vec at -s mod m by slicing."""
+    return sum(w * sum(c * sum(vec[-s % m::m]) for s, c in terms.items())
+               for m, w in ramanujan_weights(len(vec)))
 
 
 def laurent_add(a, b, sign=1):

@@ -283,6 +283,33 @@ def _inject(monkeypatch, name, slot, j, wrong):
                         else real_at(a, p, i))
 
 
+def test_a_non_unit_thom_class_is_a_failed_check_not_a_crash(capsys, monkeypatch):
+    # degree-0 part 1 + t = 3 - z - 1/z: symmetric under z -> 1/z, so every
+    # check of the characters holds, but no unit c * t^m to invert
+    chars = dict(bundles.generic_characters())
+    chars["thom"] = chars["thom"].replace(c0=Laurent({-1: -1, 0: 3, 1: -1}))
+    monkeypatch.setattr(bundles, "generic_characters", lambda: MappingProxyType(chars))
+    index_mod.correction_class.cache_clear()
+    index_mod.correction_sum.cache_clear()  # p-independence reads the cached sums
+    try:
+        with pytest.raises(scalars.ConsistencyError, match="derived Thom class is not a unit"):
+            index_mod.correction_class()
+        rc, data, err = run_json(capsys, ["verify", "--p-max", "6"])
+        assert rc == 2 and data["ok"] is False, err
+        suites = data["suites"]
+        for name in ("correction", "p-independence"):
+            assert suites[name] == {"pass": 0, "fail": [2, 3, 4, 5, 6]}, name
+        for name in ("trig", "conjugation", "rank", "divisibility"):
+            assert suites[name] == {"pass": 5, "fail": []}, name
+        # outside verify the same failure is an internal inconsistency
+        rc, out, err = run(capsys, ["--json", "correction", "--p", "7"])
+        assert rc == 3 and not out and "Thom class" in err
+    finally:
+        monkeypatch.undo()
+        index_mod.correction_class.cache_clear()
+        index_mod.correction_sum.cache_clear()
+
+
 @pytest.mark.parametrize("slot", ["c0", "ch", "chh"])
 def test_divisibility_suite_checks_each_read_slot_at_every_element(monkeypatch, slot):
     p = 7

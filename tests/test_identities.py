@@ -10,7 +10,15 @@ from math import gcd
 
 import pytest
 
-from oracles import correction_at_pipeline, correction_sum_pipeline, cos_of, trig_sums_brute
+from oracles import (
+    correction_at_pipeline,
+    correction_sum_pipeline,
+    cos_of,
+    inv_two_minus_two_cos_vec,
+    trace,
+    trig_sums_brute,
+    verify_inverse_vec,
+)
 from orbifold_index import identities as ident
 from orbifold_index import index as index_mod
 from orbifold_index import scalars
@@ -57,41 +65,58 @@ def _spot_pairs():
 @pytest.mark.parametrize("p,k", _spot_pairs())
 def test_inverse_vectors_match_ext_gcd(p, k):
     # checking the representative once makes every Galois image exact
-    vec, den = scalars.inv_two_minus_two_cos_vec(p // gcd(k, p))
+    vec, den = inv_two_minus_two_cos_vec(p // gcd(k, p))
     got = Cyclotomic._from_terms(p, enumerate(_image(p, k, vec)), den)
     assert got == (2 - 2 * cos_of(p, k)).inverse()
 
 
 @pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
 def test_representative_matches_ext_gcd(d):
-    vec, den = scalars.inv_two_minus_two_cos_vec(d)
-    scalars.verify_inverse_vec(d, vec, den)
-    assert Cyclotomic._from_terms(d, enumerate(vec), den) == (2 - 2 * cos_of(d, 1)).inverse()
+    inv_t = (2 - 2 * cos_of(d, 1)).inverse()
+    vec, den = inv_two_minus_two_cos_vec(d)
+    verify_inverse_vec(d, vec, den)
+    assert Cyclotomic._from_terms(d, enumerate(vec), den) == inv_t
+    # the library's quadratic, expanded entry by entry, is the same element
+    (c0, c1, c2), den2 = scalars.inv_two_minus_two_cos_quadratic(d)
+    assert Cyclotomic._from_terms(d, ((r, c0 + c1 * r + c2 * r * r) for r in range(d)),
+                                  den2) == inv_t
 
 
 def test_inverse_constructors_reject_identity():
     for d in (0, 1):
-        with pytest.raises(ZeroDivisionError):
-            scalars.inv_two_minus_two_cos_vec(d)
+        for build in (scalars.inv_two_minus_two_cos_quadratic, inv_two_minus_two_cos_vec):
+            with pytest.raises(ZeroDivisionError):
+                build(d)
 
 
 def test_inverse_vector_is_the_closed_form():
     for d in list(range(2, 301)) + [1009]:
         t1, t2 = d * (d - 1) // 2, (d - 1) * d * (2 * d - 1) // 6
-        vec, den = scalars.inv_two_minus_two_cos_vec(d)
+        vec, den = inv_two_minus_two_cos_vec(d)
         assert vec == [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d
         assert den == d * d, d
+        # the oracle vector is the expansion of the library's doubled quadratic
+        (c0, c1, c2), den2 = scalars.inv_two_minus_two_cos_quadratic(d)
+        assert [2 * c for c in vec] == [c0 + c1 * r + c2 * r * r for r in range(d)], d
+        assert den2 == 2 * den, d
 
 
 def test_verify_inverse_vec_accepts_and_rejects():
-    for d in (2, 3, 12, 31, 64, 97):
-        vec, den = scalars.inv_two_minus_two_cos_vec(d)
-        scalars.verify_inverse_vec(d, vec, den)
-        for i in range(d):
-            bad = list(vec)
-            bad[i] += 1
-            with pytest.raises(ConsistencyError):
-                scalars.verify_inverse_vec(d, bad, den)
+    for d in range(2, 61):
+        coeffs, den = scalars.inv_two_minus_two_cos_quadratic(d)
+        scalars.verify_inverse_quadratic(d, coeffs, den)
+        for i in (1, 2):  # c1 and c2, each moved by +1, -1 and +d
+            for delta in (1, -1, d):
+                bad = list(coeffs)
+                bad[i] += delta
+                with pytest.raises(ConsistencyError, match=f"d={d}"):
+                    scalars.verify_inverse_quadratic(d, tuple(bad), den)
+        # a shift of c0 adds a multiple of the all-ones N_d, which t kills and
+        # which traces to 0: an equivalent representative, accepted by both checks
+        c0, c1, c2 = coeffs
+        scalars.verify_inverse_quadratic(d, (c0 + 1, c1, c2), den)
+        vec, vden = inv_two_minus_two_cos_vec(d)
+        verify_inverse_vec(d, [c + 1 for c in vec], vden)
 
 
 @pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
@@ -126,7 +151,7 @@ def test_element_evaluation_never_builds_the_representative(monkeypatch):
     def failing(d):
         raise AssertionError(f"u_{d} built")
 
-    monkeypatch.setattr(scalars, "inv_two_minus_two_cos_vec", failing)
+    monkeypatch.setattr(scalars, "inv_two_minus_two_cos_quadratic", failing)
     for p, j in ((12, 5), (12, 9), (97, 3)):
         assert correction_at(GroupElement(p, j)) == correction_at_pipeline(GroupElement(p, j))
 
@@ -170,12 +195,12 @@ def test_trace_is_sum_over_units():
             vec = [0] * d
             vec[s] = 1
             orbit = sum((zeta_power(d, k * s) for k in units), Cyclotomic.zero(d))
-            assert ident.trace(vec, {0: 1}) == as_rational(orbit), (d, s)
+            assert trace(vec, {0: 1}) == as_rational(orbit), (d, s)
             for shift in (s, s - d, s + d):
                 assert ident.sparse_trace(d, {shift: 1}) == as_rational(orbit), (d, shift)
                 # x^shift * vec is the unit vector at s + shift
-                assert ident.trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, {s + shift: 1})
-        assert ident.trace([1] * d, {0: 1}) == 0  # N_d traces to 0
+                assert trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, {s + shift: 1})
+        assert trace([1] * d, {0: 1}) == 0  # N_d traces to 0
 
 
 def test_derived_class_is_the_docstring_formula():
@@ -262,16 +287,17 @@ def test_class_trace_rejects_higher_t_powers():
         ident.class_traces([5], Laurent({0: 1}, 2))
 
 
-def _skew_the_checked_vector(monkeypatch):
-    """Make scalars.verify_inverse_vec see u_d with its first entry off by one."""
-    real = scalars.verify_inverse_vec
-    monkeypatch.setattr(scalars, "verify_inverse_vec",
-                        lambda d, vec, den: real(d, [vec[0] + 1] + vec[1:], den))
+def _skew_the_checked_representative(monkeypatch):
+    """Make scalars.verify_inverse_quadratic see u_d with its linear
+    coefficient c1 off by one, which moves every entry but r = 0."""
+    real = scalars.verify_inverse_quadratic
+    monkeypatch.setattr(scalars, "verify_inverse_quadratic",
+                        lambda d, coeffs, den: real(d, (coeffs[0], coeffs[1] + 1, coeffs[2]), den))
 
 
 def test_failed_inverse_check_is_not_kept(monkeypatch):
     ident._class_trace.cache_clear()
-    _skew_the_checked_vector(monkeypatch)
+    _skew_the_checked_representative(monkeypatch)
     try:
         for _ in range(2):  # a failed check raises on every call
             for p in (2, 12, 97):
@@ -300,15 +326,15 @@ def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
 
 
 def test_each_representative_is_checked_once_per_class(monkeypatch):
-    real = scalars.verify_inverse_vec
+    real = scalars.verify_inverse_quadratic
     checked = []
 
-    def counting(d, vec, den):
+    def counting(d, coeffs, den):
         checked.append(d)
-        real(d, vec, den)
+        real(d, coeffs, den)
 
     ident._class_trace.cache_clear()
-    monkeypatch.setattr(scalars, "verify_inverse_vec", counting)
+    monkeypatch.setattr(scalars, "verify_inverse_quadratic", counting)
     for _ in range(2):
         for p in range(2, 201):
             trig_sums(p)
@@ -335,7 +361,7 @@ def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
             for k in (1, 2):
                 with pytest.raises(ConsistencyError):
                     Laurent({0: 1}, k).at(p, 1)
-        monkeypatch.setattr(scalars, "verify_inverse_vec", failing)
+        monkeypatch.setattr(scalars, "verify_inverse_quadratic", failing)
         with pytest.raises(ConsistencyError):
             ident.class_sum(p, ident._INV_ONE_MINUS_COS)
         with pytest.raises(ConsistencyError):

@@ -1,6 +1,7 @@
 """Property tests of the cyclotomic field arithmetic over random orders and
-random rational coefficients, of the p-independent Laurent scalars, and of
-the index over random topological data."""
+random rational coefficients, of the p-independent Laurent scalars, of the
+class traces over the representative of 1/t, and of the index over random
+topological data."""
 
 import copy
 import pickle
@@ -13,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from orbifold_index import identities as ident  # noqa: E402
 from orbifold_index import index as index_mod  # noqa: E402
 from orbifold_index.bundles import generic_characters  # noqa: E402
 from orbifold_index.index import (  # noqa: E402
@@ -28,15 +30,19 @@ from orbifold_index.scalars import (  # noqa: E402
     Laurent,
     _reduction_rows,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
+    inv_two_minus_two_cos_quadratic,
     zeta_power,
 )
 from oracles import (  # noqa: E402
+    inv_two_minus_two_cos_vec,
     laurent_add,
     laurent_at,
     laurent_mul,
     poly_divmod_int,
     reduction_rows_dense,
+    trace,
 )
 
 # fixed examples keep the suite deterministic; the counts keep it quick
@@ -406,6 +412,46 @@ def test_laurent_at_evaluates_every_power_of_t(a, p):
 def test_laurent_at_raises_where_t_vanishes(a, p, m):
     with pytest.raises(ZeroDivisionError):
         a.at(p, m * p)  # z = 1
+
+
+# primes, prime powers and the highly composite 2310 = 2*3*5*7*11 besides random orders
+trace_orders = st.one_of(st.integers(2, 3000),
+                         st.sampled_from([2, 3, 1009, 2999, 729, 1024, 2187, 2401, 2310]))
+
+
+@_settings
+@example(2310)
+@example(2)
+@given(trace_orders)
+def test_progression_sum_matches_the_oracle_slices(d):
+    # every progression r = a, a + m, ... < d that a class trace reads off u_d
+    coeffs, den = inv_two_minus_two_cos_quadratic(d)
+    vec, vec_den = inv_two_minus_two_cos_vec(d)
+    assert den == 2 * vec_den
+    for m in divisors(d):
+        for a in range(m):
+            assert ident.progression_sum(coeffs, d, m, a) == 2 * sum(vec[a::m]), (m, a)
+
+
+@st.composite
+def sparse_classes(draw):
+    """(d, terms) for a numerator sum_s c_s z^s over 1/t, exponents of
+    either sign, beyond +-d included."""
+    d = draw(trace_orders)
+    exponents = st.one_of(st.integers(-3 * d, 3 * d), st.integers(-10**30, 10**30))
+    terms = draw(st.dictionaries(exponents, st.integers(-100, 100).filter(bool),
+                                 min_size=1, max_size=6))
+    return d, tuple(sorted(terms.items()))
+
+
+@_settings
+@example((2310, ((-2311, 3), (-1, 1), (0, -7), (4620, 2), (10**30, 5))))
+@example((2, ((-5, 1), (3, -2))))
+@given(sparse_classes())
+def test_class_trace_matches_the_oracle_trace(args):
+    d, terms = args
+    vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2; the class trace is over 2 d^2
+    assert ident._class_trace.__wrapped__(d, 1, terms) == 2 * trace(vec, dict(terms))
 
 
 cone_orders = st.integers(min_value=1, max_value=60)
