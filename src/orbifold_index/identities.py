@@ -33,8 +33,12 @@ vector of length d is built.
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer
-(_class_trace); a group sum adds those integers over one common
-denominator.  A failed check is not kept and raises on every call.
+(_class_trace).  A group sum is class_sums, the one entry point: it lists
+p's divisors once and traces every class it is given over that one list,
+adding the kept integers over one common denominator.  The Ramanujan
+weights of each d are kept too (scalars.ramanujan_weights), so a process
+factors each divisor once, whichever orders and classes reach it.  A failed
+check is not kept and raises on every call.
 The sums are rational by construction; the tests keep the literal
 per-element sweeps over Q(zeta_p) as the independent route.
 """
@@ -43,8 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .scalars import (
     ConsistencyError,
@@ -87,30 +90,29 @@ def _class_trace(d: int, k: int, terms: tuple[tuple[int, int], ...]) -> int:
                for m, w in ramanujan_weights(d))
 
 
-def class_traces(classes: list[int], c: Laurent) -> Fraction:
-    """Sum over d in classes, d >= 2, of Tr_{Q(zeta_d)/Q} of the class
-    c = N(z) / t^k, k <= 1, at z = zeta_d, which is the sum of c over the
-    elements of exact order d: N traced term by term when k = 0, and N times
-    the checked representative of 1/t when k = 1.  The integer traces of
-    _class_trace, taken on the integer numerators of N, are added over one
-    denominator: N's own, times 2 m^2 with m the lcm of the classes when
-    k = 1."""
-    if c.k > 1:
-        raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
-    terms = tuple((s, n) for s, n in enumerate(c.nums, c.lo) if n)
-    if c.k == 0:
-        return Fraction(sum(_class_trace(d, 0, terms) for d in classes), c.den)
-    m = lcm(*classes)
-    return Fraction(sum(_class_trace(d, 1, terms) * (m // d) ** 2 for d in classes),
-                    2 * c.den * m * m)
-
-
-def class_sum(p: int, c: Laurent) -> Fraction:
-    """Sum of the class c over the nontrivial elements zeta_p^j, j = 1..p-1,
-    as the sum of its traces over the divisor classes d | p, d > 1."""
+def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
+    """The sum of each class c = N(z) / t^k, k <= 1, over the nontrivial
+    elements zeta_p^j, j = 1..p-1: the sum over the divisor classes d | p,
+    d > 1, of Tr_{Q(zeta_d)/Q} c(zeta_d), which is the sum of c over the
+    elements of exact order d, N traced term by term when k = 0, and N
+    times the checked representative of 1/t when k = 1.  p's divisors are
+    listed once for all the classes.  The integer traces of _class_trace,
+    taken on the integer numerators of N, are added over one denominator:
+    N's own, times 2 p^2 when k = 1 (p is the lcm of the classes)."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    return class_traces(divisors(p)[1:], c)
+    ds = divisors(p)[1:]
+    sums = []
+    for c in classes:
+        if c.k > 1:
+            raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
+        terms = tuple((s, n) for s, n in enumerate(c.nums, c.lo) if n)
+        if c.k == 0:
+            sums.append(Fraction(sum(_class_trace(d, 0, terms) for d in ds), c.den))
+        else:
+            sums.append(Fraction(sum(_class_trace(d, 1, terms) * (p // d) ** 2 for d in ds),
+                                 2 * c.den * p * p))
+    return tuple(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def trig_sums(p: int) -> TrigSums:
     """
     if p < 2:
         raise ValueError("p must be at least 2 (empty sums are the caller's business)")
-    traced = TrigSums(*(class_sum(p, c) for c in (_COS, _COS_SQ, _INV_ONE_MINUS_COS)))
+    traced = TrigSums(*class_sums(p, (_COS, _COS_SQ, _INV_ONE_MINUS_COS)))
     closed = _trig_closed_forms(p)
     if traced != closed:
         raise ConsistencyError(

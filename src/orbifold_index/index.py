@@ -133,7 +133,8 @@ def correction_sum(p: int) -> CorrectionSum:
     if p == 1:
         return CorrectionSum(Fraction(0), Fraction(0))  # empty sum over nontrivial elements
     c = correction_class()
-    return CorrectionSum(identities.class_sum(p, c.ce) / p, identities.class_sum(p, c.ch) / p)
+    e, h = identities.class_sums(p, (c.ce, c.ch))
+    return CorrectionSum(e / p, h / p)
 
 
 def correction_sum_closed_form(p: int) -> CorrectionSum:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import sub
+from operator import index, sub
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -69,7 +69,11 @@ def parse_rational(s: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1, by trial division."""
+    """(prime, exponent) pairs of n >= 1, by trial division.  n must be an
+    integer (operator.index): a float 7.0 raises TypeError here, so neither
+    this module's helpers nor a memo keyed by an order or a divisor above
+    them ever holds a value computed from a non-integer."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be positive")
     out = []
@@ -107,14 +111,17 @@ def mobius(n: int) -> int:
     return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
-def ramanujan_weights(d: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def ramanujan_weights(d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, mu(d/m) * m) over the divisors m of d with d/m
     squarefree: the Ramanujan sum c_d(s) is the sum of the weights whose m
-    divides s."""
+    divides s.  Kept once per d for the process, so each divisor class of
+    the group sums and each Phi_d factors d once; a tuple, so no caller
+    can change a kept entry."""
     weights = [(d, d)]
     for q, _ in _prime_factors(d):
         weights += [(m // q, -w // q) for m, w in weights]
-    return weights
+    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Byte-exact stdout of five CLI commands against the recorded files in
-tests/golden/, and of three large element dumps and the verify sweeps to
-p = 100 and p = 200 against their recorded sha256; CI checks the same ten
-against the installed console script.  The repr of every derived class is
-recorded too."""
+"""Byte-exact stdout of five CLI commands and of the program's seven
+--help pages against the recorded files in tests/golden/, and of three large
+element dumps and the verify sweeps to p = 100 and p = 200 against their
+recorded sha256; CI checks the same eleven against the installed console
+script.  The repr of every derived class is recorded too."""
 
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,23 @@ def test_derived_classes_match_golden_reprs():
     lines = [f"{name}: {c!r}" for name, c in chars.items()]
     lines.append(f"correction_class: {index_mod.correction_class.__wrapped__()!r}")
     assert "\n".join(lines) + "\n" == (GOLDEN / "derived_classes.txt").read_text()
+
+
+# the program's --help, then each subcommand's, in the order CI runs them
+HELP_PAGES = ([], ["index"], ["correction"], ["verify"], ["orbifold-char"], ["surfaces"],
+              ["example"])
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="Python 3.13's argparse wraps usage lines differently; "
+                           "help.txt is the output of 3.10 to 3.12, which agree byte for byte")
+def test_help_pages_match_golden_file(capsys, monkeypatch):
+    # argparse wraps to COLUMNS - 2; help.txt was recorded at COLUMNS=80
+    monkeypatch.setenv("COLUMNS", "80")
+    pages = []
+    for argv in HELP_PAGES:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, "--help"])
+        assert exit_.value.code == 0, argv
+        pages.append(capsys.readouterr().out)
+    assert "".join(pages).encode() == (GOLDEN / "help.txt").read_bytes()

@@ -5,6 +5,7 @@ Cyclotomic characters, and the closed forms."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -177,7 +178,7 @@ def _cos_sums_per_element(p):
 
 
 def _traced_cos_sums(p):
-    return ident.class_sum(p, ident._COS), ident.class_sum(p, ident._COS_SQ)
+    return ident.class_sums(p, (ident._COS, ident._COS_SQ))
 
 
 def test_traced_cos_sums_match_per_element_sums():
@@ -248,15 +249,20 @@ def test_representative_slots_match_pipeline(d):
 
 
 def test_class_traces_match_pipeline_unit_sums():
+    # the pipeline's sum over the units of Z/d is the class trace at d; the
+    # group sum at p adds the classes d | p, and since every d | p below 31
+    # is checked on its own first, a wrong trace at one class shows at p = d
     derived = correction_class()
+    unit_sums = {}
     for d in range(2, 31):
         sum_e = sum_h = Cyclotomic.zero(d)
         for k in range(1, d):
             if gcd(k, d) == 1:
                 c = correction_at_pipeline(GroupElement(d, k))
                 sum_e, sum_h = sum_e + c.ce, sum_h + c.ch
-        traces = (ident.class_traces([d], derived.ce), ident.class_traces([d], derived.ch))
-        assert traces == (as_rational(sum_e), as_rational(sum_h)), d
+        unit_sums[d] = (as_rational(sum_e), as_rational(sum_h))
+        expected = tuple(sum(unit_sums[m][i] for m in divisors(d)[1:]) for i in (0, 1))
+        assert ident.class_sums(d, (derived.ce, derived.ch)) == expected, d
 
 
 def _skewed(c):  # e + z is not invariant under z -> 1/z
@@ -284,7 +290,7 @@ def test_derived_class_rejects_skew_and_t_squared(monkeypatch, fault):
 
 def test_class_trace_rejects_higher_t_powers():
     with pytest.raises(ValueError):
-        ident.class_traces([5], Laurent({0: 1}, 2))
+        ident.class_sums(5, (Laurent({0: 1}, 2),))
 
 
 def _skew_the_checked_representative(monkeypatch):
@@ -345,6 +351,56 @@ def test_each_representative_is_checked_once_per_class(monkeypatch):
     assert sorted(checked) == sorted(2 * list(range(2, 201)))
 
 
+def test_a_group_sum_factors_its_order_once_and_each_divisor_once(monkeypatch):
+    real = scalars._prime_factors
+    factored = Counter()
+
+    def counting(n):
+        factored[n] += 1
+        return real(n)
+
+    orders = (720, 360, 2310, 97, 1024, 5040)
+    classes = {p: divisors(p)[1:] for p in orders}  # listed before the count
+    correction_class()  # derived once per process, before the count
+    ident._class_trace.cache_clear()
+    scalars.ramanujan_weights.cache_clear()
+    monkeypatch.setattr(scalars, "_prime_factors", counting)
+    # a fresh trig_sums at a composite order lists its divisors once for all
+    # three classes, and factors each class d | p, d > 1, once for its
+    # Ramanujan weights: p itself once as the order, once as a class
+    trig_sums(720)
+    assert factored == Counter([720, *classes[720]])
+    # over trig and correction sums at several orders, each group sum
+    # factors its order once and no class is factored a second time
+    group_sums = [720]
+    for p in orders:
+        trig_sums(p)
+        correction_sum.__wrapped__(p)
+        group_sums += [p, p]
+    assert factored == Counter(group_sums) + Counter({d for ds in classes.values() for d in ds})
+
+
+def test_a_non_integer_order_is_refused_and_poisons_no_memo():
+    # a float order used to run the traces on float divisors: trig_sums(7.0)
+    # raised only after it had kept float traces under keys equal to 7's,
+    # and correction_sum(9.0) returned float coefficients
+    ident._class_trace.cache_clear()
+    scalars.ramanujan_weights.cache_clear()
+    correction_sum.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            trig_sums(7.0)
+        with pytest.raises(TypeError):
+            correction_sum(9.0)
+        with pytest.raises(TypeError):
+            scalars.ramanujan_weights(7.0)
+    assert trig_sums(7) == _trig_closed_forms(7)
+    cs = correction_sum(9)
+    assert cs == correction_sum_closed_form(9)
+    assert all(type(v) is F for v in (*trig_sums(7), cs.coeff_e, cs.coeff_h))
+    assert all(type(m) is int and type(w) is int for m, w in scalars.ramanujan_weights(7))
+
+
 def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
     # each quotient by t is checked where scalars makes it, so a failing
     # check stops the element evaluation at every power of t, and u_d is
@@ -363,7 +419,7 @@ def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
                     Laurent({0: 1}, k).at(p, 1)
         monkeypatch.setattr(scalars, "verify_inverse_quadratic", failing)
         with pytest.raises(ConsistencyError):
-            ident.class_sum(p, ident._INV_ONE_MINUS_COS)
+            ident.class_sums(p, (ident._INV_ONE_MINUS_COS,))
         with pytest.raises(ConsistencyError):
             correction_sum.__wrapped__(p)
     finally:
@@ -383,13 +439,13 @@ def test_sums_do_not_depend_on_what_the_memo_holds():
         if clear:
             ident._class_trace.cache_clear()
         for p in warm:  # leave part of the memo filled
-            ident.class_sum(p, ident._INV_ONE_MINUS_COS)
+            ident.class_sums(p, (ident._INV_ONE_MINUS_COS,))
         for p, correction in queries:
             if correction:
                 assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p), p
             else:
                 traced = TrigSums(*_traced_cos_sums(p),
-                                  ident.class_sum(p, ident._INV_ONE_MINUS_COS))
+                                  *ident.class_sums(p, (ident._INV_ONE_MINUS_COS,)))
                 assert traced == _trig_closed_forms(p) == trig_sums(p), p
 
     check()
@@ -406,7 +462,7 @@ def test_trig_paths_agree_with_small_brute():
         small = trig_sums_brute(p)
         sc, sc2 = _traced_cos_sums(p)
         assert (sc, sc2) == (small.sum_cos, small.sum_cos_sq), p
-        assert ident.class_sum(p, ident._INV_ONE_MINUS_COS) == small.sum_inv_one_minus_cos, p
+        assert ident.class_sums(p, (ident._INV_ONE_MINUS_COS,)) == (small.sum_inv_one_minus_cos,), p
 
 
 def test_correction_sum_matches_closed_form_beyond_old_ceiling():
@@ -419,4 +475,4 @@ def test_trig_sums_match_closed_form_beyond_old_ceiling():
     # the int64 evaluator stopped at p = 2000
     for p in list(range(2, 2001)) + [10007]:
         assert _traced_cos_sums(p) == (-1, 1 if p == 2 else F(p - 2, 2)), p
-        assert ident.class_sum(p, ident._INV_ONE_MINUS_COS) == F(p * p - 1, 6), p
+        assert ident.class_sums(p, (ident._INV_ONE_MINUS_COS,)) == (F(p * p - 1, 6),), p

@@ -33,6 +33,7 @@ from orbifold_index.scalars import (  # noqa: E402
     divisors,
     euler_phi,
     inv_two_minus_two_cos_quadratic,
+    ramanujan_weights,
     zeta_power,
 )
 from oracles import (  # noqa: E402
@@ -452,6 +453,43 @@ def test_class_trace_matches_the_oracle_trace(args):
     d, terms = args
     vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2; the class trace is over 2 d^2
     assert ident._class_trace.__wrapped__(d, 1, terms) == 2 * trace(vec, dict(terms))
+
+
+def _ramanujan_by_definition(d, s):
+    """c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, with the divisors and mu
+    found by trial division here, apart from the package's factoriser."""
+    g = gcd(s, d)
+    total = 0
+    for m in range(1, int(g ** 0.5) + 1):
+        if g % m == 0:
+            for e in {m, g // m}:
+                n, mu, q = d // e, 1, 2
+                while q * q <= n:
+                    if n % q == 0:
+                        n //= q
+                        mu = 0 if n % q == 0 else -mu
+                    q += 1
+                total += e * (mu if n == 1 else -mu)
+    return total
+
+
+# primes, prime powers and highly composite orders up to 10^6 besides random ones
+weight_orders = st.one_of(st.integers(1, 10**6),
+                          st.sampled_from([2, 97, 999983, 2**19, 3**12, 7**7, 2310,
+                                           720720, 510510]))
+
+
+@_settings
+@example(720720, [0, 1, 360360, 720720 * 7 + 5040, -2310])
+@example(2310, [0, 1, 2, 105, -1155, 2310])
+@given(weight_orders, st.lists(st.one_of(st.integers(-10**6, 10**6),
+                                         st.integers(-10**15, 10**15)), min_size=1, max_size=6))
+def test_memoised_ramanujan_weights_are_the_definition(d, ss):
+    weights = ramanujan_weights(d)
+    assert type(weights) is tuple  # a kept entry no caller can change
+    for s in ss:
+        assert sum(w for m, w in weights if s % m == 0) == _ramanujan_by_definition(d, s), s
+    assert ramanujan_weights(d) is weights
 
 
 cone_orders = st.integers(min_value=1, max_value=60)

@@ -92,7 +92,10 @@ def test_factoriser_helpers_match_definitions():
     for n in range(1, 301):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
         assert mobius(n) == _naive_mobius(n), n
+        assert divisors(n) == [m for m in range(1, n + 1) if n % m == 0], n
         weights = ramanujan_weights(n)
+        # kept once per n, as a tuple that no caller can change
+        assert type(weights) is tuple and ramanujan_weights(n) is weights, n
         for s in range(n):
             # c_n(s) = sum_{m | gcd(s, n)} mu(n/m) m
             ramanujan = sum(_naive_mobius(n // m) * m
