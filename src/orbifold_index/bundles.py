@@ -19,11 +19,10 @@ conjugate, and a literal z that ignores the phase, but cannot catch a fault
 in the character algebra itself.  Such a fault (a Thom class built from
 Theta2 twice, or Lambda- from Theta1-bar twice: mutants M13 and M15 of the
 project's mutant table) is caught by verify's correction and p-independence
-suites and by the tests' per-element oracle.  A
-GroupElement only evaluates the derived characters at z = zeta_p^j
-(Laurent.at), so nothing is built or cached per element.  The same algebra
-over a GroupElement's own Cyclotomic phase is the tests' element-by-element
-oracle.
+suites and by the tests' per-element oracle, which runs the same algebra
+over field phases of its own.  A GroupElement has no phase: it only
+evaluates the derived characters at z = zeta_p^j (Laurent.at), so nothing
+is built or cached per element.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .ring import CohomElement, exp_class, ring_mul, scalar_mul
-from .scalars import ConsistencyError, Cyclotomic, Laurent, _Record, _set, zeta_power
+from .scalars import ConsistencyError, Laurent, _Record, _set
 
 
 class GroupElement(_Record):
@@ -57,12 +56,6 @@ class GroupElement(_Record):
 
     def __hash__(self):
         return hash((self.p, self.j))
-
-    def zeta(self) -> Cyclotomic:
-        return zeta_power(self.p, self.j)
-
-    def zeta_bar(self) -> Cyclotomic:
-        return zeta_power(self.p, -self.j)
 
 
 class GenericElement:
@@ -119,8 +112,9 @@ def ch_line(bundle: LineBundleId, gamma) -> CohomElement:
 
 def derive_characters(gamma) -> dict[str, CohomElement]:
     """The seven characters by the line-bundle algebra over gamma's own
-    phase, uncached: Laurent scalars at a GenericElement, Cyclotomic ones at
-    a GroupElement."""
+    phases gamma.zeta() and gamma.zeta_bar(), uncached: Laurent scalars at a
+    GenericElement, and whatever scalars another element type's phases
+    carry (the tests' oracle runs it element by element)."""
     t1, t1_bar, t2, t2_bar = (ch_line(b, gamma) for b in (
         LineBundleId.THETA1, LineBundleId.THETA1_BAR,
         LineBundleId.THETA2, LineBundleId.THETA2_BAR))

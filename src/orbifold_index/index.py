@@ -12,8 +12,8 @@ and must land on the same integer as the closed form
 
 The summand is one function of z = zeta^j: correction_class derives it once,
 correction_at evaluates it at one element (Laurent.at), and the group sum
-traces it per divisor class d | p (identities.py).  No path here inverts a
-Cyclotomic: the same algebra run per element is the tests' oracle.
+traces it per divisor class d | p (identities.py).  No path here computes
+in Q(zeta_p): the same algebra run per element is the tests' oracle.
 """
 
 from __future__ import annotations

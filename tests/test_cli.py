@@ -11,6 +11,7 @@ import orbifold_index.applications as applications
 import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 import orbifold_index.scalars as scalars
+from oracles import Cyc
 from orbifold_index import cli
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import Cyclotomic, Laurent
@@ -243,7 +244,8 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
         for fn in fns:
             fn(bundles.GroupElement(p, j)).map(low.add)
     real = Cyclotomic.conjugate
-    monkeypatch.setattr(Cyclotomic, "conjugate", lambda a: real(a) if a in low else real(a) + 1)
+    monkeypatch.setattr(Cyclotomic, "conjugate",
+                        lambda a: real(a) if a in low else (Cyc.of(real(a)) + 1).value())
     assert cli._check_conjugation(p) is False
     monkeypatch.undo()
     assert cli._check_conjugation(p) is True
@@ -315,7 +317,7 @@ def test_divisibility_suite_checks_each_read_slot_at_every_element(monkeypatch, 
     p = 7
     for j in range(1, p):
         with monkeypatch.context() as m:
-            _inject(m, "symbol", slot, j, Cyclotomic.one)
+            _inject(m, "symbol", slot, j, lambda q: Cyclotomic.from_rational(q, 1))
             assert cli._check_divisibility(p) is False, j
     assert cli._check_divisibility(p) is True
 
@@ -369,11 +371,10 @@ def test_crash_in_any_subcommand_exits_3_and_names_the_exception(
 
 def test_value_error_from_the_library_is_an_internal_error(capsys, monkeypatch):
     # a ValueError that no argument check raised is a library bug: exit 3
-    monkeypatch.setattr(index_mod, "correction_sum",
-                        lambda p: Cyclotomic.one(5) + Cyclotomic.one(7))
+    monkeypatch.setattr(index_mod, "correction_sum", lambda p: Cyclotomic.zero(p).galois(p))
     rc, out, err = run(capsys, ["--json", "correction", "--p", "5"])
     assert rc == 3 and out == ""
-    assert err == "internal error: ValueError: cyclotomic order mismatch: 5 vs 7\n"
+    assert err == "internal error: ValueError: zeta -> zeta^5 is not an automorphism for order 5\n"
 
 
 def test_json_output_is_deterministic(capsys):

@@ -1,6 +1,6 @@
 """The per-divisor trace evaluator and the derived correction class against
 the extended-Euclid route, the literal per-element ring pipeline over
-Cyclotomic characters, and the closed forms."""
+characters in the oracle's field arithmetic, and the closed forms."""
 
 import os
 import subprocess
@@ -12,6 +12,7 @@ from math import gcd
 import pytest
 
 from oracles import (
+    Cyc,
     correction_at_pipeline,
     correction_sum_pipeline,
     cos_of,
@@ -19,6 +20,7 @@ from oracles import (
     trace,
     trig_sums_brute,
     verify_inverse_vec,
+    zeta,
 )
 from orbifold_index import identities as ident
 from orbifold_index import index as index_mod
@@ -34,12 +36,10 @@ from orbifold_index.index import (
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import (
     ConsistencyError,
-    Cyclotomic,
     Laurent,
     as_rational,
     divisors,
     mobius,
-    zeta_power,
 )
 
 
@@ -67,7 +67,7 @@ def _spot_pairs():
 def test_inverse_vectors_match_ext_gcd(p, k):
     # checking the representative once makes every Galois image exact
     vec, den = inv_two_minus_two_cos_vec(p // gcd(k, p))
-    got = Cyclotomic._from_terms(p, enumerate(_image(p, k, vec)), den)
+    got = Cyc._from_terms(p, enumerate(_image(p, k, vec)), den)
     assert got == (2 - 2 * cos_of(p, k)).inverse()
 
 
@@ -76,10 +76,10 @@ def test_representative_matches_ext_gcd(d):
     inv_t = (2 - 2 * cos_of(d, 1)).inverse()
     vec, den = inv_two_minus_two_cos_vec(d)
     verify_inverse_vec(d, vec, den)
-    assert Cyclotomic._from_terms(d, enumerate(vec), den) == inv_t
+    assert Cyc._from_terms(d, enumerate(vec), den) == inv_t
     # the library's quadratic, expanded entry by entry, is the same element
     (c0, c1, c2), den2 = scalars.inv_two_minus_two_cos_quadratic(d)
-    assert Cyclotomic._from_terms(d, ((r, c0 + c1 * r + c2 * r * r) for r in range(d)),
+    assert Cyc._from_terms(d, ((r, c0 + c1 * r + c2 * r * r) for r in range(d)),
                                   den2) == inv_t
 
 
@@ -126,8 +126,8 @@ def test_quotient_by_t_matches_ext_gcd(d):
     for n in ([1] + [0] * (d - 1), [(-1) ** r * (r * r % 7 - 3) for r in range(d)]):
         q = scalars.divide_by_t_vec(n)
         scalars.verify_quotient_vec(n, q)
-        got = Cyclotomic._from_terms(d, enumerate(q), d * d)
-        assert got == Cyclotomic._from_terms(d, enumerate(n)) * inv_t
+        got = Cyc._from_terms(d, enumerate(q), d * d)
+        assert got == Cyc._from_terms(d, enumerate(n)) * inv_t
 
 
 def test_verify_quotient_vec_accepts_and_rejects():
@@ -195,7 +195,7 @@ def test_trace_is_sum_over_units():
         for s in range(d):
             vec = [0] * d
             vec[s] = 1
-            orbit = sum((zeta_power(d, k * s) for k in units), Cyclotomic.zero(d))
+            orbit = sum((zeta(d, k * s) for k in units), Cyc.zero(d))
             assert trace(vec, {0: 1}) == as_rational(orbit), (d, s)
             for shift in (s, s - d, s + d):
                 assert ident.sparse_trace(d, {shift: 1}) == as_rational(orbit), (d, shift)
@@ -255,11 +255,11 @@ def test_class_traces_match_pipeline_unit_sums():
     derived = correction_class()
     unit_sums = {}
     for d in range(2, 31):
-        sum_e = sum_h = Cyclotomic.zero(d)
+        sum_e = sum_h = Cyc.zero(d)
         for k in range(1, d):
             if gcd(k, d) == 1:
                 c = correction_at_pipeline(GroupElement(d, k))
-                sum_e, sum_h = sum_e + c.ce, sum_h + c.ch
+                sum_e, sum_h = sum_e + Cyc.of(c.ce), sum_h + Cyc.of(c.ch)
         unit_sums[d] = (as_rational(sum_e), as_rational(sum_h))
         expected = tuple(sum(unit_sums[m][i] for m in divisors(d)[1:]) for i in (0, 1))
         assert ident.class_sums(d, (derived.ce, derived.ch)) == expected, d

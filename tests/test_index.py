@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import correction_sum_pipeline, cos_of
+from oracles import Cyc, correction_sum_pipeline, cos_of, zeta
 from orbifold_index.bundles import GroupElement
 from orbifold_index.index import (
     ConsistencyError,
@@ -22,7 +22,7 @@ from orbifold_index.index import (
     index_smooth,
     tau_orb,
 )
-from orbifold_index.scalars import Cyclotomic, Laurent, as_rational, zeta_power
+from orbifold_index.scalars import Cyclotomic, Laurent, as_rational
 
 
 def test_correction_at_p2_full_element():
@@ -33,8 +33,8 @@ def test_correction_at_p2_full_element():
 
 
 def test_correction_at_p4_full_element():
-    z = zeta_power(4, 1)
-    c = correction_at(GroupElement(4, 1))
+    z = zeta(4, 1)
+    c = correction_at(GroupElement(4, 1)).map(Cyc.of)
     assert c.c0 == z
     assert as_rational(c.ce) == F(-7, 2)
     assert as_rational(c.ch) == -5
@@ -47,7 +47,7 @@ def test_correction_at_degree_two_displays():
     # e slot: -(1/2)(8cos + 7); h slot: -4cos - 5/(1 - cos), exactly
     for p in range(2, 21):
         for j in range(1, p):
-            c = correction_at(GroupElement(p, j))
+            c = correction_at(GroupElement(p, j)).map(Cyc.of)
             cos = cos_of(p, j)
             assert c.ce == (8 * cos + 7) * F(-1, 2), (p, j)
             assert c.ch == -4 * cos - 5 * (1 - cos).inverse(), (p, j)
@@ -114,7 +114,7 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
 
     def skewed_element(gamma):
         out = real_element(gamma)
-        return skew(out, gamma.zeta()) if gamma.j == 1 else out
+        return skew(out.map(Cyc.of), gamma.zeta()).map(Cyc.value) if gamma.j == 1 else out
 
     def skewed_term(symbol, thom):
         out = real_term(symbol, thom)
@@ -133,18 +133,24 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
 
 
 def test_correction_at_never_inverts_a_cyclotomic(capsys, monkeypatch):
-    # the evaluated class needs no inverse in Q(zeta_p): neither
-    # correction_at nor the CLI's element dump reaches the extended Euclid
-    # or the ring's unit inverse, at any element of any order up to 40
+    # the library has no inverse in Q(zeta_p): Cyclotomic is a value with no
+    # arithmetic, and a GroupElement has no phase of its own to compute with
     import orbifold_index.index as index_mod
     from orbifold_index import cli, ring
 
+    for name in ("inverse", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+        assert not hasattr(Cyclotomic, name), name
+    with pytest.raises(TypeError):
+        Cyclotomic.zero(7) + 1
+    assert not hasattr(GroupElement, "zeta")
+    # nor do correction_at and the CLI's element dump reach the ring's unit
+    # inverse, at any element of any order up to 40
     correction_class()  # the generic derivation inverts its Laurent Thom class once
 
     def boom(*args):
         raise AssertionError("inverse called")
 
-    monkeypatch.setattr(Cyclotomic, "inverse", boom)
     monkeypatch.setattr(ring, "invert_unit", boom)
     monkeypatch.setattr(index_mod, "invert_unit", boom)
     for p in range(2, 41):

@@ -1,5 +1,6 @@
-"""Property tests of the cyclotomic field arithmetic over random orders and
-random rational coefficients, of the p-independent Laurent scalars, of the
+"""Property tests of the Cyclotomic values and the oracle's field arithmetic
+over random orders and random rational coefficients, of equality across the
+scalar types, of the p-independent Laurent scalars, of the
 class traces over the representative of 1/t, and of the index over random
 topological data."""
 
@@ -33,10 +34,11 @@ from orbifold_index.scalars import (  # noqa: E402
     divisors,
     euler_phi,
     inv_two_minus_two_cos_quadratic,
+    parse_rational,
     ramanujan_weights,
-    zeta_power,
 )
 from oracles import (  # noqa: E402
+    Cyc,
     inv_two_minus_two_cos_vec,
     laurent_add,
     laurent_at,
@@ -44,6 +46,7 @@ from oracles import (  # noqa: E402
     poly_divmod_int,
     reduction_rows_dense,
     trace,
+    zeta,
 )
 
 # fixed examples keep the suite deterministic; the counts keep it quick
@@ -56,7 +59,7 @@ rationals = st.builds(F, st.integers(-1000, 1000), st.integers(1, 12))
 @lru_cache(maxsize=None)
 def elements(p, nonzero=False):
     el = st.lists(rationals, min_size=euler_phi(p), max_size=euler_phi(p)).map(
-        lambda cs: Cyclotomic(p, cs))
+        lambda cs: Cyc(p, cs))
     return el.filter(bool) if nonzero else el
 
 
@@ -125,8 +128,8 @@ def test_from_terms_takes_any_integer_exponent(args):
 def test_conjugate_of_a_monomial(p, s, c):
     # the per-order kernel check of the conjugation suite, at any exponent
     # and coefficient: conj(c zeta^s) = c zeta^-s, and conjugation is an involution
-    a = c * zeta_power(p, s)
-    assert a.conjugate() == c * zeta_power(p, -s)
+    a = c * zeta(p, s)
+    assert a.conjugate() == c * zeta(p, -s)
     assert a.conjugate().conjugate() == a
 
 
@@ -166,14 +169,14 @@ def test_galois_fixes_rationals(p, q, k):
         assert c.galois(k) == c == q
         assert_canonical(c.galois(k))
         # one nonzero coefficient off the constant is not rational: it moves
-        assert (q * zeta_power(p, 1)).galois(k) == q * zeta_power(p, k)
+        assert (q * zeta(p, 1)).galois(k) == q * zeta(p, k)
 
 
 @_settings
 @given(triples())
 def test_field_axioms(abc):
     a, b, c = abc
-    zero, one = Cyclotomic.zero(a.order), Cyclotomic.one(a.order)
+    zero, one = Cyc.zero(a.order), Cyc.from_rational(a.order, 1)
     assert a + b == b + a and a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -210,14 +213,14 @@ def test_eq_and_hash_agree_with_int_and_fraction(p, q, abc):
         assert c == int(q) and hash(c) == hash(int(q))
     a = abc[0]
     assert (a == q) == (a.as_rational() == q)
-    assert len({a, a * 1, a + 0, Cyclotomic.from_json(a.to_json())}) == 1
+    assert len({a, a * 1, a + 0, Cyc(a.order, a.coeffs)}) == 1
 
 
 @_settings
-@given(orders.flatmap(elements))
+@given(orders.flatmap(elements).map(Cyc.value))
 def test_json_roundtrip(a):
-    data = a.to_json()
-    assert Cyclotomic.from_json(data) == a
+    data = a.to_json()  # read back through the validated constructor
+    assert Cyclotomic(data["order"], [parse_rational(c) for c in data["coeffs"]]) == a
     assert data["coeffs"] == [str(c) for c in a.coeffs]
     # pickle and copy round-trip to an equal, equally hashed, canonical element
     for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
@@ -243,7 +246,27 @@ def test_json_and_repr_format_each_coefficient_as_its_fraction(a):
     data = a.to_json()
     assert data == {"order": a.order, "coeffs": [str(c) for c in a.coeffs]}
     assert repr(a) == f"Cyclotomic({a.order}, {[str(c) for c in a.coeffs]})"
-    assert Cyclotomic.from_json(data) == a
+    assert Cyclotomic(data["order"], [parse_rational(c) for c in data["coeffs"]]) == a
+
+
+# few values, so that equal ones of different types and orders meet
+few = st.sampled_from([0, 1, -1, F(1, 2)])
+mixed_scalars = few | few.map(F) | few.map(lambda q: Laurent({0: q})) | st.builds(
+    lambda p, s, q: Cyclotomic._from_terms(p, [(s, q.numerator)], q.denominator),
+    st.integers(2, 12), st.integers(0, 3), few,
+) | st.builds(lambda s, k: Laurent({s: 1}, k), st.integers(-1, 1), st.integers(0, 1))
+
+
+@_settings
+@example([Cyclotomic.from_rational(5, 1), 1, Cyclotomic.from_rational(7, 1)])
+@example([Laurent({0: 1}), 1, Cyclotomic.from_rational(5, 1)])
+@given(st.lists(mixed_scalars, min_size=2, max_size=6))
+def test_eq_is_transitive_across_scalar_types_and_orders(values):
+    for a, b, c in ((a, b, c) for a in values for b in values for c in values):
+        assert (a == b) == (b == a) and (a != b or hash(a) == hash(b)), (a, b)
+        assert not (a == b == c) or a == c, (a, b, c)
+    # so a set's size does not depend on the order its values come in
+    assert len(set(values)) == len(set(reversed(values)))
 
 
 T = Laurent({-1: -1, 0: 2, 1: -1})  # t = 2 - z - z^-1

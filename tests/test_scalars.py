@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: cyclotomic polynomials, field ops, trig sums."""
+"""Exact scalars: cyclotomic polynomials, Cyclotomic values, the oracle's
+field arithmetic over them, trig sums."""
 
 import random
 from decimal import Decimal
@@ -7,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from oracles import cos_of, sin_times_i_of, trig_sums_brute
+from oracles import Cyc, cos_of, sin_times_i_of, trig_sums_brute, zeta
 from orbifold_index import scalars
 from orbifold_index.identities import trig_sums
 from orbifold_index.scalars import (
@@ -114,63 +115,35 @@ def test_zeta_power_group_laws():
     for p in range(1, 31):
         assert zeta_power(p, p) == 1
         for j in range(p):
-            assert zeta_power(p, j) * zeta_power(p, p - j) == 1
+            assert Cyc.of(zeta_power(p, j)) * Cyc.of(zeta_power(p, p - j)) == 1
 
 
 def test_cyc_mul_examples():
-    i = zeta_power(4, 1)
+    i = zeta(4, 1)
     assert i * i == -1
-    assert (1 + zeta_power(3, 1)) * (1 + zeta_power(3, 2)) == 1
-    a = zeta_power(7, 3) + 2
-    assert a * Cyclotomic.one(7) == a
+    assert (1 + zeta(3, 1)) * (1 + zeta(3, 2)) == 1
+    a = zeta(7, 3) + 2
+    assert a * Cyc.from_rational(7, 1) == a
 
 
 def test_cyc_mul_order_mismatch():
     with pytest.raises(ValueError):
-        zeta_power(3, 1) * zeta_power(4, 1)
+        zeta(3, 1) * zeta(4, 1)
     with pytest.raises(ValueError):
-        zeta_power(3, 1) + zeta_power(6, 1)
+        zeta(3, 1) + zeta(6, 1)
 
 
 def test_cyc_inverse_examples():
-    assert Cyclotomic.from_rational(5, 2).inverse() == F(1, 2)
-    i = zeta_power(4, 1)
+    assert Cyc.from_rational(5, 2).inverse() == F(1, 2)
+    i = zeta(4, 1)
     assert i.inverse() == -i
-    assert (1 - zeta_power(2, 1)).inverse() == F(1, 2)
+    assert (1 - zeta(2, 1)).inverse() == F(1, 2)
     with pytest.raises(ZeroDivisionError):
-        Cyclotomic.zero(6).inverse()
-
-
-def test_hash_agrees_with_eq():
-    # a rational element equals its int/Fraction, so it must hash as one
-    assert len({Cyclotomic.one(5), 1, F(1)}) == 1
-    assert hash(Cyclotomic.from_rational(7, F(-3, 4))) == hash(F(-3, 4))
-    z = zeta_power(12, 5)
-    assert hash(z) == hash(zeta_power(12, 17))
-    assert len({z, z.conjugate().conjugate(), z * 1}) == 1
-
-
-def _random_element(rng, p):
-    phi = euler_phi(p)
-    return Cyclotomic(p, [F(rng.randint(-9, 9), rng.randint(1, 9))
-                          for _ in range(phi)])
-
-
-def test_field_axioms_random():
-    rng = random.Random(7)
-    for p in [2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 21, 25, 27, 30]:
-        for _ in range(4):
-            a, b, c = (_random_element(rng, p) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            if a:
-                assert a * a.inverse() == 1
-                assert a.inverse() * a == 1
+        Cyc.zero(6).inverse()
 
 
 def test_division_and_pow():
-    z = zeta_power(12, 5)
+    z = zeta(12, 5)
     assert z / z == 1
     assert z ** 12 == 1
     assert z ** -1 == z.inverse()
@@ -179,7 +152,7 @@ def test_division_and_pow():
 
 def test_cos_sin_examples():
     assert cos_of(2, 1) == -1 and sin_times_i_of(2, 1) == 0
-    assert cos_of(4, 1) == 0 and sin_times_i_of(4, 1) == zeta_power(4, 1)
+    assert cos_of(4, 1) == 0 and sin_times_i_of(4, 1) == zeta(4, 1)
     assert cos_of(3, 1) == F(-1, 2)
 
 
@@ -194,7 +167,7 @@ def test_pythagorean_identity():
 
 def test_as_rational():
     assert as_rational(Cyclotomic.from_rational(9, F(7, 3))) == F(7, 3)
-    assert as_rational(zeta_power(3, 1) + zeta_power(3, 2)) == -1
+    assert as_rational(zeta(3, 1) + zeta(3, 2)) == -1
     assert as_rational(zeta_power(5, 1)) is None
     assert as_rational(F(2, 3)) == F(2, 3)
     assert as_rational(5) == 5
@@ -205,10 +178,10 @@ def test_galois_invariance_of_group_sums():
     rng = random.Random(11)
     for p in [3, 5, 6, 8, 12, 14, 20]:
         coeffs = [F(rng.randint(-5, 5)) for _ in range(5)]
-        total = Cyclotomic.zero(p)
+        total = Cyc.zero(p)
         for j in range(1, p):
-            z = zeta_power(p, j)
-            val = Cyclotomic.zero(p)
+            z = zeta(p, j)
+            val = Cyc.zero(p)
             for c in reversed(coeffs):
                 val = val * z + c
             total = total + val
@@ -260,13 +233,6 @@ def test_rational_serialization():
         parse_rational("1/0")
 
 
-def test_cyclotomic_serialization_roundtrip():
-    a = zeta_power(12, 5) * F(3, 7) + F(1, 2)
-    data = a.to_json()
-    assert data["order"] == 12 and len(data["coeffs"]) == euler_phi(12)
-    assert Cyclotomic.from_json(data) == a
-
-
 def test_cyclotomic_validation():
     with pytest.raises(ValueError):
         Cyclotomic(4, [F(1)])  # wrong length
@@ -285,7 +251,7 @@ def test_inexact_coefficients_are_rejected(inexact):
 
 
 def test_storage_is_canonical():
-    a = Cyclotomic(6, [F(2, 4), F(-3, 6)])
+    a = Cyc(6, [F(2, 4), F(-3, 6)])
     assert (a.nums, a.den) == ((1, -1), 2)
     assert a.coeffs == (F(1, 2), F(-1, 2))
     z = a - a
