@@ -27,15 +27,7 @@ from .ring import (
 )
 from .bundles import (
     GroupElement,
-    LineBundleId,
-    ch_cotangent,
-    ch_lambda_minus,
-    ch_lambda_plus,
-    ch_line,
-    ch_s20_cotangent,
-    ch_s20_lambda_plus,
-    ch_symbol,
-    ch_thom,
+    character,
     character_dump,
 )
 from .index import (

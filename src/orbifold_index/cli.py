@@ -211,8 +211,9 @@ def _check_conjugation(p: int) -> bool:
     q = divisors(p)[1]
     for j in sorted({1, p // 2, q if q < p else 1}):
         a, b = GroupElement(p, j), GroupElement(p, p - j)
-        for fn in (bundles.ch_symbol, bundles.ch_thom, bundles.ch_lambda_plus):
-            fa, fb = fn(a), fn(b)  # compared both ways: a non-involution fails
+        for name in ("symbol", "thom", "lambda_plus"):
+            # compared both ways: a non-involution fails
+            fa, fb = bundles.character(name, a), bundles.character(name, b)
             if fa.map(Cyclotomic.conjugate) != fb or fb.map(Cyclotomic.conjugate) != fa:
                 return False
     return True

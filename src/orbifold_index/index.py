@@ -116,7 +116,10 @@ def correction_class() -> CohomElement:
 def correction_at(gamma: GroupElement) -> CohomElement:
     """Fixed-point contribution of one nontrivial group element: the derived
     correction class evaluated at z = zeta_p^j.  Degree-2 coefficients are
-    -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h."""
+    -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h.  The result holds
+    Cyclotomic values, which have no arithmetic, so it is read-only: ==,
+    hash, map and to_json work, but +, -, * and ring.invert_unit raise
+    TypeError."""
     if gamma.j == 0:
         raise ValueError("identity element is excluded from correction terms")
     return correction_class().map(lambda s: s.at(gamma.p, gamma.j))

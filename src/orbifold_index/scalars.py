@@ -30,10 +30,10 @@ types (cohomology elements, group elements, topological data, reports).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import index, mul, sub
+from operator import index, sub
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -537,16 +537,8 @@ class Laurent(_Scalar):
         o = self._coerce(other)
         return NotImplemented if o is None else o._add(self, -1)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
-
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def __pow__(self, n: int):
-        base = self if n >= 0 else self.inverse()
-        return reduce(mul, [base] * abs(n), Laurent({0: 1}))
 
     def _add(self, o: "Laurent", sign: int) -> "Laurent":
         # over the common t^k, the numerators are N * t^(k - own k)

@@ -6,10 +6,11 @@ Laurent arithmetic through Fraction dicts, and the representative of 1/t
 as a checked length-d vector with its entry-by-entry trace).
 
 The field arithmetic is Cyc, a subclass of the library's value type
-Cyclotomic.  A per-element route computes in it: the characters over an
-Element's own phases, the correction term by the library's ring algebra,
-each inverse by the extended Euclid.  A group sum that is not rational
-raises ConsistencyError; other results come back as library values.
+Cyclotomic.  A per-element route computes in it: the characters over the
+element's field phases zeta_p^j and zeta_p^-j, the correction term by the
+library's ring algebra, each inverse by the extended Euclid.  A group sum
+that is not rational raises ConsistencyError; other results come back as
+library values.
 """
 
 from fractions import Fraction
@@ -141,16 +142,6 @@ def zeta(p, k):
     return Cyc._from_terms(p, [(k, 1)])
 
 
-class Element(GroupElement):
-    """A GroupElement whose phases are field elements, for derive_characters."""
-
-    def zeta(self):
-        return zeta(self.p, self.j)
-
-    def zeta_bar(self):
-        return zeta(self.p, -self.j)
-
-
 def cos_of(p, j):
     """Exact cos(2*pi*j/p) = (zeta^j + zeta^-j) / 2."""
     return (zeta(p, j) + zeta(p, -j)) * Fraction(1, 2)
@@ -260,9 +251,9 @@ def _rational(total, what, p):
 
 def correction_at_pipeline(gamma):
     """The correction term at the group element gamma, by
-    index.correction_term over the characters derived at its own field
-    phases, as library values."""
-    chars = derive_characters(Element(gamma.p, gamma.j))
+    index.correction_term over the characters derived at its field phases
+    zeta_p^j and zeta_p^-j, as library values."""
+    chars = derive_characters(zeta(gamma.p, gamma.j), zeta(gamma.p, -gamma.j))
     return index_mod.correction_term(chars["symbol"], chars["thom"]).map(Cyc.value)
 
 
@@ -271,7 +262,7 @@ def correction_sum_pipeline(p):
     field and scaled by 1/p."""
     total_e = total_h = Cyc.zero(p)
     for j in range(1, p):
-        c = correction_at_pipeline(Element(p, j))
+        c = correction_at_pipeline(GroupElement(p, j))
         total_e, total_h = total_e + Cyc.of(c.ce), total_h + Cyc.of(c.ch)
     return CorrectionSum(_rational(total_e, "correction", p) / p,
                          _rational(total_h, "correction", p) / p)

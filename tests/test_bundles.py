@@ -6,7 +6,7 @@ out the line-bundle decompositions by hand, independently of the
 constructor code, and the two must agree coefficient by coefficient.  The
 characters the library evaluates from the derived generic class are also
 checked element by element against the same line-bundle algebra run over
-each element's own field phases (the oracle's Element and Cyc).
+each element's own field phases (the oracle's zeta and Cyc).
 """
 
 import json
@@ -14,19 +14,12 @@ import json
 import pytest
 from fractions import Fraction as F
 
-from oracles import Cyc, Element, cos_of, sin_times_i_of, zeta
+from oracles import Cyc, cos_of, sin_times_i_of, zeta
 from orbifold_index import bundles, cli, index as index_mod
 from orbifold_index.bundles import (
     GroupElement,
-    LineBundleId,
-    ch_cotangent,
-    ch_lambda_minus,
-    ch_lambda_plus,
-    ch_line,
-    ch_s20_cotangent,
-    ch_s20_lambda_plus,
-    ch_symbol,
-    ch_thom,
+    _line_characters,
+    character,
     character_dump,
     derive_characters,
 )
@@ -59,29 +52,29 @@ _Z = (0, 0, 0, 0, 0)
 
 _EXPANSIONS = {
     # cotangent: (2 + e^2) + cos(2 + h^2) + i sin(2h)
-    ch_cotangent: {"1": (2, 2, 0, 0, 0), "e": _Z, "h": (0, 0, 0, 2, 0),
+    "cotangent": {"1": (2, 2, 0, 0, 0), "e": _Z, "h": (0, 0, 0, 2, 0),
                    "ee": (1, 0, 0, 0, 0), "eh": _Z, "hh": (0, 1, 0, 0, 0)},
     # 1 + cos(2 + 2eh + e^2 + h^2) + i sin(2e + 2h)
-    ch_lambda_plus: {"1": (1, 2, 0, 0, 0), "e": (0, 0, 0, 2, 0),
+    "lambda_plus": {"1": (1, 2, 0, 0, 0), "e": (0, 0, 0, 2, 0),
                      "h": (0, 0, 0, 2, 0), "ee": (0, 1, 0, 0, 0),
                      "eh": (0, 2, 0, 0, 0), "hh": (0, 1, 0, 0, 0)},
     # 1 + cos(2 - 2eh + e^2 + h^2) + i sin(-2e + 2h)
-    ch_lambda_minus: {"1": (1, 2, 0, 0, 0), "e": (0, 0, 0, -2, 0),
+    "lambda_minus": {"1": (1, 2, 0, 0, 0), "e": (0, 0, 0, -2, 0),
                       "h": (0, 0, 0, 2, 0), "ee": (0, 1, 0, 0, 0),
                       "eh": (0, -2, 0, 0, 0), "hh": (0, 1, 0, 0, 0)},
     # [1+4c+4c^2] + h[4s+8sc] + e^2[4+2c] + h^2[-4+2c+8c^2]
-    ch_s20_cotangent: {"1": (1, 4, 4, 0, 0), "e": _Z, "h": (0, 0, 0, 4, 8),
+    "s20_cotangent": {"1": (1, 4, 4, 0, 0), "e": _Z, "h": (0, 0, 0, 4, 8),
                        "ee": (4, 2, 0, 0, 0), "eh": _Z,
                        "hh": (-4, 2, 8, 0, 0)},
     # [-1+2c+4c^2] + (e+h)[2s+8sc] + eh[-8+2c+16c^2] + (e^2+h^2)[-4+c+8c^2]
-    ch_s20_lambda_plus: {"1": (-1, 2, 4, 0, 0), "e": (0, 0, 0, 2, 8),
+    "s20_lambda_plus": {"1": (-1, 2, 4, 0, 0), "e": (0, 0, 0, 2, 8),
                          "h": (0, 0, 0, 2, 8), "ee": (-4, 1, 8, 0, 0),
                          "eh": (-8, 2, 16, 0, 0), "hh": (-4, 1, 8, 0, 0)},
     # e[2s+8sc] + eh[-8+2c+16c^2] + e^2[8c^2-c-7]
-    ch_symbol: {"1": _Z, "e": (0, 0, 0, 2, 8), "h": _Z,
+    "symbol": {"1": _Z, "e": (0, 0, 0, 2, 8), "h": _Z,
                 "ee": (-7, -1, 8, 0, 0), "eh": (-8, 2, 16, 0, 0), "hh": _Z},
     # 2 - cos(2 + h^2) - i sin(2h)
-    ch_thom: {"1": (2, -2, 0, 0, 0), "e": _Z, "h": (0, 0, 0, -2, 0),
+    "thom": {"1": (2, -2, 0, 0, 0), "e": _Z, "h": (0, 0, 0, -2, 0),
               "ee": _Z, "eh": _Z, "hh": (0, -1, 0, 0, 0)},
 }
 
@@ -94,83 +87,85 @@ def _elements(p_max, extras=()):
 
 @pytest.mark.parametrize("gamma", _elements(16, extras=[(30, 7), (31, 11)]))
 def test_characters_match_their_expansions(gamma):
-    for fn, table in _EXPANSIONS.items():
-        assert fn(gamma) == _expansion(gamma, table), fn.__name__
+    for name, table in _EXPANSIONS.items():
+        assert character(name, gamma) == _expansion(gamma, table), name
+
+
+def _lines(p, j):
+    """The trivial line, Theta1, Theta1-bar, Theta2, Theta2-bar over the
+    field phases of GroupElement(p, j)."""
+    return _line_characters(zeta(p, j), zeta(p, -j))
 
 
 def test_line_character_examples():
-    g21 = Element(2, 1)
-    c = ch_line(LineBundleId.THETA1, Element(7, 3))
+    _, c, _, _, _ = _lines(7, 3)  # Theta1
     assert (as_rational(c.c0), as_rational(c.ce), as_rational(c.cee)) == (1, 1, F(1, 2))
-    c = ch_line(LineBundleId.THETA2, g21)
+    trivial, _, _, c, _ = _lines(2, 1)  # Theta2
     assert (as_rational(c.c0), as_rational(c.ch), as_rational(c.chh)) == (-1, -1, F(-1, 2))
-    c = ch_line(LineBundleId.THETA2_BAR, Element(4, 0))
+    _, _, _, _, c = _lines(4, 0)  # Theta2-bar
     assert (as_rational(c.c0), as_rational(c.ch), as_rational(c.chh)) == (1, -1, F(1, 2))
-    assert ch_line(LineBundleId.TRIVIAL, g21) == CohomElement.constant(Cyc.from_rational(2, 1))
+    assert trivial == CohomElement.constant(Cyc.from_rational(2, 1))
 
 
 def test_line_conjugate_pairs():
     for p, j in [(3, 1), (5, 2), (8, 3)]:
-        gamma = Element(p, j)
-        for a, b in [(LineBundleId.THETA1, LineBundleId.THETA1_BAR),
-                     (LineBundleId.THETA2, LineBundleId.THETA2_BAR)]:
-            x, y = ch_line(a, gamma), ch_line(b, gamma)
+        _, t1, t1_bar, t2, t2_bar = _lines(p, j)
+        for x, y in [(t1, t1_bar), (t2, t2_bar)]:
             # swapping bars conjugates the character and flips the fiber class
             assert y.c0 == x.c0.conjugate()
             assert y.ch == -x.ch.conjugate()
 
 
 def test_cotangent_is_sum_of_lines():
-    for gamma in (Element(5, 2), Element(9, 4)):
-        total = CohomElement.constant(Cyc.zero(gamma.p))
-        for b in (LineBundleId.THETA1, LineBundleId.THETA1_BAR,
-                  LineBundleId.THETA2, LineBundleId.THETA2_BAR):
-            total = total + ch_line(b, gamma)
-        assert total.map(Cyc.value) == ch_cotangent(gamma)
+    for p, j in [(5, 2), (9, 4)]:
+        total = CohomElement.constant(Cyc.zero(p))
+        for line in _lines(p, j)[1:]:
+            total = total + line
+        assert total.map(Cyc.value) == character("cotangent", GroupElement(p, j))
 
 
 def test_symbol_spot_values():
-    c = ch_symbol(GroupElement(2, 1))
+    c = character("symbol", GroupElement(2, 1))
     vals = [as_rational(getattr(c, s)) for s in ("c0", "ce", "ch", "cee", "ceh", "chh")]
     assert vals == [0, 0, 0, 2, 6, 0]  # 6 e h + 2 e^2 at cos = -1
 
 
 def test_thom_spot_values():
-    c = ch_thom(GroupElement(2, 1))
+    c = character("thom", GroupElement(2, 1))
     assert as_rational(c.c0) == 4 and as_rational(c.chh) == 1
-    c = ch_thom(GroupElement(4, 0))
+    c = character("thom", GroupElement(4, 0))
     assert not c.c0 and as_rational(c.chh) == -1  # identity: rank term cancels
-    c = ch_thom(GroupElement(4, 1))
+    c = character("thom", GroupElement(4, 1))
     assert as_rational(c.c0) == 2 and c.ch == (-2 * zeta(4, 1)).value()
 
 
-_RANKS = [(ch_cotangent, 4), (ch_lambda_plus, 3), (ch_lambda_minus, 3),
-          (ch_s20_cotangent, 9), (ch_s20_lambda_plus, 5)]
+_RANKS = [("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),
+          ("s20_cotangent", 9), ("s20_lambda_plus", 5)]
 
 
 def test_rank_consistency():
     for p in range(1, 51):
         identity = GroupElement(p, 0)
-        for fn, rank in _RANKS:
-            assert as_rational(fn(identity).c0) == rank, (p, fn.__name__)
+        for name, rank in _RANKS:
+            assert as_rational(character(name, identity).c0) == rank, (p, name)
 
 
 def test_conjugation_symmetry_all_constructors():
-    fns = [fn for fn, _ in _RANKS] + [ch_symbol, ch_thom]
+    names = [name for name, _ in _RANKS] + ["symbol", "thom"]
     for p in range(2, 31):
         for j in range(1, p):
             a, b = GroupElement(p, j), GroupElement(p, p - j)
-            for fn in fns:
-                x, y = fn(a), fn(b)
+            for name in names:
+                x, y = character(name, a), character(name, b)
                 for slot in ("c0", "ce", "ch", "cee", "ceh", "chh"):
                     assert getattr(x, slot).conjugate() == getattr(y, slot), \
-                        (p, j, fn.__name__, slot)
+                        (p, j, name, slot)
 
 
 def test_symbol_always_divisible_by_e():
     for p in range(2, 31):
         for j in range(1, p):
-            c = ch_symbol(GroupElement(p, j))
+            c = character("symbol", GroupElement(p, j))
             assert not c.c0 and not c.ch and not c.chh, (p, j)
 
 
@@ -194,11 +189,30 @@ def test_character_dump_shape():
 def test_evaluated_characters_match_the_cyclotomic_algebra(p):
     for j in range(p):
         gamma = GroupElement(p, j)
-        built = derive_characters(Element(p, j))  # the algebra over zeta_p^j itself
+        built = derive_characters(zeta(p, j), zeta(p, -j))  # the algebra over zeta_p^j itself
         for name in bundles.generic_characters():
-            got = getattr(bundles, f"ch_{name}")(gamma)
+            got = character(name, gamma)
             assert got == built[name].map(Cyc.value), (p, j, name)
             assert all(type(s) is Cyclotomic for s in vars(got).values()), (p, j, name)
+
+
+def test_evaluated_characters_match_the_cyclotomic_algebra_at_larger_orders():
+    # beyond the exhaustive p <= 40 above: sampled elements of orders up to
+    # 400, composite orders with many divisors drawn as often as any order
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    orders = st.integers(41, 400) | st.sampled_from([60, 120, 180, 210, 240, 330, 360, 390])
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(sorted(bundles.generic_characters())),
+           orders.flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p - 1))))
+    def check(name, pj):
+        p, j = pj
+        built = derive_characters(zeta(p, j), zeta(p, -j))[name]
+        assert character(name, GroupElement(p, j)) == built.map(Cyc.value), (p, j, name)
+
+    check()
 
 
 def test_characters_are_not_cached_per_element():
@@ -224,9 +238,9 @@ def test_symbolic_checks_reject_a_skewed_generic_character(capsys, monkeypatch,
                                                            fault, message):
     real = bundles.derive_characters
 
-    def skewed(gamma):
-        chars = real(gamma)
-        if gamma.j is None:  # both generic runs, never a GroupElement
+    def skewed(z, z_bar):
+        chars = real(z, z_bar)
+        if isinstance(z, Laurent):  # both generic runs, never the oracle's
             fault(chars)
         return chars
 
@@ -237,7 +251,7 @@ def test_symbolic_checks_reject_a_skewed_generic_character(capsys, monkeypatch,
         with pytest.raises(ConsistencyError, match=message):
             bundles.generic_characters()
         with pytest.raises(ConsistencyError, match=message):
-            ch_thom(GroupElement(5, 2))  # no character is evaluated unchecked
+            character("thom", GroupElement(5, 2))  # no character is evaluated unchecked
         # verify reports the failed identity as a failed check, not a crash
         assert cli.main(["--json", "verify", "--p-max", "3"]) == 2
         suites = json.loads(capsys.readouterr().out)["suites"]

@@ -208,12 +208,12 @@ def test_verify_minimal_run(capsys):
 def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
     real = bundles.derive_characters
 
-    def bad_thom(gamma):
+    def bad_thom(z, z_bar):
         # sign fault on the -2 i sin(theta) h term of the derived Thom
         # character; it passes the conjugation check, is invisible at p = 2
         # (sin pi = 0) but poisons every correction sum from p = 3 on
-        chars = real(gamma)
-        if gamma.j is None:  # both generic runs, never a GroupElement
+        chars = real(z, z_bar)
+        if isinstance(z, Laurent):  # both generic runs, never the oracle's
             good = chars["thom"]
             chars["thom"] = CohomElement(good.c0, good.ce, -good.ch,
                                          good.cee, good.ceh, good.chh)
@@ -238,11 +238,10 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
     # a conjugation that is right on every value at j <= p/2 but not on the
     # values at p - j is no involution; each pair {j, p - j} is evaluated
     # once, so only the comparison from the p - j side can catch it
-    fns = (bundles.ch_symbol, bundles.ch_thom, bundles.ch_lambda_plus)
     low = set()
     for j in range(1, p // 2 + 1):
-        for fn in fns:
-            fn(bundles.GroupElement(p, j)).map(low.add)
+        for name in ("symbol", "thom", "lambda_plus"):
+            bundles.character(name, bundles.GroupElement(p, j)).map(low.add)
     real = Cyclotomic.conjugate
     monkeypatch.setattr(Cyclotomic, "conjugate",
                         lambda a: real(a) if a in low else (Cyc.of(real(a)) + 1).value())

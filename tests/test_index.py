@@ -114,7 +114,7 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
 
     def skewed_element(gamma):
         out = real_element(gamma)
-        return skew(out.map(Cyc.of), gamma.zeta()).map(Cyc.value) if gamma.j == 1 else out
+        return skew(out.map(Cyc.of), zeta(gamma.p, 1)).map(Cyc.value) if gamma.j == 1 else out
 
     def skewed_term(symbol, thom):
         out = real_term(symbol, thom)
@@ -130,6 +130,17 @@ def test_correction_sum_rejects_non_rational_sums(monkeypatch):
             correction_sum.__wrapped__(5)
     finally:
         index_mod.correction_class.cache_clear()
+
+
+def test_an_evaluated_correction_term_is_read_only():
+    # Cyclotomic values have no arithmetic, so neither has a CohomElement of
+    # them; comparing, hashing, mapping and serialising still work
+    a, b = correction_at(GroupElement(7, 2)), correction_at(GroupElement(7, 2))
+    with pytest.raises(TypeError):
+        a + b
+    assert a == b and hash(a) == hash(b) and a != correction_at(GroupElement(7, 3))
+    assert a.map(Cyc.of).map(Cyc.value) == a
+    assert a.to_json() == b.to_json() and a.to_json()["e"]["order"] == 7
 
 
 def test_correction_at_never_inverts_a_cyclotomic(capsys, monkeypatch):
