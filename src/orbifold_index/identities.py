@@ -29,16 +29,25 @@ divides by t in O(d) instead).  The trace of x^s u reads u at the exponents
 r = -s mod m, m | d, one arithmetic progression of step m each, and the sum
 of a quadratic over a progression has a closed form (progression_sum): a
 class trace costs O(2^omega(d)) integer operations per term of N, and no
-vector of length d is built.
+vector of length d is built.  The progressions of one step m are summed
+together: with a_s = -s mod m, sum_s c_s v(a_s + x) is one quadratic in x
+whose coefficients take only the three moments
+
+    Z0 = sum_s c_s,   Z1 = sum_s c_s a_s,   Z2 = sum_s c_s a_s^2,
+
+namely (c0 Z0 + c1 Z1 + c2 Z2, c1 Z0 + 2 c2 Z1, c2 Z0), so each m costs
+one pass over the terms and one progression sum (sparse_trace_over_t).
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer
-(_class_trace).  A group sum is class_sums, the one entry point: it lists
-p's divisors once and traces every class it is given over that one list,
-adding the kept integers over one common denominator.  The Ramanujan
-weights of each d are kept too (scalars.ramanujan_weights), so a process
-factors each divisor once, whichever orders and classes reach it.  A failed
-check is not kept and raises on every call.
+(_class_trace), keyed on the class's own fields (d, k, lo, nums): the
+numerator tuple is the Laurent's own, so a lookup builds no tuple, and the
+denominator stays outside the key.  A group sum is class_sums, the one
+entry point: it lists p's divisors once and traces every class it is given
+over that one list, adding the kept integers over one common denominator.
+The Ramanujan weights of each d are kept too (scalars.ramanujan_weights), so
+a process factors each divisor once, whichever orders and classes reach it.
+A failed check is not kept and raises on every call.
 The sums are rational by construction; the tests keep the literal
 per-element sweeps over Q(zeta_p) as the independent route.
 """
@@ -73,21 +82,44 @@ def sparse_trace(d: int, terms: dict[int, int]) -> int:
     """Tr_{Q(zeta_d)/Q} of sum_s c_s x^s at x = zeta_d, as sum_s c_s c_d(s)
     with the Ramanujan sum c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m."""
     weights = ramanujan_weights(d)
-    return sum(c * sum(w for m, w in weights if s % m == 0) for s, c in terms.items())
+    total = 0
+    for s, c in terms.items():
+        for m, w in weights:
+            if s % m == 0:
+                total += c * w
+    return total
+
+
+def sparse_trace_over_t(d: int, terms: dict[int, int]) -> int:
+    """2 d^2 Tr_{Q(zeta_d)/Q} of sum_s c_s x^s / t at x = zeta_d, from the
+    checked representative u_d of 1/t: sum_{m | d} mu(d/m) m times the sum
+    of the entries of N * u at the multiples of m.  Term s reads u's
+    quadratic v over the progression a_s + m i, a_s = -s mod m, and the
+    terms' sum_s c_s v(a_s + x) is one quadratic in x, from the moments
+    Z0, Z1 and Z2 of the a_s (module docstring): one progression sum per m."""
+    (c0, c1, c2), _ = inv_two_minus_two_cos_quadratic(d)
+    z0 = sum(terms.values())
+    total = 0
+    for m, w in ramanujan_weights(d):
+        z1 = z2 = 0
+        for s, c in terms.items():
+            a = -s % m
+            ca = c * a
+            z1 += ca
+            z2 += ca * a
+        shifted = (c0 * z0 + c1 * z1 + c2 * z2, c1 * z0 + 2 * c2 * z1, c2 * z0)
+        total += w * progression_sum(shifted, d, m, 0)
+    return total
 
 
 @lru_cache(maxsize=None)
-def _class_trace(d: int, k: int, terms: tuple[tuple[int, int], ...]) -> int:
-    """The integer trace of the class sum_s c_s z^s / t^k, (s, c_s) in terms,
-    at z = zeta_d: Tr of the polynomial when k = 0, and 2 d^2 times Tr of
-    the class when k = 1, from the checked representative u_d of 1/t:
-    sum_{m | d} mu(d/m) m times the sum of the entries of N * u at the
-    multiples of m, each of them u's sum over the progression -s mod m."""
-    if k == 0:
-        return sparse_trace(d, dict(terms))
-    coeffs, _ = inv_two_minus_two_cos_quadratic(d)
-    return sum(w * sum(c * progression_sum(coeffs, d, m, -s % m) for s, c in terms)
-               for m, w in ramanujan_weights(d))
+def _class_trace(d: int, k: int, lo: int, nums: tuple[int, ...]) -> int:
+    """The integer trace at z = zeta_d of the class sum_s nums[s - lo] z^s
+    / t^k, keyed on the class's own fields (its denominator is applied by
+    class_sums): Tr of the polynomial when k = 0, and 2 d^2 times Tr of the
+    class when k = 1."""
+    terms = {s: c for s, c in enumerate(nums, lo) if c}
+    return sparse_trace(d, terms) if k == 0 else sparse_trace_over_t(d, terms)
 
 
 def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
@@ -106,12 +138,16 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
     for c in classes:
         if c.k > 1:
             raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
-        terms = tuple((s, n) for s, n in enumerate(c.nums, c.lo) if n)
+        lo, nums, total = c.lo, c.nums, 0
         if c.k == 0:
-            sums.append(Fraction(sum(_class_trace(d, 0, terms) for d in ds), c.den))
+            for d in ds:
+                total += _class_trace(d, 0, lo, nums)
+            sums.append(Fraction(total, c.den))
         else:
-            sums.append(Fraction(sum(_class_trace(d, 1, terms) * (p // d) ** 2 for d in ds),
-                                 2 * c.den * p * p))
+            for d in ds:
+                q = p // d
+                total += _class_trace(d, 1, lo, nums) * q * q
+            sums.append(Fraction(total, 2 * c.den * p * p))
     return tuple(sums)
 
 

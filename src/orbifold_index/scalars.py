@@ -63,15 +63,16 @@ def parse_rational(s: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _prime_factors(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1, by trial division.  n must be an
-    integer (operator.index): a float 7.0 raises TypeError here, so neither
-    this module's helpers nor a memo keyed by an order or a divisor above
-    them ever holds a value computed from a non-integer."""
+    """(prime, exponent) pairs of n >= 1, by trial division by 2 and the odd
+    numbers.  n must be an integer (operator.index): a float 7.0 raises
+    TypeError here, so neither this module's helpers nor a memo keyed by an
+    order or a divisor above them ever holds a value computed from a
+    non-integer."""
     n = index(n)
     if n < 1:
         raise ValueError("n must be positive")
     out = []
-    f = 2
+    f, step = 2, 1  # 2, then the odd candidates 3, 5, 7, ...
     while f * f <= n:
         if n % f == 0:
             e = 0
@@ -79,7 +80,7 @@ def _prime_factors(n: int) -> list[tuple[int, int]]:
                 n //= f
                 e += 1
             out.append((f, e))
-        f += 1
+        f, step = f + step, 2
     if n > 1:
         out.append((n, 1))
     return out

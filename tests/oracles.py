@@ -284,3 +284,12 @@ def laurent_at(c, p, j):
     n = sum((zeta(p, j * s) * v for s, v in c.terms().items()), Cyc.zero(p))
     t = 2 - zeta(p, j) - zeta(p, -j)
     return (n * t.inverse() ** c.k).value()
+
+
+def class_sum_per_element(c, p):
+    """The class c = N(z) / t^k summed over the elements zeta_p^j,
+    j = 1..p-1, each term evaluated in the field (laurent_at)."""
+    total = Cyc.zero(p)
+    for j in range(1, p):
+        total = total + Cyc.of(laurent_at(c, p, j))
+    return _rational(total, "class", p)

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import (
     Cyc,
+    class_sum_per_element,
     correction_at_pipeline,
     correction_sum_pipeline,
     cos_of,
@@ -291,6 +292,31 @@ def test_derived_class_rejects_skew_and_t_squared(monkeypatch, fault):
 def test_class_trace_rejects_higher_t_powers():
     with pytest.raises(ValueError):
         ident.class_sums(5, (Laurent({0: 1}, 2),))
+
+
+def test_classes_sharing_their_numerators_keep_their_own_sums():
+    # the memo is keyed on (d, k, lo, nums): classes with the same integer
+    # numerators (1, 3, 2) at another lowest power, over another power of t
+    # or over another denominator must not read each other's traces
+    def cls(lo, k, den):
+        return Laurent({lo: F(1, den), lo + 1: F(3, den), lo + 2: F(2, den)}, k)
+
+    classes = [cls(lo, k, den) for lo in (0, -4) for k in (0, 1) for den in (1, 7)]
+    assert {c.nums for c in classes} == {(1, 3, 2)}
+    orders = (2, 12, 30, 97)
+    expected = {p: tuple(class_sum_per_element(c, p) for c in classes) for p in orders}
+    ident._class_trace.cache_clear()
+    try:
+        for p in orders:
+            # one class at a time, each on top of what the others left
+            assert tuple(ident.class_sums(p, (c,))[0] for c in classes) == expected[p], p
+        for p in orders:
+            assert ident.class_sums(p, classes) == expected[p], p
+        # the denominator is applied outside the memo: one entry per (d, k, lo)
+        ds = {d for p in orders for d in divisors(p)[1:]}
+        assert ident._class_trace.cache_info().currsize == 4 * len(ds)
+    finally:
+        ident._class_trace.cache_clear()
 
 
 def _skew_the_checked_representative(monkeypatch):

@@ -29,6 +29,7 @@ from orbifold_index.ring import CohomElement  # noqa: E402
 from orbifold_index.scalars import (  # noqa: E402
     Cyclotomic,
     Laurent,
+    _prime_factors,
     _reduction_rows,
     cyclotomic_polynomial,
     divisors,
@@ -39,6 +40,7 @@ from orbifold_index.scalars import (  # noqa: E402
 )
 from oracles import (  # noqa: E402
     Cyc,
+    class_sum_per_element,
     inv_two_minus_two_cos_vec,
     laurent_add,
     laurent_at,
@@ -475,7 +477,38 @@ def sparse_classes(draw):
 def test_class_trace_matches_the_oracle_trace(args):
     d, terms = args
     vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2; the class trace is over 2 d^2
-    assert ident._class_trace.__wrapped__(d, 1, terms) == 2 * trace(vec, dict(terms))
+    assert ident.sparse_trace_over_t(d, dict(terms)) == 2 * trace(vec, dict(terms))
+
+
+# classes N/t^k with k <= 1, the ones a group sum traces: integer
+# numerators at exponents of either sign over a random denominator
+traced_classes = st.builds(
+    lambda terms, k, den: Laurent({s: F(c, den) for s, c in terms.items()}, k),
+    st.dictionaries(st.integers(-15, 15), st.integers(-50, 50), max_size=6),
+    st.integers(0, 1), st.integers(1, 12))
+
+
+@_settings
+@example(3, [Laurent({1: 1}, 1), Laurent({-2: F(5, 3)})])  # d = 3 alone: no fault cancels
+@given(st.integers(2, 60), st.lists(traced_classes, min_size=1, max_size=3))
+def test_class_sums_match_the_per_element_sums(p, classes):
+    assert ident.class_sums(p, classes) == tuple(class_sum_per_element(c, p) for c in classes)
+
+
+@_settings
+@example(1)
+@example(2)
+@example(4)
+@example(9)
+@example(2**40)
+@example(3**25)
+@example(999983**2)
+@example(2 * 999983)
+@example(10**13 + 37)
+@given(st.integers(1, 10**12))
+def test_prime_factors_match_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert _prime_factors(n) == sorted(sympy.factorint(n).items())
 
 
 def _ramanujan_by_definition(d, s):
