@@ -5,6 +5,13 @@ Output is a human-readable table on a terminal and deterministic JSON when
 redirected or with --json (before or after the subcommand); exact rationals
 are never rendered as decimals.
 
+main parses a query in one argparse pass: an argv [--json] SUBCOMMAND REST,
+with --json exactly as the first token or absent, goes to that subcommand's
+own parser.  Any other argv goes through the whole parser: no subcommand, an
+unknown word, a top-level -h, --js, --json=1, -- before the subcommand, or a
+REST token starting with --=.  Help, usage messages and exit codes are
+argparse's own either way.
+
 verify runs six suites at every order p = 2..N.  The conjugation suite
 relies on the identity chi(z^-1) = conj chi(z), which bundles checks once,
 in z, for every character; per order it checks the evaluation kernel,
@@ -444,19 +451,40 @@ def build_parser() -> _Parser:
     _add_topology_flags(sp, required=False)
     sp.set_defaults(fn=_cmd_example)
 
+    parser.commands = sub.choices  # name -> subcommand parser, read by _parse
     return parser
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> _Parser:
-    """The parser main() reuses: built on the first call, not at import.
-    parse_args only reads it and returns a fresh Namespace every call."""
+    """The parser main() reuses: built on the first call, not at import,
+    with its six subcommand parsers, which _parse reads from it, so that
+    cache_clear() resets both.  parse_args only reads them and returns a
+    fresh Namespace every call."""
     return build_parser()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """main's parse.  For [--json] SUBCOMMAND REST (the module docstring
+    says which argv qualify) REST goes to the subcommand's own parser, into
+    a Namespace whose json and command are what the top-level --json and
+    the subparsers action would set."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    head = 1 if argv and argv[0] == "--json" else 0
+    sub = parser.commands.get(argv[head]) if len(argv) > head else None
+    rest = argv[head + 1:]
+    # the top-level parser reads every later token as a possible option of
+    # its own, and finds a --= token ambiguous between --help and --json
+    if sub is None or any(a.startswith("--=") for a in rest):
+        return parser.parse_args(argv)
+    return sub.parse_args(rest, argparse.Namespace(json=head == 1, command=argv[head]))
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -157,26 +157,26 @@ def index_smooth(chi_M: int, tau_M: int, duality: Duality) -> Fraction:
     return Fraction(15 * chi_M + sign * 29 * tau_M, 2)
 
 
-def _as_integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ConsistencyError(f"{what} is not an integer: {value}")
-    return int(value)
-
-
 def index_kawasaki(data: TopologicalData, duality: Duality) -> int:
     """Index via the orbifold fixed-point route; independent of p and equal
-    to the closed form, which the test suites assert exactly."""
-    if duality is Duality.SD:
-        flipped = data.replace(tau_M=-data.tau_M, sigma_sq=-data.sigma_sq)
-        return index_kawasaki(flipped, Duality.ASD)
-    p = data.p
+    to the closed form, which the test suites assert exactly.  It reads the
+    traced correction_sum, never the closed form."""
+    # SD is the ASD index with tau and [Sigma]^2 of the reversed orientation
+    sign = 1 if duality is Duality.ASD else -1
+    p, chi_s = data.p, data.chi_Sigma
+    tau, ssq = sign * data.tau_M, sign * data.sigma_sq
     cs = correction_sum(p)
-    shs = data.sigma_hat_sq
-    total = (index_smooth(data.chi_M, data.tau_M, Duality.ASD)
-             - Fraction(15, 2) * Fraction(p - 1, p) * data.chi_Sigma
-             - Fraction(29, 6) * Fraction(p * p - 1, p) * shs
-             - (cs.coeff_e * data.chi_Sigma + cs.coeff_h * shs))
-    return _as_integer(total, "fixed-point index")
+    (a, b), (c, d) = cs.coeff_e.as_integer_ratio(), cs.coeff_h.as_integer_ratio()
+    # the smooth, Euler and self-intersection terms, over 6 p^2, minus the
+    # correction (a/b) chi(Sigma) + (c/d) [Sigma]^2 / p: one integer quotient
+    num = (b * d * (3 * p * p * (15 * data.chi_M + 29 * tau)
+                    - 45 * p * (p - 1) * chi_s - 29 * (p * p - 1) * ssq)
+           - 6 * p * (p * d * a * chi_s + b * c * ssq))
+    den = 6 * p * p * b * d
+    index, rest = divmod(num, den)
+    if rest:
+        raise ConsistencyError(f"fixed-point index is not an integer: {Fraction(num, den)}")
+    return index
 
 
 def index_closed_form(data: TopologicalData, duality: Duality) -> int:
@@ -187,9 +187,12 @@ def index_closed_form(data: TopologicalData, duality: Duality) -> int:
             "closed form applies to actual cone orders p >= 2; "
             "use index_smooth for the smooth case p = 1")
     sign = 1 if duality is Duality.ASD else -1
-    total = (index_smooth(data.chi_M, data.tau_M, duality)
-             - 4 * data.chi_Sigma - sign * 4 * data.sigma_sq)
-    return _as_integer(total, "closed-form index")
+    twice = (15 * data.chi_M + sign * 29 * data.tau_M
+             - 8 * data.chi_Sigma - sign * 8 * data.sigma_sq)
+    if twice % 2:
+        raise ConsistencyError(
+            f"closed-form index is not an integer: {Fraction(twice, 2)}")
+    return twice // 2
 
 
 def chi_orb(chi_M: int, beta: Fraction, chi_Sigma: int) -> Fraction:

@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, determinism, fault detection."""
 
+import contextlib
 import copy
+import io
 import json
 import sys
 from types import MappingProxyType
@@ -432,6 +434,79 @@ def test_json_flag_before_or_after_the_subcommand(capsys, monkeypatch):
     rc, out, _ = run(capsys, argv)  # a terminal without the flag gets the table
     assert rc == 0 and "{" not in out
     assert cli.build_parser().parse_args(["--json"] + argv).json is True
+
+
+_COMMANDS = ("index", "correction", "verify", "orbifold-char", "surfaces", "example")
+_TOKENS = (*_COMMANDS, "--chi", "--tau", "--sigma-chi", "--sigma-sq", "--p", "--duality",
+           "--route", "--dump-element", "--p-max", "--beta", "--j", "--k", "--n",
+           "--json", "-h", "--help", "asd", "sd", "kawasaki", "closed", "both",
+           "hitchin", "lebrun", "ricci-flat", "1/2", "--", "--dump", "--js",
+           "--json=1", "--=x", "bogus", "--bogus", "-x", "")
+_FULL_INDEX = ["index", *_HITCHIN, "--p", "5", "--duality", "sd"]
+
+
+def _parse_outcome(parse, argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            result = ("parsed", vars(parse(list(argv))))
+    except cli.UsageError as exc:
+        result = ("usage", str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, out.getvalue()
+
+
+def test_one_pass_parse_agrees_with_the_whole_parser():
+    # main parses [--json] SUBCOMMAND REST with the subcommand's parser alone;
+    # every argv must give what the whole parser gives: the same Namespace,
+    # usage message, or exit code and help text
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    tokens = st.sampled_from(_TOKENS) | st.integers(-20, 400).map(str)
+    heads = st.sampled_from([[], ["--json"], ["--"], ["--js"], ["--json=1"], ["-h"]])
+    commands = st.sampled_from([[c] for c in _COMMANDS] + [[], ["bogus"]])
+    queries = st.sampled_from([_FULL_INDEX, ["correction", "--p", "4"],
+                               ["verify", "--p-max", "3"], ["surfaces", "--j", "2"],
+                               ["orbifold-char", *_HITCHIN, "--beta", "1/2"],
+                               ["example", "hitchin", "--k", "3"]])
+    argvs = (st.builds(lambda h, c, rest: h + c + rest, heads, commands,
+                       st.lists(tokens, max_size=10))
+             | st.builds(lambda h, q, rest: h + q + rest, heads, queries,
+                         st.lists(tokens, max_size=2))
+             | st.lists(tokens, max_size=12))
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(argvs)
+    @example(["--json", *_FULL_INDEX])
+    @example([*_FULL_INDEX, "--json"])
+    @example(["--json", *_FULL_INDEX, "--json"])
+    @example([*_FULL_INDEX, "--route", "closed", "--bogus"])  # unrecognized arguments
+    @example(["correction", "--p", "4", "extra"])
+    @example(["example", "hitchin", "--k", "3", "--=x"])
+    @example(["verify", "--p-max", "3", "--", "4"])
+    @example(["--json", "surfaces", "--help"])
+    def check(argv):
+        assert (_parse_outcome(cli._parse, argv)
+                == _parse_outcome(cli._parser().parse_args, argv)), argv
+
+    check()
+
+
+def test_a_query_is_parsed_by_its_subcommand_parser_alone(monkeypatch):
+    parser, whole = cli.build_parser(), []
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv, real=parser.parse_args: whole.append(argv) or real(argv))
+    args = cli._parse(["--json", "correction", "--p", "4", "--dump-element", "1"])
+    assert (args.json, args.command, args.p, args.dump_element) == (True, "correction", 4, 1)
+    args = cli._parse([*_FULL_INDEX, "--json"])
+    assert (args.json, args.command, args.route) == (True, "index", "both")
+    assert cli._parse(_FULL_INDEX).json is False
+    assert whole == []
+    assert cli._parse(["--js", "correction", "--p", "4"]).json is True
+    assert whole == [["--js", "correction", "--p", "4"]]
 
 
 def test_reused_parser_keeps_nothing_between_calls(capsys, monkeypatch):

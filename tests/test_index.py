@@ -231,10 +231,12 @@ def test_cone_angle_independence():
 
 def test_index_integrality_guard():
     # chi + tau odd makes the smooth term a half-integer; the engine must
-    # refuse rather than round
-    with pytest.raises(ConsistencyError):
+    # refuse rather than round, and name the route and the exact value
+    with pytest.raises(ConsistencyError,
+                       match=r"^fixed-point index is not an integer: 7/2$"):
         index_kawasaki(TopologicalData(1, 0, 1, 0, 2), Duality.ASD)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError,
+                       match=r"^closed-form index is not an integer: 7/2$"):
         index_closed_form(TopologicalData(1, 0, 1, 0, 2), Duality.ASD)
 
 
