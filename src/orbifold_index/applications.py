@@ -27,14 +27,6 @@ class SurfaceKind(_Record):
         _set(self, "orientable", orientable)
         _set(self, "j", j)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.orientable, self.j) == (other.orientable, other.j)
-
-    def __hash__(self):
-        return hash((self.orientable, self.j))
-
     @classmethod
     def sphere(cls) -> "SurfaceKind":
         return cls(True, 0)
@@ -75,18 +67,6 @@ class ModuliReport(_Record):
         _set(self, "dim_h2", dim_h2)
         _set(self, "verdict", verdict)
         _set(self, "assumptions", assumptions)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.index, self.dim_h0, self.dim_h1, self.dim_h2, self.verdict,
-                 self.assumptions)
-                == (other.index, other.dim_h0, other.dim_h1, other.dim_h2, other.verdict,
-                    other.assumptions))
-
-    def __hash__(self):
-        return hash((self.index, self.dim_h0, self.dim_h1, self.dim_h2, self.verdict,
-                     self.assumptions))
 
     def to_json(self) -> dict:
         return {"index": self.index, "dim_h0": self.dim_h0,

@@ -48,14 +48,6 @@ class GroupElement(_Record):
         _set(self, "p", p)
         _set(self, "j", j)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.j) == (other.p, other.j)
-
-    def __hash__(self):
-        return hash((self.p, self.j))
-
 
 Z, Z_BAR = Laurent({1: 1}), Laurent({-1: 1})  # the generic phase and its inverse
 

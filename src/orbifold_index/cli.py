@@ -268,10 +268,13 @@ def _cmd_verify(args) -> int:
     p_max = args.p_max
     if p_max < 2:
         raise UsageError("--p-max must be at least 2")
-    suites: dict[str, dict] = {}
-    for name, fn in _SUITES:
-        entry = suites[name] = {"pass": 0, "fail": []}
-        for p in range(2, p_max + 1):
+    suites = {name: {"pass": 0, "fail": []} for name, _ in _SUITES}
+    # order by order, so the per-order tables (scalars._reduction_rows) are
+    # built once per order and dropped after it; each suite's fail list
+    # still fills in order of p
+    for p in range(2, p_max + 1):
+        for name, fn in _SUITES:
+            entry = suites[name]
             try:
                 ok = fn(p)
             except ConsistencyError:

@@ -43,15 +43,6 @@ class TopologicalData(_Record):
         _set(self, "sigma_sq", sigma_sq)
         _set(self, "p", p)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.chi_M, self.tau_M, self.chi_Sigma, self.sigma_sq, self.p)
-                == (other.chi_M, other.tau_M, other.chi_Sigma, other.sigma_sq, other.p))
-
-    def __hash__(self):
-        return hash((self.chi_M, self.tau_M, self.chi_Sigma, self.sigma_sq, self.p))
-
     @property
     def sigma_hat_sq(self) -> Fraction:
         """Orbifold self-intersection [Sigma-hat]^2 = [Sigma]^2 / p."""
@@ -71,14 +62,6 @@ class CorrectionSum(_Record):
     def __init__(self, coeff_e: Fraction, coeff_h: Fraction):
         _set(self, "coeff_e", coeff_e)
         _set(self, "coeff_h", coeff_h)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeff_e, self.coeff_h) == (other.coeff_e, other.coeff_h)
-
-    def __hash__(self):
-        return hash((self.coeff_e, self.coeff_h))
 
     def to_json(self) -> dict:
         return {"e": str(self.coeff_e), "h": str(self.coeff_h)}

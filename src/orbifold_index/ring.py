@@ -41,15 +41,6 @@ class CohomElement(_Record):
         _set(self, "ceh", ceh)
         _set(self, "chh", chh)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.c0, self.ce, self.ch, self.cee, self.ceh, self.chh)
-                == (other.c0, other.ce, other.ch, other.cee, other.ceh, other.chh))
-
-    def __hash__(self):
-        return hash((self.c0, self.ce, self.ch, self.cee, self.ceh, self.chh))
-
     @classmethod
     def constant(cls, s: Scalar) -> "CohomElement":
         z = s * 0

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import index, sub
+from operator import attrgetter, index, sub
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -101,11 +101,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def mobius(n: int) -> int:
-    factors = _prime_factors(n)
-    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
-
-
 @lru_cache(maxsize=None)
 def ramanujan_weights(d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (m, mu(d/m) * m) over the divisors m of d with d/m
@@ -133,7 +128,7 @@ def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_p, lowest degree first.
 
@@ -162,11 +157,13 @@ def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
     return tuple(phi_p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _reduction_rows(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """rows[s] = the nonzero (i, coefficient of x^i) of x^s mod Phi_p, for
     the p exponents 0 <= s < p: Phi_p divides x^p - 1, so every power of
-    zeta_p is one of these once its exponent is taken mod p."""
+    zeta_p is one of these once its exponent is taken mod p.  Only the last
+    order's table, and its Phi_p, are kept: `verify` runs order by order, so
+    a sweep holds one table at a time, not one per order."""
     phi_p = cyclotomic_polynomial(p)
     # below phi each power is a monomial; x^phi = x^phi - Phi_p starts the recurrence
     rows = [((s, 1),) for s in range(len(phi_p) - 1)]
@@ -238,25 +235,35 @@ class _Scalar:
 
 class _Record:
     """Immutable record of named fields, the base of the package's value
-    types.  A subclass names its fields, in order, in `_fields`; its
-    __init__ validates its arguments and sets each field with _set, so
-    vars() of a record lists exactly its fields.  repr is
-    Name(field=value, ...); pickle, copy and replace() rebuild through
-    __init__, so every copy is validated again.  These read the fields by
-    name, not through vars(), which would turn the instance's inline
-    attribute values into a dict and slow every later read.
-
-    Each subclass writes its own __eq__ and __hash__ over the field tuple,
-    with the fields read as plain attributes: on CPython 3.11 an
-    operator.attrgetter or one shared method call there makes == 30-100%
-    slower than a dataclass's.  A record never equals an instance of
-    another type."""
+    types.  A subclass names its fields, in order, in `_fields` (at least
+    two); its __init__ validates its arguments and sets each field with
+    _set, so vars() of a record lists exactly its fields.  Everything else
+    reads the field tuple through one attrgetter per class, made when the
+    subclass is defined: == compares the field tuples of two records of the
+    same class (a record never equals an instance of another type), hash
+    is the hash of the field tuple, repr is Name(field=value, ...), and
+    pickle, copy and replace() rebuild through __init__, so every copy is
+    validated again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if len(cls._fields) < 2:  # attrgetter of one name returns the bare value
+            raise TypeError(f"{cls.__name__} needs at least two _fields")
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -266,11 +273,11 @@ class _Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self._fields)
+        return type(self), self._values(self)
 
     def replace(self, **changes):
         """A copy with the named fields changed, validated as a new record."""
-        values = {n: getattr(self, n) for n in self._fields}
+        values = dict(zip(self._fields, self._values(self)))
         values.update(changes)  # an unknown name reaches __init__, which rejects it
         return type(self)(**values)
 

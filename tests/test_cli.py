@@ -207,6 +207,17 @@ def test_verify_minimal_run(capsys):
     assert rc == 0 and data["ok"] is True
 
 
+def test_verify_holds_one_order_of_tables_at_a_time(capsys):
+    # the sweep runs order by order: each order's reduction table is built
+    # once, and only the last order's table and Phi_p are kept
+    scalars._reduction_rows.cache_clear()
+    rc, data, _ = run_json(capsys, ["--json", "verify", "--p-max", "40"])
+    assert rc == 0 and data["ok"] is True
+    assert scalars._reduction_rows.cache_info().misses <= 39
+    for memo in (scalars._reduction_rows, scalars.cyclotomic_polynomial):
+        assert memo.cache_info().currsize <= 1, memo
+
+
 def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
     real = bundles.derive_characters
 

@@ -1,7 +1,8 @@
 """The six immutable records (CohomElement, GroupElement, TopologicalData,
 CorrectionSum, SurfaceKind, ModuliReport): equality, hashing, repr,
 immutability, pickle/copy and replace(), with the repr strings recorded from
-the frozen dataclasses they replaced; and the import closure that keeps
+the frozen dataclasses they replaced, all from the one _Record base, which
+a new record type gets them from too; and the import closure that keeps
 `dataclasses` and `inspect` out of a CLI process."""
 
 import ast
@@ -28,7 +29,7 @@ from orbifold_index import (
     hitchin_report,
     orientable_verdict,
 )
-from orbifold_index.scalars import Laurent
+from orbifold_index.scalars import Laurent, _Record, _set
 
 # each record with its repr as a frozen dataclass printed it
 RECORDS = {
@@ -150,6 +151,50 @@ def test_replace_without_changes_is_an_equal_copy(make, text):
     assert s == r and s is not r and repr(s) == text
     with pytest.raises(TypeError):
         r.replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("cls", [CohomElement, GroupElement, TopologicalData, CorrectionSum,
+                                 SurfaceKind, ModuliReport], ids=lambda cls: cls.__name__)
+def test_equality_and_hash_are_the_records_own(cls):
+    # one == and one hash for every record, on _Record
+    assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    assert cls.__eq__ is _Record.__eq__ and cls.__hash__ is _Record.__hash__
+
+
+class Triple(_Record):
+    """A record type with nothing of its own but its fields and __init__."""
+
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a, b, c):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+
+
+def test_a_new_record_type_gets_every_protocol_from_record():
+    assert not {"__eq__", "__hash__", "__repr__", "__reduce__", "replace"} & set(vars(Triple))
+    r = Triple(1, F(1, 2), "x")
+    assert r == Triple(1, F(1, 2), "x") and hash(r) == hash(Triple(1, F(1, 2), "x"))
+    assert hash(r) == hash((1, F(1, 2), "x"))
+    assert r != Triple(1, F(1, 2), "y") and r != Triple(2, F(1, 2), "x")
+    for other in ((1, F(1, 2), "x"), [1, F(1, 2), "x"], GroupElement(7, 3), None):
+        assert r.__eq__(other) is NotImplemented and r != other
+    assert repr(r) == "Triple(a=1, b=Fraction(1, 2), c='x')"
+    for s in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert type(s) is Triple and s == r and vars(s) == vars(r)
+    assert r.replace(c="y") == Triple(1, F(1, 2), "y") and r.replace() == r
+    with pytest.raises(TypeError):
+        r.replace(d=1)
+    with pytest.raises(AttributeError):
+        r.a = 2
+
+
+def test_a_record_type_needs_two_fields():
+    # the field getter of one name would return the bare value, not a tuple
+    with pytest.raises(TypeError):
+        class Single(_Record):
+            _fields = ("a",)
 
 
 def test_topological_data_rejects_a_cone_order_below_one():

@@ -20,7 +20,6 @@ from orbifold_index.scalars import (
     divisors,
     euler_phi,
     format_rational,
-    mobius,
     parse_rational,
     ramanujan_weights,
     zeta_power,
@@ -80,10 +79,6 @@ def test_degree_is_euler_phi():
         assert len(cyclotomic_polynomial(p)) - 1 == euler_phi(p)
 
 
-def test_mobius_small():
-    assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-
-
 def _naive_mobius(n):
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
     return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
@@ -92,7 +87,6 @@ def _naive_mobius(n):
 def test_factoriser_helpers_match_definitions():
     for n in range(1, 301):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
-        assert mobius(n) == _naive_mobius(n), n
         assert divisors(n) == [m for m in range(1, n + 1) if n % m == 0], n
         weights = ramanujan_weights(n)
         # kept once per n, as a tuple that no caller can change
