@@ -12,18 +12,16 @@ unknown word, a top-level -h, --js, --json=1, -- before the subcommand, or a
 REST token starting with --=.  Help, usage messages and exit codes are
 argparse's own either way.
 
-verify runs six suites at every order p = 2..N.  The conjugation suite
-relies on the identity chi(z^-1) = conj chi(z), which bundles checks once,
-in z, for every character; per order it checks the evaluation kernel,
-conj(zeta^s) = zeta^-s for each s < p, and compares the characters at
-j = 1, j = p // 2 and (composite p) the least prime factor of p with their
-conjugates at p - j, both ways.  That z <-> 1/z check guards the Laurent
-arithmetic and a literal z; it cannot catch a fault in the character
-algebra, which is an identity under z -> 1/z by construction.  The
-correction and p-independence suites catch such a fault (mutants M13 and
-M15 of the project's mutant table), as does the tests' per-element oracle.
-A derived Thom class that is no unit fails those two suites at every order
-instead of crashing the sweep.
+verify runs six suites at every order p = 2..N.  Per order the
+conjugation suite checks the evaluation kernel, conj(zeta^s) = zeta^-s for
+each s < p, and compares the characters at j = 1, j = p // 2 and
+(composite p) the least prime factor of p with their conjugates at p - j,
+both ways.  It needs no identity of the derived characters: conj f(zeta^j)
+= f(zeta^-j) holds for every rational Laurent polynomial f.  A fault in
+the character algebra (mutants M13 and M15 of the project's mutant table)
+is caught by the correction and p-independence suites, as by the tests'
+per-element oracle.  A derived Thom class that is no unit fails those two
+suites at every order instead of crashing the sweep.
 
 Exit codes: 0 success, 1 usage error (raised as UsageError by the argument
 checks), 2 verification failure, 3 internal consistency failure or any other
@@ -147,9 +145,8 @@ def _cmd_index(args) -> int:
         human.append(f"correction sum:   e: {c['e']}  h: {c['h']}")
     _emit(args, payload, human)
     if not agree:
-        print("route disagreement: fixed-point and closed-form indices differ",
-              file=sys.stderr)
-        return EXIT_CONSISTENCY
+        raise ConsistencyError(f"route disagreement at p={data.p}: kawasaki index {k}, "
+                               f"{other_name.replace('_', ' ')} index {other}")
     return EXIT_OK
 
 
@@ -187,7 +184,9 @@ def _cmd_correction(args) -> int:
         human.append(f"  (character dump for j={j} included in JSON output)")
     _emit(args, payload, human)
     if not payload["agree"]:
-        return EXIT_CONSISTENCY
+        raise ConsistencyError(
+            f"route disagreement at p={p}: class traces e={traced.coeff_e} h={traced.coeff_h}, "
+            f"closed form e={closed.coeff_e} h={closed.coeff_h}")
     return EXIT_OK
 
 
@@ -205,11 +204,9 @@ def _check_trig(p: int) -> bool:
 
 
 def _check_conjugation(p: int) -> bool:
-    # The identity chi(z^-1) = conj chi(z) holds for every character as an
-    # identity in z, checked once by generic_characters(); per order, only
-    # its evaluation at zeta_p^j is checked.  Kernel: conj(zeta^s) is
-    # zeta^-s for every row s of Q(zeta_p), so by the linearity of
-    # _from_terms every value of a z-polynomial conjugates as it should.
+    # Kernel: conj(zeta^s) is zeta^-s for every row s of Q(zeta_p), so by
+    # the linearity of _from_terms every value of a z-polynomial conjugates
+    # as it should.
     if any(zeta_power(p, s).conjugate() != zeta_power(p, -s) for s in range(p)):
         return False
     # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range)

@@ -217,6 +217,9 @@ class _Scalar:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __eq__(self, other):
         if type(other) is type(self) and self._key() == other._key():
             return True  # the equal case is one key comparison

@@ -6,7 +6,8 @@ out the line-bundle decompositions by hand, independently of the
 constructor code, and the two must agree coefficient by coefficient.  The
 characters the library evaluates from the derived generic class are also
 checked element by element against the same line-bundle algebra run over
-each element's own field phases (the oracle's zeta and Cyc).
+each element's own field phases (the oracle's zeta and Cyc), and the
+identity chi(1/z) = conj chi(z) of the derived characters slot by slot.
 """
 
 import json
@@ -18,6 +19,8 @@ from oracles import Cyc, cos_of, sin_times_i_of, zeta
 from orbifold_index import bundles, cli, index as index_mod
 from orbifold_index.bundles import (
     GroupElement,
+    Z,
+    Z_BAR,
     _line_characters,
     character,
     character_dump,
@@ -48,6 +51,7 @@ def _expansion(gamma, table):
                           ("1", "e", "h", "ee", "eh", "hh")))
 
 
+SLOTS = ("c0", "ce", "ch", "cee", "ceh", "chh")
 _Z = (0, 0, 0, 0, 0)
 
 _EXPANSIONS = {
@@ -126,7 +130,7 @@ def test_cotangent_is_sum_of_lines():
 
 def test_symbol_spot_values():
     c = character("symbol", GroupElement(2, 1))
-    vals = [as_rational(getattr(c, s)) for s in ("c0", "ce", "ch", "cee", "ceh", "chh")]
+    vals = [as_rational(getattr(c, s)) for s in SLOTS]
     assert vals == [0, 0, 0, 2, 6, 0]  # 6 e h + 2 e^2 at cos = -1
 
 
@@ -157,7 +161,7 @@ def test_conjugation_symmetry_all_constructors():
             a, b = GroupElement(p, j), GroupElement(p, p - j)
             for name in names:
                 x, y = character(name, a), character(name, b)
-                for slot in ("c0", "ce", "ch", "cee", "ceh", "chh"):
+                for slot in SLOTS:
                     assert getattr(x, slot).conjugate() == getattr(y, slot), \
                         (p, j, name, slot)
 
@@ -228,19 +232,55 @@ def _literal_z(chars):  # z whatever the phase: the run at z^-1 is no conjugate
     chars["lambda_plus"] = CohomElement(c.c0 + Laurent({1: 1}), c.ce, c.ch, c.cee, c.ceh, c.chh)
 
 
+def _not_conjugate_at_inverse_phase(derive):
+    """The (name, slot) pairs where derive(Z_BAR, Z) is not Laurent.conjugate
+    of derive(Z, Z_BAR)."""
+    at_z, at_z_bar = derive(Z, Z_BAR), derive(Z_BAR, Z)
+    assert set(at_z) == set(at_z_bar) == set(_EXPANSIONS)
+    return [(name, slot) for name, c in at_z.items() for slot in SLOTS
+            if getattr(c, slot).conjugate() != getattr(at_z_bar[name], slot)]
+
+
+def test_characters_at_the_inverse_phase_are_their_conjugates():
+    # chi(1/z) = conj chi(z) in every slot of all seven characters: the
+    # identity takes no input, so it is checked here and not by every process
+    assert _not_conjugate_at_inverse_phase(derive_characters) == []
+
+    def skewed(z, z_bar):
+        chars = derive_characters(z, z_bar)
+        _literal_z(chars)
+        return chars
+
+    assert _not_conjugate_at_inverse_phase(skewed) == [("lambda_plus", "c0")]
+
+
+def test_generic_characters_are_derived_once_per_process(monkeypatch):
+    calls = []
+    real = bundles.derive_characters
+    monkeypatch.setattr(bundles, "derive_characters",
+                        lambda z, z_bar: calls.append((z, z_bar)) or real(z, z_bar))
+    bundles.generic_characters.cache_clear()
+    try:
+        for _ in range(3):
+            bundles.generic_characters()
+        character_dump(GroupElement(7, 3))
+        assert calls == [(Z, Z_BAR)]
+    finally:
+        bundles.generic_characters.cache_clear()
+
+
 def _symbol_constant(chars):  # a 1 part: the symbol is not divisible by e
     chars["symbol"] = chars["symbol"] + CohomElement.constant(Laurent({0: 1}))
 
 
-@pytest.mark.parametrize("fault,message", [(_literal_z, "conjugate"),
-                                           (_symbol_constant, "divisible")])
+@pytest.mark.parametrize("fault,message", [(_symbol_constant, "divisible")])
 def test_symbolic_checks_reject_a_skewed_generic_character(capsys, monkeypatch,
                                                            fault, message):
     real = bundles.derive_characters
 
     def skewed(z, z_bar):
         chars = real(z, z_bar)
-        if isinstance(z, Laurent):  # both generic runs, never the oracle's
+        if isinstance(z, Laurent):  # the generic run, never the oracle's
             fault(chars)
         return chars
 

@@ -114,6 +114,25 @@ def test_index_route_disagreement_exits_3(capsys, monkeypatch):
     assert "disagreement" in err
 
 
+def test_correction_route_disagreement_exits_3_and_names_both_values(capsys, monkeypatch):
+    real = cli.correction_sum_closed_form
+    monkeypatch.setattr(cli, "correction_sum_closed_form",
+                        lambda p: real(p).replace(coeff_e=real(p).coeff_e + 1))
+    rc, data, err = run_json(capsys, ["--json", "correction", "--p", "7"])
+    assert rc == 3
+    assert data["agree"] is False
+    traced, closed = data["brute"], data["closed"]
+    assert err == ("internal consistency failure: route disagreement at p=7: "
+                   f"class traces e={traced['e']} h={traced['h']}, "
+                   f"closed form e={closed['e']} h={closed['h']}\n")
+    # index names its p and both of its values the same way
+    monkeypatch.setattr(cli, "index_closed_form", lambda d, duality: 10 ** 6)
+    rc, _, err = run_json(capsys, ["index", *_HITCHIN, "--p", "5", "--duality", "sd"])
+    assert rc == 3
+    assert err == ("internal consistency failure: route disagreement at p=5: "
+                   "kawasaki index 3, closed form index 1000000\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, ["index", "--chi", "2"])[0] == 1             # missing flags
     assert run(capsys, ["index", "--chi", "2", "--tau", "0",
@@ -223,10 +242,10 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
 
     def bad_thom(z, z_bar):
         # sign fault on the -2 i sin(theta) h term of the derived Thom
-        # character; it passes the conjugation check, is invisible at p = 2
+        # character; it passes the conjugation suite, is invisible at p = 2
         # (sin pi = 0) but poisons every correction sum from p = 3 on
         chars = real(z, z_bar)
-        if isinstance(z, Laurent):  # both generic runs, never the oracle's
+        if isinstance(z, Laurent):  # the generic run, never the oracle's
             good = chars["thom"]
             chars["thom"] = CohomElement(good.c0, good.ce, -good.ch,
                                          good.cee, good.ceh, good.chh)

@@ -1,8 +1,9 @@
-"""Byte-exact stdout of five CLI commands and of the program's seven
+"""Byte-exact stdout of twelve CLI commands and of the program's seven
 --help pages against the recorded files in tests/golden/, and of three large
 element dumps and the verify sweeps to p = 100 and p = 200 against their
-recorded sha256; CI checks the same eleven against the installed console
-script.  The repr of every derived class is recorded too."""
+recorded sha256.  CI checks all of these against the installed console
+script, and the verify sweep to p = 400 against its recorded sha256 too.
+The repr of every derived class is recorded as well."""
 
 import hashlib
 import sys
@@ -22,6 +23,17 @@ COMMANDS = {
     "correction_p300.json": ["--json", "correction", "--p", "300"],
     "index_p7_sd.json": ["--json", "index", "--chi", "5", "--tau", "3", "--sigma-chi", "2",
                          "--sigma-sq", "3", "--p", "7", "--duality", "sd"],
+    # the example and surfaces reports, k = 3 the round metric's smooth case
+    "example_hitchin_k3.json": ["--json", "example", "hitchin", "--k", "3"],
+    "example_hitchin_k7.json": ["--json", "example", "hitchin", "--k", "7"],
+    "example_lebrun_n4_p3.json": ["--json", "example", "lebrun", "--n", "4", "--p", "3"],
+    "example_lebrun_n2_p5.json": ["--json", "example", "lebrun", "--n", "2", "--p", "5"],
+    "example_ricci_flat_p3.json": ["--json", "example", "ricci-flat", "--chi", "24",
+                                   "--tau", "-16", "--sigma-chi", "2", "--sigma-sq", "-4",
+                                   "--p", "3"],
+    "surfaces_j5.json": ["--json", "surfaces", "--j", "5"],
+    "orbifold_char_beta1_3.json": ["--json", "orbifold-char", "--chi", "2", "--tau", "0",
+                                   "--sigma-chi", "1", "--sigma-sq", "-2", "--beta", "1/3"],
 }
 
 

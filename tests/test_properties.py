@@ -1,8 +1,8 @@
 """Property tests of the Cyclotomic values and the oracle's field arithmetic
 over random orders and random rational coefficients, of equality across the
-scalar types, of the p-independent Laurent scalars, of the
-class traces over the representative of 1/t, and of the index over random
-topological data."""
+scalar types, of the p-independent Laurent scalars and their conjugation,
+of the class traces over the representative of 1/t, and of the index over
+random topological data."""
 
 import copy
 import pickle
@@ -25,7 +25,7 @@ from orbifold_index.index import (  # noqa: E402
     index_kawasaki,
     index_smooth,
 )
-from orbifold_index.ring import CohomElement  # noqa: E402
+from orbifold_index.ring import CohomElement, exp_class, ring_mul, scalar_mul  # noqa: E402
 from orbifold_index.scalars import (  # noqa: E402
     Cyclotomic,
     Laurent,
@@ -401,6 +401,54 @@ def test_laurent_inverse_rejects_non_units(a):
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
+
+
+# N/t^k with k <= 2 as the constructor builds it, with no product, so that
+# the conjugation properties below do not rest on the multiplication they test
+small_laurents = st.builds(Laurent, st.dictionaries(st.integers(-3, 3), rationals, max_size=4),
+                           st.integers(0, 2))
+cohom_laurents = st.builds(CohomElement, *[small_laurents] * 6)
+
+
+def conj(x):
+    """Laurent.conjugate on a Laurent value or on every slot of a class."""
+    return x.map(Laurent.conjugate) if isinstance(x, CohomElement) else x.conjugate()
+
+
+@_settings
+@given(small_laurents, small_laurents)
+def test_laurent_conjugate_is_a_ring_automorphism(a, b):
+    assert conj(a + b) == conj(a) + conj(b)
+    assert conj(a - b) == conj(a) - conj(b)
+    assert conj(a * b) == conj(a) * conj(b)
+    assert conj(conj(a)) == a
+
+
+@_settings
+@given(rationals.filter(bool), st.integers(-3, 3))
+def test_laurent_conjugate_commutes_with_the_inverse_of_a_unit(q, m):
+    u = Laurent({0: q}, -m)  # q * t^m
+    assert conj(u.inverse()) == conj(u).inverse()
+
+
+# what the identity chi(1/z) = conj chi(z) of the derived characters rests
+# on, operation by operation
+@_settings
+@given(cohom_laurents, cohom_laurents)
+def test_ring_mul_commutes_with_conjugation(x, y):
+    assert conj(ring_mul(x, y)) == ring_mul(conj(x), conj(y))
+
+
+@_settings
+@given(small_laurents, cohom_laurents)
+def test_scalar_mul_commutes_with_conjugation(a, x):
+    assert conj(scalar_mul(a, x)) == scalar_mul(conj(a), conj(x))
+
+
+@_settings
+@given(small_laurents, small_laurents)
+def test_exp_class_commutes_with_conjugation(a, b):
+    assert conj(exp_class(a, b)) == exp_class(conj(a), conj(b))
 
 
 # k = 0 classes, the form every character coefficient takes

@@ -14,6 +14,7 @@ from orbifold_index.identities import trig_sums
 from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
+    Laurent,
     _poly_mul_int,
     as_rational,
     cyclotomic_polynomial,
@@ -251,6 +252,19 @@ def test_storage_is_canonical():
     z = a - a
     assert (z.nums, z.den) == ((0, 0), 1) and z == 0
     assert (2 * a).den == 1 and (2 * a).nums == (1, -1)
+
+
+@pytest.mark.parametrize("value", [zeta_power(7, 2), Cyclotomic.from_rational(5, F(3, 4)),
+                                   Laurent({1: 1}), Laurent({-1: 2, 0: F(1, 3)}, 2)],
+                         ids=["zeta7^2", "rational-in-Q(zeta5)", "z", "class-over-t^2"])
+def test_scalar_slots_cannot_be_assigned_or_deleted(value):
+    before = (repr(value), hash(value), value._key())
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+    assert (repr(value), hash(value), value._key()) == before
 
 
 def _embed(a):
