@@ -13,11 +13,14 @@ REST token starting with --=.  Help, usage messages and exit codes are
 argparse's own either way.
 
 verify runs six suites at every order p = 2..N.  Per order the
-conjugation suite checks the evaluation kernel, conj(zeta^s) = zeta^-s for
-each s < p, and compares the characters at j = 1, j = p // 2 and
+conjugation suite checks that the reduction table of the evaluation kernel
+closes under its own recurrence (scalars._reduction_rows_close), in time
+linear in the table, and compares the characters at j = 1, j = p // 2 and
 (composite p) the least prime factor of p with their conjugates at p - j,
 both ways.  It needs no identity of the derived characters: conj f(zeta^j)
-= f(zeta^-j) holds for every rational Laurent polynomial f.  A fault in
+= f(zeta^-j) holds for every rational Laurent polynomial f.  The
+divisibility suite compares each zero slot's value with the one shared zero
+of the order, in O(1) a read.  A fault in
 the character algebra (mutants M13 and M15 of the project's mutant table)
 is caught by the correction and p-independence suites, as by the tests'
 per-element oracle.  A derived Thom class that is no unit fails those two
@@ -50,10 +53,11 @@ from .index import (
 from .scalars import (
     ConsistencyError,
     Cyclotomic,
+    _reduction_rows_close,
     as_rational,
+    cyclotomic_zero,
     divisors,
     parse_rational,
-    zeta_power,
 )
 
 EXIT_OK = 0
@@ -204,14 +208,16 @@ def _check_trig(p: int) -> bool:
 
 
 def _check_conjugation(p: int) -> bool:
-    # Kernel: conj(zeta^s) is zeta^-s for every row s of Q(zeta_p), so by
-    # the linearity of _from_terms every value of a z-polynomial conjugates
-    # as it should.
-    if any(zeta_power(p, s).conjugate() != zeta_power(p, -s) for s in range(p)):
+    # Kernel: the reduction table closes under its own recurrence, so each
+    # row s is x^s mod Phi_p, and _from_terms, linear in its terms, reduces
+    # every power of zeta_p right.
+    if not _reduction_rows_close(p):
         return False
     # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range)
     # and at the least prime factor q of a composite p (an element of
-    # smaller order), each against its conjugate at p - j
+    # smaller order), each against its conjugate at p - j: the check of
+    # galois, of _from_terms taking exponents mod p and of Laurent.at's
+    # exponents s*j mod p
     q = divisors(p)[1]
     for j in sorted({1, p // 2, q if q < p else 1}):
         a, b = GroupElement(p, j), GroupElement(p, p - j)
@@ -234,9 +240,12 @@ def _check_rank(p: int) -> bool:
 
 
 def _check_divisibility(p: int) -> bool:
-    # the symbol's 1, h and h^2 parts, the ones read, at every nontrivial element
+    # the symbol's 1, h and h^2 parts, the ones read, at every nontrivial
+    # element; a zero slot's value is the shared zero of order p, so a right
+    # answer compares equal by identity in O(1), and a wrong one is unequal
     symbol = bundles.generic_characters()["symbol"]
-    return not any(s.at(p, j) for j in range(1, p) for s in (symbol.c0, symbol.ch, symbol.chh))
+    zero = cyclotomic_zero(p)
+    return all(s.at(p, j) == zero for j in range(1, p) for s in (symbol.c0, symbol.ch, symbol.chh))
 
 
 _P_INDEPENDENCE_SAMPLES = ((2, 0, 1, -2), (2, 0, 2, 0), (5, 3, 2, 3), (4, -2, -1, 6))

@@ -19,7 +19,11 @@ lowest terms, through one canonicaliser (_canonical) and one slot setter
 point appears anywhere.  Every element of Q(zeta_p) built from powers of
 zeta (Galois images, zeta powers, Laurent values) goes through one kernel,
 Cyclotomic._from_terms, the only place that takes exponents mod p; Galois
-maps fix Q, so a rational element skips it.
+maps fix Q, so a rational element skips it.  The kernel reduces through one
+table of x^s mod Phi_p per order (_reduction_rows), which
+_reduction_rows_close checks against its own recurrence in time linear in
+the table; a zero Laurent evaluates to one shared zero per order
+(cyclotomic_zero), so a caller can test a zero value in O(1).
 
 This is the package's bottom layer: it imports no other module of it.  The
 group sums over these scalars, the trig sums included, are in identities.py.
@@ -175,6 +179,37 @@ def _reduction_rows(p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         if lead:
             cur = [c - lead * f for c, f in zip(cur, phi_p)]
     return tuple(rows)
+
+
+def _reduction_rows_close(p: int) -> bool:
+    """Whether the stored table _reduction_rows(p) closes under its own
+    recurrence, re-derived step by step from the rows and Phi_p, never by
+    the builder: there are p rows, rows[0] is 1, and x * rows[s], with x^phi
+    replaced once by x^phi - Phi_p, is rows[(s + 1) % p] for every s, the
+    wrap from p - 1 to 0 included.  Each step is built in canonical form
+    (increasing exponents in [0, phi), nonzero coefficients), so by
+    induction from rows[0] every row that passes has that form: a row with
+    an exponent >= phi or a stored zero fails its comparison.  The steps
+    prove rows[s] = x^s mod Phi_p for every s < p, and the wrap that Phi_p
+    divides x^p - 1.  A step costs O(its row), and O(phi) where x^phi is
+    replaced, so the check is linear in the table."""
+    rows = _reduction_rows(p)
+    phi_p = cyclotomic_polynomial(p)
+    phi = len(phi_p) - 1
+    if len(rows) != p or rows[0] != ((0, 1),):
+        return False
+    for s, row in enumerate(rows):
+        top, lead = row[-1]
+        if top == phi - 1:  # x * row has lead * x^phi: replace it by lead * (x^phi - Phi_p)
+            step = [-lead * f for f in phi_p[:-1]]
+            for i, c in row[:-1]:
+                step[i + 1] += c
+            step = tuple((i, c) for i, c in enumerate(step) if c)
+        else:
+            step = tuple((i + 1, c) for i, c in row)
+        if step != rows[(s + 1) % p]:
+            return False
+    return True
 
 
 def _check_rational(c: RationalLike) -> RationalLike:
@@ -381,6 +416,15 @@ class Cyclotomic(_Scalar):
         den = self.den  # each coefficient as str(Fraction(c, den)), from the integers
         return {"order": self.order, "coeffs": [str(c // g) if (g := gcd(c, den)) == den
                                                 else f"{c // g}/{den // g}" for c in self.nums]}
+
+
+@lru_cache(maxsize=1)
+def cyclotomic_zero(p: int) -> Cyclotomic:
+    """The zero of Q(zeta_p), one shared value for the last order asked: the
+    value of every zero Laurent slot (Laurent.at), so a slot's value that
+    is right compares equal to it by the identity of the shared nums, in
+    O(1), where testing it for zero scans phi(p) numerators."""
+    return Cyclotomic.zero(p)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +640,7 @@ class Laurent(_Scalar):
         At j = 0 a polynomial is the sum of its coefficients, and a class
         with k > 0 raises ZeroDivisionError: t vanishes there."""
         if not self.nums:  # a zero slot skips the kernel
-            return Cyclotomic.zero(p)
+            return cyclotomic_zero(p)
         lo, nums, den = self.lo, self.nums, self.den
         if self.k:
             d = p // gcd(p, j)

@@ -285,7 +285,7 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
 @pytest.mark.parametrize("p", [7, 12, 29])
 def test_conjugation_suite_catches_one_wrong_reduction_row(capsys, monkeypatch, p):
     # x^(p-2) mod Phi_p gains a constant 1 at the order p only: the row of a
-    # large exponent, which the kernel check conj(zeta^s) == zeta^-s reads
+    # large exponent, whose step the closure check re-derives
     real = scalars._reduction_rows
 
     def rows(q):
@@ -299,6 +299,76 @@ def test_conjugation_suite_catches_one_wrong_reduction_row(capsys, monkeypatch, 
     rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
     assert rc == 2
     assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
+    monkeypatch.undo()
+    assert cli._check_conjugation(p) is True
+
+
+def _added_phi(table, p):
+    # the recurrence adds lead * Phi_p instead of subtracting it (M17); at a
+    # prime p the recurrence never runs past row phi, so p is composite
+    phi_p = scalars.cyclotomic_polynomial(p)
+    rows = list(table[:len(phi_p) - 1])
+    cur = [-f for f in phi_p[:-1]]
+    while len(rows) < p:
+        rows.append(tuple((i, r) for i, r in enumerate(cur) if r))
+        lead, cur = cur[-1], [0] + cur[:-1]
+        cur = [c + lead * f for c, f in zip(cur, phi_p)]
+    return tuple(rows)
+
+
+def _with_row(table, s, row):
+    return table[:s] + (row,) + table[s + 1:]
+
+
+_TABLE_FAULTS = {
+    "adds-phi": (12, _added_phi),
+    # a monomial row at a mid exponent doubled, at a prime (M18)
+    "doubled-monomial": (13, lambda t, p: _with_row(t, p // 2 + 1, ((p // 2 + 1, 2),))),
+    # row p - 1 loses its last entry (M19)
+    "short-last-row": (29, lambda t, p: _with_row(t, p - 1, t[p - 1][:-1])),
+    # x^phi left unreduced in row phi = p - 1 of a prime p
+    "exponent-phi": (11, lambda t, p: _with_row(t, p - 1, ((p - 1, 1),))),
+    # the same value as row 2, with a stored zero coefficient
+    "stored-zero": (10, lambda t, p: _with_row(t, 2, t[2] + ((3, 0),))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_TABLE_FAULTS))
+def test_conjugation_suite_catches_each_table_fault(capsys, monkeypatch, fault):
+    p, wrong = _TABLE_FAULTS[fault]
+    real = scalars._reduction_rows
+    monkeypatch.setattr(scalars, "_reduction_rows",
+                        lambda q: wrong(real(q), q) if q == p else real(q))
+    assert scalars._reduction_rows(p) != real(p)
+    assert scalars._reduction_rows_close(p) is False
+    assert cli._check_conjugation(p) is False
+    rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
+    assert rc == 2
+    assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
+    assert all(not v["fail"] for name, v in data["suites"].items() if name != "conjugation")
+    monkeypatch.undo()
+    assert cli._check_conjugation(p) is True
+
+
+def test_conjugation_suite_catches_a_table_whose_wrap_fails(capsys, monkeypatch):
+    # at p = 7 the table is built, by the builder itself, modulo Phi_9, of
+    # the same degree 6: every step from row 0 to row 6 closes, and only
+    # the wrap x * x^6 = 1 fails, since Phi_9 does not divide x^7 - 1
+    p, real_phi, real_rows = 7, scalars.cyclotomic_polynomial, scalars._reduction_rows
+    good = real_rows(p)
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial",
+                        lambda q: real_phi(9) if q == p else real_phi(q))
+    monkeypatch.setattr(scalars, "_reduction_rows",
+                        lambda q: real_rows.__wrapped__(q) if q == p else real_rows(q))
+    rows = scalars._reduction_rows(p)
+    assert len(rows) == p and rows[0] == ((0, 1),) and rows != good
+    # the closure check itself fails, not only the characters read through it
+    assert scalars._reduction_rows_close(p) is False
+    assert cli._check_conjugation(p) is False
+    rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
+    assert rc == 2
+    assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
+    assert all(not v["fail"] for name, v in data["suites"].items() if name != "conjugation")
     monkeypatch.undo()
     assert cli._check_conjugation(p) is True
 
@@ -351,6 +421,19 @@ def test_divisibility_suite_checks_each_read_slot_at_every_element(monkeypatch, 
             _inject(m, "symbol", slot, j, lambda q: Cyclotomic.from_rational(q, 1))
             assert cli._check_divisibility(p) is False, j
     assert cli._check_divisibility(p) is True
+
+
+def test_divisibility_suite_builds_a_bounded_number_of_values(monkeypatch):
+    # the 3 (p - 1) zero slots read the one shared zero of the order, so the
+    # values built per order do not grow with p (3 (p - 1) = 1200 of them,
+    # each a phi(p)-tuple, when every read built its own zero)
+    p, built = 401, []
+    assert cli._check_divisibility(2) is True  # the last order read is another one
+    real = Cyclotomic.__dict__["_raw"].__func__
+    monkeypatch.setattr(Cyclotomic, "_raw",
+                        classmethod(lambda cls, *a: built.append(cls) or real(cls, *a)))
+    assert cli._check_divisibility(p) is True
+    assert len(built) <= 3
 
 
 @pytest.mark.parametrize("name, rank", [("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),

@@ -2,7 +2,8 @@
 --help pages against the recorded files in tests/golden/, and of three large
 element dumps and the verify sweeps to p = 100 and p = 200 against their
 recorded sha256.  CI checks all of these against the installed console
-script, and the verify sweep to p = 400 against its recorded sha256 too.
+script, and the verify sweeps to p = 400 and p = 800 against their
+recorded sha256 too.
 The repr of every derived class is recorded as well."""
 
 import hashlib
