@@ -15,10 +15,12 @@ argparse's own either way.
 verify runs six suites at every order p = 2..N.  Per order the
 conjugation suite checks that the reduction table of the evaluation kernel
 closes under its own recurrence (scalars._reduction_rows_close), in time
-linear in the table, and compares the characters at j = 1, j = p // 2 and
-(composite p) the least prime factor of p with their conjugates at p - j,
-both ways.  It needs no identity of the derived characters: conj f(zeta^j)
-= f(zeta^-j) holds for every rational Laurent polynomial f.  The
+linear in the table, and evaluates the characters once at each j of J =
+{1, p // 2, q} and its partners p - j, q the least prime factor of a
+composite p: J is closed under j -> p - j, so comparing each value's
+conjugate with the value at p - j compares every pair both ways.  It needs
+no identity of the derived characters: conj f(zeta^j) = f(zeta^-j) holds
+for every rational Laurent polynomial f.  The
 divisibility suite compares each zero slot's value with the one shared zero
 of the order, in O(1) a read.  A fault in
 the character algebra (mutants M13 and M15 of the project's mutant table)
@@ -213,19 +215,20 @@ def _check_conjugation(p: int) -> bool:
     # every power of zeta_p right.
     if not _reduction_rows_close(p):
         return False
-    # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range)
-    # and at the least prime factor q of a composite p (an element of
-    # smaller order), each against its conjugate at p - j: the check of
-    # galois, of _from_terms taking exponents mod p and of Laurent.at's
-    # exponents s*j mod p
+    # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range),
+    # at the least prime factor q of a composite p (an element of smaller
+    # order) and at p - j for each, each element evaluated once.  The set
+    # is closed under j -> p - j, so every pair is compared both ways and a
+    # conjugation that is no involution fails: the check of galois, of
+    # _from_terms scaling exponents and taking them mod p, and of the j
+    # that Laurent.at hands it
     q = divisors(p)[1]
-    for j in sorted({1, p // 2, q if q < p else 1}):
-        a, b = GroupElement(p, j), GroupElement(p, p - j)
-        for name in ("symbol", "thom", "lambda_plus"):
-            # compared both ways: a non-involution fails
-            fa, fb = bundles.character(name, a), bundles.character(name, b)
-            if fa.map(Cyclotomic.conjugate) != fb or fb.map(Cyclotomic.conjugate) != fa:
-                return False
+    js = {1, p // 2, q if q < p else 1}
+    elements = [GroupElement(p, j) for j in js | {p - j for j in js}]
+    for name in ("symbol", "thom", "lambda_plus"):
+        vals = {g.j: bundles.character(name, g) for g in elements}
+        if any(f.map(Cyclotomic.conjugate) != vals[p - j] for j, f in vals.items()):
+            return False
     return True
 
 
@@ -320,11 +323,15 @@ def _cmd_orbifold_char(args) -> int:
     _check_parity(args)
     chi = index_mod.chi_orb(args.chi, beta, args.sigma_chi)
     tau = index_mod.tau_orb(args.tau, beta, args.sigma_sq)
+    try:  # tau_orb squares beta: a beta within the limit can give a value past it
+        chi_s, tau_s = str(chi), str(tau)
+    except ValueError as exc:
+        raise UsageError(f"chi_orb or tau_orb at this beta cannot be printed: {exc}")
     payload = {"inputs": {"chi": args.chi, "tau": args.tau,
                           "sigma_chi": args.sigma_chi, "sigma_sq": args.sigma_sq,
                           "beta": str(beta)},
-               "chi_orb": str(chi), "tau_orb": str(tau)}
-    _emit(args, payload, [f"chi_orb: {chi}", f"tau_orb: {tau}"])
+               "chi_orb": chi_s, "tau_orb": tau_s}
+    _emit(args, payload, [f"chi_orb: {chi_s}", f"tau_orb: {tau_s}"])
     return EXIT_OK
 
 

@@ -18,8 +18,9 @@ lowest terms, through one canonicaliser (_canonical) and one slot setter
 (_raw); rationals at the interface are `fractions.Fraction`.  No floating
 point appears anywhere.  Every element of Q(zeta_p) built from powers of
 zeta (Galois images, zeta powers, Laurent values) goes through one kernel,
-Cyclotomic._from_terms, the only place that takes exponents mod p; Galois
-maps fix Q, so a rational element skips it.  The kernel reduces through one
+Cyclotomic._from_terms, the only place that scales an exponent (by a Galois
+image's k or a Laurent value's j) and takes it mod p; Galois maps fix Q, so
+a rational element skips it.  The kernel reduces through one
 table of x^s mod Phi_p per order (_reduction_rows), which
 _reduction_rows_close checks against its own recurrence in time linear in
 the table; a zero Laurent evaluates to one shared zero per order
@@ -33,6 +34,8 @@ types (cohomology elements, group elements, topological data, reports).
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -55,11 +58,36 @@ def format_rational(q: RationalLike) -> str:
     return str(Fraction(q))
 
 
+# the two forms Fraction parses, a/b and a decimal with an optional exponent,
+# split into their digit strings; compiled by re on first use, not at import
+_RATIONAL_FORM = r"""\s*[-+]?(?=\d|\.\d)(?P<num>\d*(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+     |(?:\.(?P<dec>\d*(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*\Z"""
+
+
 def parse_rational(s: str) -> Fraction:
+    """s as a Fraction ("a/b", or a decimal with an optional exponent), or
+    ValueError.  The digit counts of the numerator and denominator that
+    Fraction would build are read off the string first: above the
+    interpreter's int-to-str limit (4300 digits by default, and the bound
+    where the limit is off) the string is refused by name, so no value that
+    str() cannot print is built, nor the power of ten of a large exponent."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    shown = repr(s) if len(s) <= 40 else f"{s[:20]!r}... ({len(s)} characters)"
+    if (m := re.match(_RATIONAL_FORM, s, re.VERBOSE)) is not None:
+        num, den, dec = (len((m[g] or "").replace("_", "")) for g in ("num", "den", "dec"))
+        try:
+            exp = int((m["exp"] or "0").replace("_", ""))
+        except ValueError:  # the exponent alone has more digits than the limit
+            exp = limit + 1
+        # digits of the numerator, of b, and of the decimal form's power of ten
+        if max(num + dec + max(exp, 0), den, dec + max(-exp, 0) + 1) > limit:
+            raise ValueError(f"rational {shown} exceeds the limit of {limit} digits "
+                             "in its numerator or denominator")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {s!r}") from exc
+        raise ValueError(f"malformed rational {shown}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +381,25 @@ class Cyclotomic(_Scalar):
 
     @classmethod
     def _canonical(cls, order: int, nums, den: int) -> "Cyclotomic":
-        """Element nums/den for den > 0, with the common factor removed."""
-        g = gcd(den, *nums)
-        if g != 1:
+        """Element nums/den for den > 0, with the common factor removed (none
+        when den == 1, so the gcd is skipped)."""
+        if den != 1 and (g := gcd(den, *nums)) != 1:
             return cls._raw(order, tuple(c // g for c in nums), den // g)
         return cls._raw(order, tuple(nums), den)
 
     @classmethod
-    def _from_terms(cls, order: int, terms, den: int = 1) -> "Cyclotomic":
-        """sum c zeta^s / den over the (s, c) in terms, for integers s and c
-        and den > 0: the one place that uses zeta^p = 1, taking each exponent
-        mod p, and the one reduction modulo Phi_p, of the nonzero terms
-        only."""
+    def _from_terms(cls, order: int, terms, den: int = 1, mult: int = 1) -> "Cyclotomic":
+        """sum c zeta^(s * mult) / den over the (s, c) of any iterable terms,
+        for integers s, c and mult and den > 0: the one place that scales an
+        exponent and takes it mod p (zeta^p = 1), and the one reduction
+        modulo Phi_p, of the nonzero terms only.  A Galois image passes its
+        own numerators and k, a Laurent value its numerators and j, so no
+        caller builds a list of scaled pairs."""
         rows = _reduction_rows(order)
         nums = [0] * (len(cyclotomic_polynomial(order)) - 1)
         for s, c in terms:
             if c:
-                for i, r in rows[s % order]:
+                for i, r in rows[s * mult % order]:
                     nums[i] += c * r
         return cls._canonical(order, nums, den)
 
@@ -392,7 +422,7 @@ class Cyclotomic(_Scalar):
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism for order {p}")
         if not any(self.nums[1:]):  # Galois maps fix Q; skips the kernel
             return self
-        return self._from_terms(p, [(s * k, c) for s, c in enumerate(self.nums) if c], self.den)
+        return self._from_terms(p, enumerate(self.nums), self.den, k)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -635,8 +665,8 @@ class Laurent(_Scalar):
     def at(self, p: int, j: int) -> Cyclotomic:
         """The value at z = zeta_p^j, of exact order d = p/gcd(p, j).  With
         k > 0, N is first folded into Z[x]/(x^d - 1) and divided there k times
-        by t, times d^2; the nonzero numerators then go to the powers s*j mod
-        p and are reduced to Q(zeta_p) over one denominator.
+        by t, times d^2; the kernel then sends the nonzero numerators to the
+        powers s*j mod p and reduces them to Q(zeta_p) over one denominator.
         At j = 0 a polynomial is the sum of its coefficients, and a class
         with k > 0 raises ZeroDivisionError: t vanishes there."""
         if not self.nums:  # a zero slot skips the kernel
@@ -650,8 +680,7 @@ class Laurent(_Scalar):
             for _ in range(self.k):
                 nums = divide_by_t_vec(nums)
             lo, den = 0, den * d ** (2 * self.k)
-        return Cyclotomic._from_terms(
-            p, [(s * j, c) for s, c in enumerate(nums, lo) if c], den)
+        return Cyclotomic._from_terms(p, enumerate(nums, lo), den, j)
 
     def conjugate(self) -> "Laurent":
         """The image under z -> z^-1, which fixes t."""

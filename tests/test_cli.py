@@ -190,6 +190,42 @@ def test_orbifold_char_command(capsys):
     assert err.startswith("usage error:") and "parity" in err
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@pytest.mark.parametrize("beta", ["1e5000", "1e999999999", "1e-5000", "0e999999999",
+                                  "1/" + "7" * 5000, "3" * 5000 + ".5"])
+def test_orbifold_char_refuses_a_beta_past_the_digit_limit(capsys, beta):
+    # refused by its digit count before Fraction builds it, so the power of
+    # ten of 1e999999999 is never computed; the message names the limit
+    rc, out, err = run(capsys, ["--json", "orbifold-char", *_HITCHIN, "--beta", beta])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error: rational ")
+    assert f"exceeds the limit of {_DIGIT_LIMIT} digits" in err and len(err) < 200
+
+
+def test_orbifold_char_names_a_long_malformed_beta_by_its_length(capsys):
+    rc, out, err = run(capsys, ["--json", "orbifold-char", *_HITCHIN, "--beta", "x" * 100000])
+    assert (rc, out) == (1, "")
+    assert "malformed rational 'xxxxxxxxxxxxxxxxxxxx'... (100000 characters)" in err
+    assert len(err) < 200
+
+
+def test_orbifold_char_refuses_a_result_past_the_digit_limit(capsys):
+    # beta = 10^(limit - 1) parses, but tau_orb holds beta^2
+    rc, out, err = run(capsys, ["--json", "orbifold-char", *_HITCHIN,
+                                "--beta", f"1e{_DIGIT_LIMIT - 1}"])
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error:") and "cannot be printed" in err
+
+
+@pytest.mark.parametrize("beta, chi_orb, tau_orb", [("1/3", "4/3", "16/27"), ("0.5", "3/2", "1/2"),
+                                                    ("1e3", "1001", "-666666")])
+def test_orbifold_char_keeps_small_betas(capsys, beta, chi_orb, tau_orb):
+    rc, data, _ = run_json(capsys, ["orbifold-char", *_HITCHIN, "--beta", beta])
+    assert rc == 0 and (data["chi_orb"], data["tau_orb"]) == (chi_orb, tau_orb)
+
+
 def test_surfaces_command(capsys):
     rc, data, _ = run_json(capsys, ["surfaces", "--j", "1"])
     assert rc == 0
@@ -280,6 +316,22 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
     assert cli._check_conjugation(p) is False
     monkeypatch.undo()
     assert cli._check_conjugation(p) is True
+
+
+@pytest.mark.parametrize("p, elements", [(12, {1, 2, 6, 10, 11}), (13, {1, 6, 7, 12}),
+                                         (2, {1})])
+def test_conjugation_suite_evaluates_each_element_once(monkeypatch, p, elements):
+    # j in {1, p // 2, q} and their partners p - j, q the least prime factor
+    # of a composite p: each character once at each element (15 calls at
+    # p = 12, where evaluating both sides of each pair made 18)
+    calls = []
+    real = bundles.character
+    monkeypatch.setattr(bundles, "character",
+                        lambda name, g: calls.append((name, g.j)) or real(name, g))
+    assert cli._check_conjugation(p) is True
+    assert len(calls) == len(set(calls)) == 3 * len(elements)
+    assert {j for _, j in calls} == elements
+    assert {name for name, _ in calls} == {"symbol", "thom", "lambda_plus"}
 
 
 @pytest.mark.parametrize("p", [7, 12, 29])

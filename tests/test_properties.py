@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from orbifold_index import identities as ident  # noqa: E402
 from orbifold_index import index as index_mod  # noqa: E402
@@ -72,6 +72,13 @@ def assert_canonical(a):
     assert a.coeffs == tuple(F(c, a.den) for c in a.nums)
 
 
+def test_mutant_profile_generates_without_shrinking():
+    # tests/conftest.py registers it for runs against broken copies of the
+    # code; the default profile, under which tier-1 runs, still shrinks
+    assert tuple(settings.get_profile("mutant").phases) == (Phase.explicit, Phase.generate)
+    assert Phase.shrink in settings.get_profile("default").phases
+
+
 @st.composite
 def triples(draw, nonzero=False):
     p = draw(orders)
@@ -123,6 +130,34 @@ def test_from_terms_takes_any_integer_exponent(args):
     _, rem = poly_divmod_int(tuple(poly), cyclotomic_polynomial(p))
     rem += (0,) * (euler_phi(p) - len(rem))
     assert a == Cyclotomic(p, [F(c, den) for c in rem])
+
+
+@st.composite
+def scaled_term_lists(draw):
+    p = draw(st.integers(1, 60))
+    exponents = st.integers(-3 * p, 3 * p) | st.integers()
+    coefficients = st.just(0) | st.integers(-1000, 1000)
+    terms = draw(st.lists(st.tuples(exponents, coefficients), max_size=12))
+    # multipliers of either sign, zero, multiples of p and far beyond p
+    mult = draw(st.integers(-3 * p, 3 * p) | st.sampled_from([0, p, -p, 5 * p]) | st.integers())
+    return p, terms, draw(st.integers(1, 12)), mult
+
+
+@_settings
+@example((12, [(5, 3), (7, 0), (1, -2)], 4, 0))
+@example((12, [(5, 3), (7, 0), (1, -2)], 1, -5))
+@example((15, [(4, 2), (11, 7)], 3, 30))
+@example((30, [(7 + 30 * 10**40, 5), (-1 - 30 * 10**40, 0), (2, 1)], 6, -7))
+@example((7, [(3, 1), (4, 1)], 2, 10**30 + 3))
+@given(scaled_term_lists())
+def test_from_terms_scales_each_exponent(args):
+    # the kernel sends each (s, c) to zeta^(s * mult), for any integer mult:
+    # the field sum of c zeta^(s * mult) / den, exponents multiplied here
+    p, terms, den, mult = args
+    a = Cyclotomic._from_terms(p, iter(terms), den, mult)
+    want = sum((c * zeta(p, s * mult) for s, c in terms), Cyc.zero(p)) * F(1, den)
+    assert a == want.value()
+    assert_canonical(a)
 
 
 @_settings

@@ -2,6 +2,7 @@
 field arithmetic over them, trig sums."""
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
@@ -226,6 +227,20 @@ def test_rational_serialization():
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_parse_rational_bounds_digits_before_building():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert parse_rational("1e3") == 1000 and parse_rational("0.5") == F(1, 2)
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == F(1, 10 ** (limit - 1))
+    assert parse_rational("1_000e2") == 10 ** 5
+    for s in (f"1e{limit}", f"1e-{limit}", "1e999999999", "1e-999999999", "1e" + "9" * 5000,
+              "1/" + "3" * (limit + 1), "3" * (limit + 1), "0." + "1" * limit):
+        with pytest.raises(ValueError, match=f"exceeds the limit of {limit} digits"):
+            parse_rational(s)
+    with pytest.raises(ValueError, match="malformed"):
+        parse_rational("1/2e5")
 
 
 def test_cyclotomic_validation():
