@@ -340,7 +340,11 @@ def _cmd_surfaces(args) -> int:
     if j < 1:
         raise UsageError("--j must be at least 1")
     kind = applications.SurfaceKind.non_orientable(j)
-    massey = applications.whitney_massey_values(j)
+    try:  # j + 1 values, one list: past the interpreter's list limit it cannot be built
+        massey = applications.whitney_massey_values(j)
+    except (OverflowError, MemoryError) as exc:
+        raise UsageError(f"--j {j} is too large: its {j + 1} Massey values cannot be "
+                         f"built as one list ({type(exc).__name__})")
     feasible = applications.feasible_self_intersections(j)
     payload = {"j": j, "euler_char": kind.euler_char,
                "h0_bound": applications.h0_bound(kind),

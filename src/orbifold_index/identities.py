@@ -11,42 +11,48 @@ cos^2 and 1/(1 - cos) (trig_sums, checked against their closed forms), and
 the correction class that index.py derives from bundles.py.  It is evaluated
 at x = zeta_d in Z[x]/(x^d - 1) and traced: x^s traces to the Ramanujan sum
 c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m, so with k = 0 each term of N takes
-one Ramanujan sum.  With k = 1, N multiplies the representative of 1/t,
-whose entries are one quadratic in the exponent r:
+one Ramanujan sum.  With k = 1, N multiplies u_d, the representative of 1/t
+in Z[x]/(x^d - 1), whose entries are one quadratic in the exponent r over
+the one denominator 2d^2:
 
-    u = (1/(2d^2)) sum_{r < d} v(r) x^r,   v(r) = c0 + c1 r + c2 r^2 = 2 C_r,
+    u_d = (1/(2d^2)) sum_{r < d} v(r) x^r,   v(r) = c0 + c1 r + c2 r^2 = 2 C_r,
     C_r = T2 - r*T1 + d*r(r-1)/2,  T1 = d(d-1)/2,  T2 = (d-1)d(2d-1)/6,
 
 checked against its exact ring identity
 
-    (2 - x - x^-1) * 2d^2 u  =  2d^2 - 2d N_d      in Z[x]/(x^d - 1),
+    (2 - x - x^-1) * 2d^2 u_d  =  2d^2 - 2d N_d      in Z[x]/(x^d - 1),
 
-where the all-ones N_d vanishes at every primitive d-th root, so u is the
+where the all-ones N_d vanishes at every primitive d-th root, so u_d is the
 true inverse at zeta_d and, the identity having integer coefficients, at all
-its Galois images.  u_d is built and checked in one place,
-scalars.inv_two_minus_two_cos_quadratic, for these traces only (Laurent.at
-divides by t in O(d) instead).  The trace of x^s u reads u at the exponents
+its Galois images.  This module is the only one that knows u_d: it is built
+as its three coefficients and checked in O(1) in one place
+(inv_two_minus_two_cos_quadratic, which runs verify_inverse_quadratic), for
+these traces only (Laurent.at divides by t in O(d) instead), and the 2d^2
+is written here alone.  The trace of x^s u_d reads u_d at the exponents
 r = -s mod m, m | d, one arithmetic progression of step m each, and the sum
-of a quadratic over a progression has a closed form (progression_sum): a
-class trace costs O(2^omega(d)) integer operations per term of N, and no
-vector of length d is built.  The progressions of one step m are summed
-together: with a_s = -s mod m, sum_s c_s v(a_s + x) is one quadratic in x
-whose coefficients take only the three moments
+of a quadratic over a progression has a closed form: a class trace costs
+O(2^omega(d)) integer operations per term of N, and no vector of length d
+is built.  The progressions of one step m are summed together: with
+a_s = -s mod m, sum_s c_s v(a_s + x) is one quadratic in x whose
+coefficients take only the three moments
 
     Z0 = sum_s c_s,   Z1 = sum_s c_s a_s,   Z2 = sum_s c_s a_s^2,
 
 namely (c0 Z0 + c1 Z1 + c2 Z2, c1 Z0 + 2 c2 Z1, c2 Z0), so each m costs
-one pass over the terms and one progression sum (sparse_trace_over_t).
+one pass over the terms and one sum over r = 0, m, 2m, ... < d
+(progression_sum, in sparse_trace_over_t).
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer
 (_class_trace), keyed on the class's own fields (d, k, lo, nums): the
-numerator tuple is the Laurent's own, so a lookup builds no tuple, and the
-denominator stays outside the key.  A group sum is class_sums, the one
-entry point: it lists p's divisors once and traces every class it is given
-over that one list, adding the kept integers over one common denominator.
-The Ramanujan weights of each d are kept too (scalars.ramanujan_weights), so
-a process factors each divisor once, whichever orders and classes reach it.
+numerator tuple is the Laurent's own, and both kernels read it as it is
+stored, the numerators of z^lo, z^(lo+1), ..., skipping its zeros, so a
+miss builds no other form of the class.  The denominator stays outside the
+key.  A group sum is class_sums, the one entry point: it lists p's
+divisors once and traces every class it is given over that one list,
+adding the kept integers over one common denominator.  The Ramanujan
+weights of each d are kept too (scalars.ramanujan_weights), so a process
+factors each divisor once, whichever orders and classes reach it.
 A failed check is not kept and raises on every call.
 The sums are rational by construction; the tests keep the literal
 per-element sweeps over Q(zeta_p) as the independent route.
@@ -58,57 +64,88 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .scalars import (
-    ConsistencyError,
-    Laurent,
-    divisors,
-    inv_two_minus_two_cos_quadratic,
-    ramanujan_weights,
-)
+from .scalars import ConsistencyError, Laurent, divisors, ramanujan_weights
 
 
-def progression_sum(coeffs: tuple[int, int, int], d: int, m: int, a: int) -> int:
-    """sum of v(r) = c0 + c1 r + c2 r^2 over r = a, a + m, ..., r < d, for
-    m | d and 0 <= a < m: with r = a + m i, i < n = d/m, it is
-    n v(a) + (c1 + 2 a c2) S1 + c2 S2 for S1 = sum m i, S2 = sum (m i)^2."""
+def inv_two_minus_two_cos_quadratic(d: int) -> tuple[int, int, int]:
+    """(c0, c1, c2) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2: the element
+    u_d = sum_r v(r) x^r / (2 d^2) of Z[x]/(x^d - 1), r = 0..d-1, with the
+    quadratic v(r) = c0 + c1 r + c2 r^2 = 2 C_r (module docstring).
+    Checked by verify_inverse_quadratic before it is returned: no caller
+    gets an unchecked u_d."""
+    if d < 2:
+        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
+    coeffs = ((d - 1) * d * (2 * d - 1) // 3, -d * d, d)
+    verify_inverse_quadratic(d, coeffs)
+    return coeffs
+
+
+def verify_inverse_quadratic(d: int, coeffs: tuple[int, int, int]) -> None:
+    """Check (2 - x - x^-1) * v = 2d^2 - 2d N_d in Z[x]/(x^d - 1) for
+    v = sum_r v(r) x^r, v(r) = c0 + c1 r + c2 r^2, exactly and in O(1): the
+    all-ones N_d vanishes at every primitive d-th root of unity.  Entry r of
+    the left side is 2 v(r) - v(r-1) - v(r+1), the constant -2 c2 at every
+    interior 0 < r < d - 1, and is computed with cyclic neighbours at the
+    two ends r = 0 and r = d - 1 (which are all of them when d = 2)."""
+    den = 2 * d * d
+    c0, c1, c2 = coeffs
+
+    def v(r):
+        r %= d
+        return c0 + r * (c1 + r * c2)
+
+    if ((d > 2 and 2 * c2 != den // d)
+            or 2 * v(0) - v(-1) - v(1) != den - den // d
+            or 2 * v(d - 1) - v(d - 2) - v(d) != -(den // d)):
+        raise ConsistencyError(
+            f"closed-form inverse failed its ring identity at d={d}")
+
+
+def progression_sum(coeffs: tuple[int, int, int], d: int, m: int) -> int:
+    """sum of v(r) = c0 + c1 r + c2 r^2 over r = 0, m, 2m, ..., r < d, for
+    m | d: with r = m i, i < n = d/m, it is n c0 + c1 S1 + c2 S2 for
+    S1 = sum m i and S2 = sum (m i)^2."""
     c0, c1, c2 = coeffs
     n = d // m
     s1 = m * n * (n - 1) // 2
     s2 = m * m * (n - 1) * n * (2 * n - 1) // 6
-    return n * (c0 + a * (c1 + a * c2)) + (c1 + 2 * a * c2) * s1 + c2 * s2
+    return n * c0 + c1 * s1 + c2 * s2
 
 
-def sparse_trace(d: int, terms: dict[int, int]) -> int:
-    """Tr_{Q(zeta_d)/Q} of sum_s c_s x^s at x = zeta_d, as sum_s c_s c_d(s)
-    with the Ramanujan sum c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m."""
+def sparse_trace(d: int, lo: int, nums: tuple[int, ...]) -> int:
+    """Tr_{Q(zeta_d)/Q} of sum_s nums[s - lo] x^s at x = zeta_d, as
+    sum_s c_s c_d(s) over the nonzero c_s, with the Ramanujan sum
+    c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m."""
     weights = ramanujan_weights(d)
     total = 0
-    for s, c in terms.items():
-        for m, w in weights:
-            if s % m == 0:
-                total += c * w
+    for s, c in enumerate(nums, lo):
+        if c:
+            for m, w in weights:
+                if s % m == 0:
+                    total += c * w
     return total
 
 
-def sparse_trace_over_t(d: int, terms: dict[int, int]) -> int:
-    """2 d^2 Tr_{Q(zeta_d)/Q} of sum_s c_s x^s / t at x = zeta_d, from the
-    checked representative u_d of 1/t: sum_{m | d} mu(d/m) m times the sum
-    of the entries of N * u at the multiples of m.  Term s reads u's
-    quadratic v over the progression a_s + m i, a_s = -s mod m, and the
-    terms' sum_s c_s v(a_s + x) is one quadratic in x, from the moments
-    Z0, Z1 and Z2 of the a_s (module docstring): one progression sum per m."""
-    (c0, c1, c2), _ = inv_two_minus_two_cos_quadratic(d)
-    z0 = sum(terms.values())
+def sparse_trace_over_t(d: int, lo: int, nums: tuple[int, ...]) -> int:
+    """2 d^2 Tr_{Q(zeta_d)/Q} of sum_s nums[s - lo] x^s / t at x = zeta_d,
+    from the checked u_d: sum_{m | d} mu(d/m) m times the sum of the entries
+    of N * 2d^2 u_d at the multiples of m.  Term s reads u_d's quadratic v
+    over the progression a_s + m i, a_s = -s mod m, and the terms'
+    sum_s c_s v(a_s + x) is one quadratic in x, from the moments Z0, Z1 and
+    Z2 of the a_s (module docstring): one progression sum per m."""
+    c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
+    z0 = sum(nums)
     total = 0
     for m, w in ramanujan_weights(d):
         z1 = z2 = 0
-        for s, c in terms.items():
-            a = -s % m
-            ca = c * a
-            z1 += ca
-            z2 += ca * a
+        for s, c in enumerate(nums, lo):
+            if c:
+                a = -s % m
+                ca = c * a
+                z1 += ca
+                z2 += ca * a
         shifted = (c0 * z0 + c1 * z1 + c2 * z2, c1 * z0 + 2 * c2 * z1, c2 * z0)
-        total += w * progression_sum(shifted, d, m, 0)
+        total += w * progression_sum(shifted, d, m)
     return total
 
 
@@ -118,8 +155,7 @@ def _class_trace(d: int, k: int, lo: int, nums: tuple[int, ...]) -> int:
     / t^k, keyed on the class's own fields (its denominator is applied by
     class_sums): Tr of the polynomial when k = 0, and 2 d^2 times Tr of the
     class when k = 1."""
-    terms = {s: c for s, c in enumerate(nums, lo) if c}
-    return sparse_trace(d, terms) if k == 0 else sparse_trace_over_t(d, terms)
+    return sparse_trace(d, lo, nums) if k == 0 else sparse_trace_over_t(d, lo, nums)
 
 
 def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
@@ -130,7 +166,8 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
     times the checked representative of 1/t when k = 1.  p's divisors are
     listed once for all the classes.  The integer traces of _class_trace,
     taken on the integer numerators of N, are added over one denominator:
-    N's own, times 2 p^2 when k = 1 (p is the lcm of the classes)."""
+    N's own, times 2 p^2 when k = 1, u_d's 2 d^2 scaled by (p/d)^2 (p is
+    the lcm of the classes)."""
     if p < 2:
         raise ValueError("p must be at least 2")
     ds = divisors(p)[1:]

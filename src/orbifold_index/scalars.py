@@ -8,10 +8,7 @@ denominator the index needs.  Laurent.at evaluates N(z)/t^k at z = zeta_p^j
 by checked O(d) divisions by t (divide_by_t_vec), into a Cyclotomic: an
 immutable value of Q(zeta_p) = Q[x] / (Phi_p(x)), Phi_p the p-th cyclotomic
 polynomial, with no arithmetic (the tests' per-element oracle has the field
-arithmetic).  The representative u_d of 1/t in Z[x]/(x^d - 1) serves the
-class traces only: its entry r is a quadratic in r, kept as three integer
-coefficients whose ring identity is checked exactly in O(1)
-(inv_two_minus_two_cos_quadratic).
+arithmetic).
 
 Both store integer numerators over one positive common denominator, in
 lowest terms, through one canonicaliser (_canonical) and one slot setter
@@ -460,42 +457,6 @@ def cyclotomic_zero(p: int) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 # p-independent scalars: Laurent polynomials in z over powers of t
 # ---------------------------------------------------------------------------
-
-def inv_two_minus_two_cos_quadratic(d: int) -> tuple[tuple[int, int, int], int]:
-    """((c0, c1, c2), den) for 1/(2 - x - x^-1) at x = zeta_d, d >= 2: the
-    element sum_r v(r) x^r / den of Z[x]/(x^d - 1), r = 0..d-1, with the
-    quadratic v(r) = c0 + c1 r + c2 r^2 = 2 C_r over den = 2 d^2, where
-    C_r = T2 - r T1 + d r(r-1)/2, T1 = d(d-1)/2, T2 = (d-1)d(2d-1)/6.
-    Checked by verify_inverse_quadratic before it is returned: no caller
-    gets an unchecked u_d."""
-    if d < 2:
-        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
-    coeffs = ((d - 1) * d * (2 * d - 1) // 3, -d * d, d)
-    verify_inverse_quadratic(d, coeffs, 2 * d * d)
-    return coeffs, 2 * d * d
-
-
-def verify_inverse_quadratic(d: int, coeffs: tuple[int, int, int], den: int) -> None:
-    """Check (2 - x - x^-1) * v = den * (1 - N_d/d) in Z[x]/(x^d - 1) for
-    v = sum_r v(r) x^r, v(r) = c0 + c1 r + c2 r^2, exactly and in O(1): the
-    all-ones N_d vanishes at every primitive d-th root of unity.  Entry r of
-    the left side is 2 v(r) - v(r-1) - v(r+1), the constant -2 c2 at every
-    interior 0 < r < d - 1, and is computed with cyclic neighbours at the
-    two ends r = 0 and r = d - 1 (which are all of them when d = 2)."""
-    if den % d:
-        raise ValueError("denominator must absorb the 1/d of the identity")
-    c0, c1, c2 = coeffs
-
-    def v(r):
-        r %= d
-        return c0 + r * (c1 + r * c2)
-
-    if ((d > 2 and 2 * c2 != den // d)
-            or 2 * v(0) - v(-1) - v(1) != den - den // d
-            or 2 * v(d - 1) - v(d - 2) - v(d) != -(den // d)):
-        raise ConsistencyError(
-            f"closed-form inverse failed its ring identity at d={d}")
-
 
 def _times_t(vec: list[int]) -> list[int]:
     """t * vec in Z[x]/(x^d - 1), d = len(vec): 2 v_r - v_(r-1) - v_(r+1) is

@@ -234,6 +234,17 @@ def test_surfaces_command(capsys):
     assert data["feasible"] == [-10, -6]
 
 
+@pytest.mark.parametrize("j", [2**63, 2**62])
+def test_surfaces_j_past_the_list_limit_is_a_usage_error(capsys, j):
+    # the j + 1 Massey values cannot be one list: past the C ssize_t range
+    # (OverflowError) or past the largest list of pointers (MemoryError);
+    # both fail before anything is allocated.  A range limit, not a crash
+    rc, out, err = run(capsys, ["--json", "surfaces", "--j", str(j)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("usage error: --j ")
+
+
 def test_example_commands(capsys):
     rc, data, _ = run_json(capsys, ["example", "hitchin", "--k", "7"])
     assert rc == 0

@@ -1,9 +1,10 @@
-"""Byte-exact stdout of twelve CLI commands and of the program's seven
---help pages against the recorded files in tests/golden/, and of three large
-element dumps and the verify sweeps to p = 100 and p = 200 against their
-recorded sha256.  CI checks all of these against the installed console
-script, and the verify sweeps to p = 400 and p = 800 against their
-recorded sha256 too.
+"""Byte-exact stdout of the CLI commands in COMMANDS and of the program's
+--help pages in HELP_PAGES against the recorded files in tests/golden/, and
+of three large element dumps and the verify sweeps to p = 100 and p = 200
+against their recorded sha256.  CI reads COMMANDS, HELP_PAGES and the
+correction_p<p>_dump<j>.sha256 files from here to check the installed
+console script, and checks the verify sweeps to p = 100, 200, 400 and 800
+against their recorded sha256 too.
 The repr of every derived class is recorded as well."""
 
 import hashlib

@@ -77,15 +77,15 @@ def test_representative_matches_ext_gcd(d):
     vec, den = inv_two_minus_two_cos_vec(d)
     verify_inverse_vec(d, vec, den)
     assert Cyc._from_terms(d, enumerate(vec), den) == inv_t
-    # the library's quadratic, expanded entry by entry, is the same element
-    (c0, c1, c2), den2 = scalars.inv_two_minus_two_cos_quadratic(d)
+    # the library's quadratic over 2 d^2, expanded entry by entry, is the same element
+    c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
     assert Cyc._from_terms(d, ((r, c0 + c1 * r + c2 * r * r) for r in range(d)),
-                                  den2) == inv_t
+                                  2 * d * d) == inv_t
 
 
 def test_inverse_constructors_reject_identity():
     for d in (0, 1):
-        for build in (scalars.inv_two_minus_two_cos_quadratic, inv_two_minus_two_cos_vec):
+        for build in (ident.inv_two_minus_two_cos_quadratic, inv_two_minus_two_cos_vec):
             with pytest.raises(ZeroDivisionError):
                 build(d)
 
@@ -96,26 +96,26 @@ def test_inverse_vector_is_the_closed_form():
         vec, den = inv_two_minus_two_cos_vec(d)
         assert vec == [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d
         assert den == d * d, d
-        # the oracle vector is the expansion of the library's doubled quadratic
-        (c0, c1, c2), den2 = scalars.inv_two_minus_two_cos_quadratic(d)
+        # the oracle vector over d^2 is the expansion of the library's
+        # quadratic over 2 d^2, halved
+        c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
         assert [2 * c for c in vec] == [c0 + c1 * r + c2 * r * r for r in range(d)], d
-        assert den2 == 2 * den, d
 
 
 def test_verify_inverse_vec_accepts_and_rejects():
     for d in range(2, 61):
-        coeffs, den = scalars.inv_two_minus_two_cos_quadratic(d)
-        scalars.verify_inverse_quadratic(d, coeffs, den)
+        coeffs = ident.inv_two_minus_two_cos_quadratic(d)
+        ident.verify_inverse_quadratic(d, coeffs)
         for i in (1, 2):  # c1 and c2, each moved by +1, -1 and +d
             for delta in (1, -1, d):
                 bad = list(coeffs)
                 bad[i] += delta
                 with pytest.raises(ConsistencyError, match=f"d={d}"):
-                    scalars.verify_inverse_quadratic(d, tuple(bad), den)
+                    ident.verify_inverse_quadratic(d, tuple(bad))
         # a shift of c0 adds a multiple of the all-ones N_d, which t kills and
         # which traces to 0: an equivalent representative, accepted by both checks
         c0, c1, c2 = coeffs
-        scalars.verify_inverse_quadratic(d, (c0 + 1, c1, c2), den)
+        ident.verify_inverse_quadratic(d, (c0 + 1, c1, c2))
         vec, vden = inv_two_minus_two_cos_vec(d)
         verify_inverse_vec(d, [c + 1 for c in vec], vden)
 
@@ -152,7 +152,7 @@ def test_element_evaluation_never_builds_the_representative(monkeypatch):
     def failing(d):
         raise AssertionError(f"u_{d} built")
 
-    monkeypatch.setattr(scalars, "inv_two_minus_two_cos_quadratic", failing)
+    monkeypatch.setattr(ident, "inv_two_minus_two_cos_quadratic", failing)
     for p, j in ((12, 5), (12, 9), (97, 3)):
         assert correction_at(GroupElement(p, j)) == correction_at_pipeline(GroupElement(p, j))
 
@@ -199,9 +199,9 @@ def test_trace_is_sum_over_units():
             orbit = sum((zeta(d, k * s) for k in units), Cyc.zero(d))
             assert trace(vec, {0: 1}) == as_rational(orbit), (d, s)
             for shift in (s, s - d, s + d):
-                assert ident.sparse_trace(d, {shift: 1}) == as_rational(orbit), (d, shift)
+                assert ident.sparse_trace(d, shift, (1,)) == as_rational(orbit), (d, shift)
                 # x^shift * vec is the unit vector at s + shift
-                assert trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, {s + shift: 1})
+                assert trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, s + shift, (1,))
         assert trace([1] * d, {0: 1}) == 0  # N_d traces to 0
 
 
@@ -320,11 +320,11 @@ def test_classes_sharing_their_numerators_keep_their_own_sums():
 
 
 def _skew_the_checked_representative(monkeypatch):
-    """Make scalars.verify_inverse_quadratic see u_d with its linear
+    """Make identities.verify_inverse_quadratic see u_d with its linear
     coefficient c1 off by one, which moves every entry but r = 0."""
-    real = scalars.verify_inverse_quadratic
-    monkeypatch.setattr(scalars, "verify_inverse_quadratic",
-                        lambda d, coeffs, den: real(d, (coeffs[0], coeffs[1] + 1, coeffs[2]), den))
+    real = ident.verify_inverse_quadratic
+    monkeypatch.setattr(ident, "verify_inverse_quadratic",
+                        lambda d, coeffs: real(d, (coeffs[0], coeffs[1] + 1, coeffs[2])))
 
 
 def test_failed_inverse_check_is_not_kept(monkeypatch):
@@ -358,15 +358,15 @@ def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
 
 
 def test_each_representative_is_checked_once_per_class(monkeypatch):
-    real = scalars.verify_inverse_quadratic
+    real = ident.verify_inverse_quadratic
     checked = []
 
-    def counting(d, coeffs, den):
+    def counting(d, coeffs):
         checked.append(d)
-        real(d, coeffs, den)
+        real(d, coeffs)
 
     ident._class_trace.cache_clear()
-    monkeypatch.setattr(scalars, "verify_inverse_quadratic", counting)
+    monkeypatch.setattr(ident, "verify_inverse_quadratic", counting)
     for _ in range(2):
         for p in range(2, 201):
             trig_sums(p)
@@ -430,7 +430,7 @@ def test_a_non_integer_order_is_refused_and_poisons_no_memo():
 def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
     # each quotient by t is checked where scalars makes it, so a failing
     # check stops the element evaluation at every power of t, and u_d is
-    # checked where scalars builds it, so a failing check stops the class
+    # checked where identities builds it, so a failing check stops the class
     # traces and the group sum alike; no caller holds a copy of a check
     def failing(*args):
         raise ConsistencyError("injected failure")
@@ -443,7 +443,7 @@ def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
             for k in (1, 2):
                 with pytest.raises(ConsistencyError):
                     Laurent({0: 1}, k).at(p, 1)
-        monkeypatch.setattr(scalars, "verify_inverse_quadratic", failing)
+        monkeypatch.setattr(ident, "verify_inverse_quadratic", failing)
         with pytest.raises(ConsistencyError):
             ident.class_sums(p, (ident._INV_ONE_MINUS_COS,))
         with pytest.raises(ConsistencyError):

@@ -34,7 +34,6 @@ from orbifold_index.scalars import (  # noqa: E402
     cyclotomic_polynomial,
     divisors,
     euler_phi,
-    inv_two_minus_two_cos_quadratic,
     parse_rational,
     ramanujan_weights,
 )
@@ -533,34 +532,47 @@ trace_orders = st.one_of(st.integers(2, 3000),
 @example(2)
 @given(trace_orders)
 def test_progression_sum_matches_the_oracle_slices(d):
-    # every progression r = a, a + m, ... < d that a class trace reads off u_d
-    coeffs, den = inv_two_minus_two_cos_quadratic(d)
-    vec, vec_den = inv_two_minus_two_cos_vec(d)
-    assert den == 2 * vec_den
+    # every progression r = a, a + m, ... < d that a class trace reads off
+    # u_d, as the sum over r = 0, m, ... of u_d's quadratic shifted by a
+    c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
+    vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2; u_d's quadratic is over 2 d^2
     for m in divisors(d):
         for a in range(m):
-            assert ident.progression_sum(coeffs, d, m, a) == 2 * sum(vec[a::m]), (m, a)
+            shifted = (c0 + a * (c1 + a * c2), c1 + 2 * a * c2, c2)
+            assert ident.progression_sum(shifted, d, m) == 2 * sum(vec[a::m]), (m, a)
 
 
 @st.composite
-def sparse_classes(draw):
-    """(d, terms) for a numerator sum_s c_s z^s over 1/t, exponents of
-    either sign, beyond +-d included."""
+def traced_numerators(draw):
+    """(d, k, lo, nums) for a class sum_s nums[s - lo] z^s / t^k, k <= 1, in
+    the form Laurent stores it: up to seven integer numerators from z^lo
+    upward, nonzero at both ends and often zero inside, lo of either sign,
+    beyond +-d included."""
     d = draw(trace_orders)
-    exponents = st.one_of(st.integers(-3 * d, 3 * d), st.integers(-10**30, 10**30))
-    terms = draw(st.dictionaries(exponents, st.integers(-100, 100).filter(bool),
-                                 min_size=1, max_size=6))
-    return d, tuple(sorted(terms.items()))
+    lo = draw(st.one_of(st.integers(-3 * d, 3 * d), st.integers(-10**30, 10**30)))
+    ends = st.integers(-100, 100).filter(bool)
+    inner = draw(st.lists(st.one_of(st.just(0), st.integers(-100, 100)), max_size=5))
+    nums = (draw(ends), *inner, draw(ends)) if draw(st.booleans()) else (draw(ends),)
+    return d, draw(st.integers(0, 1)), lo, nums
 
 
 @_settings
-@example((2310, ((-2311, 3), (-1, 1), (0, -7), (4620, 2), (10**30, 5))))
-@example((2, ((-5, 1), (3, -2))))
-@given(sparse_classes())
+@example((2310, 1, -2311, (3, 0, 0, -7, 0, 0, 2)))
+@example((2310, 0, 10**30, (5, 0, -1)))
+@example((2, 1, -5, (1, 0, 0, 0, 0, 0, -2)))
+@given(traced_numerators())
 def test_class_trace_matches_the_oracle_trace(args):
-    d, terms = args
-    vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2; the class trace is over 2 d^2
-    assert ident.sparse_trace_over_t(d, dict(terms)) == 2 * trace(vec, dict(terms))
+    # the kernels read the numerators as Laurent keeps them, skipping zeros;
+    # the oracle slices a vector of length d by the nonzero terms: the unit
+    # vector when k = 0, and u_d over 2 d^2 when k = 1
+    d, k, lo, nums = args
+    terms = {s: c for s, c in enumerate(nums, lo) if c}
+    if k == 0:
+        expected = trace([1] + [0] * (d - 1), terms)
+        assert ident.sparse_trace(d, lo, nums) == expected
+    else:
+        vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2
+        assert ident.sparse_trace_over_t(d, lo, nums) == 2 * trace(vec, terms)
 
 
 # classes N/t^k with k <= 1, the ones a group sum traces: integer
