@@ -39,8 +39,8 @@ coefficients take only the three moments
     Z0 = sum_s c_s,   Z1 = sum_s c_s a_s,   Z2 = sum_s c_s a_s^2,
 
 namely (c0 Z0 + c1 Z1 + c2 Z2, c1 Z0 + 2 c2 Z1, c2 Z0), so each m costs
-one pass over the terms and one sum over r = 0, m, 2m, ... < d
-(progression_sum, in sparse_trace_over_t).
+one pass over the terms and one closed-form sum of that quadratic over
+r = 0, m, 2m, ... < d, written out in place in sparse_trace_over_t.
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer
@@ -50,9 +50,13 @@ stored, the numerators of z^lo, z^(lo+1), ..., skipping its zeros, so a
 miss builds no other form of the class.  The denominator stays outside the
 key.  A group sum is class_sums, the one entry point: it lists p's
 divisors once and traces every class it is given over that one list,
-adding the kept integers over one common denominator.  The Ramanujan
-weights of each d are kept too (scalars.ramanujan_weights), so a process
-factors each divisor once, whichever orders and classes reach it.
+and hands each class's sum back as two integers, the sum of the kept
+traces over the class's one positive denominator, unreduced; no Fraction
+is built until a caller needs one (trig_sums cross-multiplies with its
+closed forms, index.correction_sum builds each coefficient once).  The
+Ramanujan weights of each d are kept too (scalars.ramanujan_weights), so
+a process factors each divisor once, whichever orders and classes reach
+it.
 A failed check is not kept and raises on every call.
 The sums are rational by construction; the tests keep the literal
 per-element sweeps over Q(zeta_p) as the independent route.
@@ -84,9 +88,12 @@ def verify_inverse_quadratic(d: int, coeffs: tuple[int, int, int]) -> None:
     """Check (2 - x - x^-1) * v = 2d^2 - 2d N_d in Z[x]/(x^d - 1) for
     v = sum_r v(r) x^r, v(r) = c0 + c1 r + c2 r^2, exactly and in O(1): the
     all-ones N_d vanishes at every primitive d-th root of unity.  Entry r of
-    the left side is 2 v(r) - v(r-1) - v(r+1), the constant -2 c2 at every
-    interior 0 < r < d - 1, and is computed with cyclic neighbours at the
-    two ends r = 0 and r = d - 1 (which are all of them when d = 2)."""
+    the left side is 2 v(r) - v(r-1) - v(r+1), computed with cyclic
+    neighbours at the two ends r = 0 and r = d - 1, and the constant -2 c2
+    at every interior 0 < r < d - 1.  Two ends plus the zero sum: the
+    entries of both sides sum to 0 (t's coefficients do), so once the two
+    ends agree, the d - 2 interior entries do too, and -2 c2 = -2d.  At
+    d = 2 the two ends are all the entries."""
     den = 2 * d * d
     c0, c1, c2 = coeffs
 
@@ -94,22 +101,10 @@ def verify_inverse_quadratic(d: int, coeffs: tuple[int, int, int]) -> None:
         r %= d
         return c0 + r * (c1 + r * c2)
 
-    if ((d > 2 and 2 * c2 != den // d)
-            or 2 * v(0) - v(-1) - v(1) != den - den // d
+    if (2 * v(0) - v(-1) - v(1) != den - den // d
             or 2 * v(d - 1) - v(d - 2) - v(d) != -(den // d)):
         raise ConsistencyError(
             f"closed-form inverse failed its ring identity at d={d}")
-
-
-def progression_sum(coeffs: tuple[int, int, int], d: int, m: int) -> int:
-    """sum of v(r) = c0 + c1 r + c2 r^2 over r = 0, m, 2m, ..., r < d, for
-    m | d: with r = m i, i < n = d/m, it is n c0 + c1 S1 + c2 S2 for
-    S1 = sum m i and S2 = sum (m i)^2."""
-    c0, c1, c2 = coeffs
-    n = d // m
-    s1 = m * n * (n - 1) // 2
-    s2 = m * m * (n - 1) * n * (2 * n - 1) // 6
-    return n * c0 + c1 * s1 + c2 * s2
 
 
 def sparse_trace(d: int, lo: int, nums: tuple[int, ...]) -> int:
@@ -131,8 +126,10 @@ def sparse_trace_over_t(d: int, lo: int, nums: tuple[int, ...]) -> int:
     from the checked u_d: sum_{m | d} mu(d/m) m times the sum of the entries
     of N * 2d^2 u_d at the multiples of m.  Term s reads u_d's quadratic v
     over the progression a_s + m i, a_s = -s mod m, and the terms'
-    sum_s c_s v(a_s + x) is one quadratic in x, from the moments Z0, Z1 and
-    Z2 of the a_s (module docstring): one progression sum per m."""
+    sum_s c_s v(a_s + x) is one quadratic b0 + b1 x + b2 x^2, from the
+    moments Z0, Z1 and Z2 of the a_s (module docstring), summed in place
+    over x = m i, i < n = d/m: n b0 + b1 S1 + b2 S2, with S1 = sum m i and
+    S2 = sum (m i)^2."""
     c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
     z0 = sum(nums)
     total = 0
@@ -144,8 +141,11 @@ def sparse_trace_over_t(d: int, lo: int, nums: tuple[int, ...]) -> int:
                 ca = c * a
                 z1 += ca
                 z2 += ca * a
-        shifted = (c0 * z0 + c1 * z1 + c2 * z2, c1 * z0 + 2 * c2 * z1, c2 * z0)
-        total += w * progression_sum(shifted, d, m)
+        n = d // m
+        s1 = m * n * (n - 1) // 2
+        s2 = m * m * (n - 1) * n * (2 * n - 1) // 6
+        total += w * (n * (c0 * z0 + c1 * z1 + c2 * z2)
+                      + (c1 * z0 + 2 * c2 * z1) * s1 + c2 * z0 * s2)
     return total
 
 
@@ -158,16 +158,17 @@ def _class_trace(d: int, k: int, lo: int, nums: tuple[int, ...]) -> int:
     return sparse_trace(d, lo, nums) if k == 0 else sparse_trace_over_t(d, lo, nums)
 
 
-def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
+def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[tuple[int, int], ...]:
     """The sum of each class c = N(z) / t^k, k <= 1, over the nontrivial
-    elements zeta_p^j, j = 1..p-1: the sum over the divisor classes d | p,
+    elements zeta_p^j, j = 1..p-1, as one pair (num, den) of integers,
+    den > 0 and the pair unreduced: the sum over the divisor classes d | p,
     d > 1, of Tr_{Q(zeta_d)/Q} c(zeta_d), which is the sum of c over the
     elements of exact order d, N traced term by term when k = 0, and N
     times the checked representative of 1/t when k = 1.  p's divisors are
-    listed once for all the classes.  The integer traces of _class_trace,
-    taken on the integer numerators of N, are added over one denominator:
-    N's own, times 2 p^2 when k = 1, u_d's 2 d^2 scaled by (p/d)^2 (p is
-    the lcm of the classes)."""
+    listed once for all the classes.  num adds the integer traces of
+    _class_trace, taken on the integer numerators of N, and den is N's own
+    denominator, times 2 p^2 when k = 1, where u_d's 2 d^2 is scaled by
+    (p/d)^2 (p is the lcm of the classes).  No Fraction is built."""
     if p < 2:
         raise ValueError("p must be at least 2")
     ds = divisors(p)[1:]
@@ -179,12 +180,12 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[Fraction, ...]:
         if c.k == 0:
             for d in ds:
                 total += _class_trace(d, 0, lo, nums)
-            sums.append(Fraction(total, c.den))
+            sums.append((total, c.den))
         else:
             for d in ds:
                 q = p // d
                 total += _class_trace(d, 1, lo, nums) * q * q
-            sums.append(Fraction(total, 2 * c.den * p * p))
+            sums.append((total, 2 * c.den * p * p))
     return tuple(sums)
 
 
@@ -217,13 +218,17 @@ def trig_sums(p: int) -> TrigSums:
 
     for j = 1..p-1, each traced per divisor class as above from (z + z^-1)/2,
     its square and 2/t, and checked against the closed forms -1, (p-2)/2
-    (p >= 3; 1 at p = 2), (p^2-1)/6.
+    (p >= 3; 1 at p = 2), (p^2-1)/6 in integers: each traced (num, den) is
+    cross-multiplied with its closed form, and the traced sums become
+    Fractions only to name them in the ConsistencyError of a failed check.
     """
     if p < 2:
         raise ValueError("p must be at least 2 (empty sums are the caller's business)")
-    traced = TrigSums(*class_sums(p, (_COS, _COS_SQ, _INV_ONE_MINUS_COS)))
+    sums = class_sums(p, (_COS, _COS_SQ, _INV_ONE_MINUS_COS))
     closed = _trig_closed_forms(p)
-    if traced != closed:
-        raise ConsistencyError(
-            f"trig sums disagree at p={p}: traced {traced} vs closed {closed}")
+    for (num, den), q in zip(sums, closed):
+        if num * q.denominator != q.numerator * den:
+            traced = TrigSums(*(Fraction(num, den) for num, den in sums))
+            raise ConsistencyError(
+                f"trig sums disagree at p={p}: traced {traced} vs closed {closed}")
     return closed

@@ -113,14 +113,16 @@ def correction_sum(p: int) -> CorrectionSum:
     """Sum of correction_at over j = 1..p-1, scaled by 1/p; p = 1 is the
     empty sum.  Evaluated at every p >= 2 from the derived correction class,
     traced once per divisor class d | p, d > 1, and rational by
-    construction.  correction_sum.__wrapped__ is the uncached evaluation."""
+    construction: each coefficient is one Fraction of the integer pair that
+    class_sums returns, its denominator times p.
+    correction_sum.__wrapped__ is the uncached evaluation."""
     if p < 1:
         raise ValueError("p must be a positive integer")
     if p == 1:
         return CorrectionSum(Fraction(0), Fraction(0))  # empty sum over nontrivial elements
     c = correction_class()
-    e, h = identities.class_sums(p, (c.ce, c.ch))
-    return CorrectionSum(e / p, h / p)
+    (e, de), (h, dh) = identities.class_sums(p, (c.ce, c.ch))
+    return CorrectionSum(Fraction(e, de * p), Fraction(h, dh * p))
 
 
 def correction_sum_closed_form(p: int) -> CorrectionSum:

@@ -116,8 +116,49 @@ def test_verify_inverse_vec_accepts_and_rejects():
         # which traces to 0: an equivalent representative, accepted by both checks
         c0, c1, c2 = coeffs
         ident.verify_inverse_quadratic(d, (c0 + 1, c1, c2))
+        # c2 moved by d and c1 by what keeps the end r = 0, then the end
+        # r = d - 1, at its value: each end is read on its own for d > 2
+        if d > 2:
+            for dc1 in (-(d * d - 2 * d + 2), -(d * d - 2)):
+                with pytest.raises(ConsistencyError, match=f"d={d}"):
+                    ident.verify_inverse_quadratic(d, (c0, c1 + dc1, c2 + d))
         vec, vden = inv_two_minus_two_cos_vec(d)
         verify_inverse_vec(d, [c + 1 for c in vec], vden)
+
+
+def _three_conditions_accept(d, coeffs):
+    """The u_d check by three conditions: the two ends and, for d > 2, the
+    interior entry -2 c2 = -2d."""
+    den = 2 * d * d
+    c0, c1, c2 = coeffs
+
+    def v(r):
+        r %= d
+        return c0 + r * (c1 + r * c2)
+
+    return not ((d > 2 and 2 * c2 != den // d)
+                or 2 * v(0) - v(-1) - v(1) != den - den // d
+                or 2 * v(d - 1) - v(d - 2) - v(d) != -(den // d))
+
+
+def test_inverse_check_reads_two_ends_plus_the_zero_sum():
+    # the entries of t * v sum to 0, so the two ends fix the interior: the
+    # two-condition check accepts exactly what the three conditions accept
+    accepted = 0
+    for d in range(2, 80):
+        c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
+        for a in (0, c0, 7):
+            for b in range(c1 - 6, c1 + 7):
+                for c in range(c2 - 6, c2 + 7):
+                    try:
+                        ident.verify_inverse_quadratic(d, (a, b, c))
+                        ok = True
+                    except ConsistencyError:
+                        ok = False
+                    assert ok == _three_conditions_accept(d, (a, b, c)), (d, a, b, c)
+                    accepted += ok
+    # three c0 at each d > 2 (c1 = -d^2, c2 = d), and 13 pairs with c1 + c2 = -2 at d = 2
+    assert accepted == 3 * 77 + 3 * 13 == 270
 
 
 @pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
@@ -178,8 +219,14 @@ def _cos_sums_per_element(p):
     return tuple(values)
 
 
+def _class_sums(p, classes):
+    """identities.class_sums, each integer pair (num, den) read as
+    Fraction(num, den)."""
+    return tuple(F(num, den) for num, den in ident.class_sums(p, classes))
+
+
 def _traced_cos_sums(p):
-    return ident.class_sums(p, (ident._COS, ident._COS_SQ))
+    return _class_sums(p, (ident._COS, ident._COS_SQ))
 
 
 def test_traced_cos_sums_match_per_element_sums():
@@ -263,7 +310,7 @@ def test_class_traces_match_pipeline_unit_sums():
                 sum_e, sum_h = sum_e + Cyc.of(c.ce), sum_h + Cyc.of(c.ch)
         unit_sums[d] = (as_rational(sum_e), as_rational(sum_h))
         expected = tuple(sum(unit_sums[m][i] for m in divisors(d)[1:]) for i in (0, 1))
-        assert ident.class_sums(d, (derived.ce, derived.ch)) == expected, d
+        assert _class_sums(d, (derived.ce, derived.ch)) == expected, d
 
 
 def _skewed(c):  # e + z is not invariant under z -> 1/z
@@ -309,9 +356,9 @@ def test_classes_sharing_their_numerators_keep_their_own_sums():
     try:
         for p in orders:
             # one class at a time, each on top of what the others left
-            assert tuple(ident.class_sums(p, (c,))[0] for c in classes) == expected[p], p
+            assert tuple(_class_sums(p, (c,))[0] for c in classes) == expected[p], p
         for p in orders:
-            assert ident.class_sums(p, classes) == expected[p], p
+            assert _class_sums(p, classes) == expected[p], p
         # the denominator is applied outside the memo: one entry per (d, k, lo)
         ds = {d for p in orders for d in divisors(p)[1:]}
         assert ident._class_trace.cache_info().currsize == 4 * len(ds)
@@ -341,6 +388,53 @@ def test_failed_inverse_check_is_not_kept(monkeypatch):
         for p in (2, 12, 97):
             assert trig_sums(p) == _trig_closed_forms(p)
             assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
+    finally:
+        ident._class_trace.cache_clear()
+
+
+_P7_CLOSED = ("TrigSums(sum_cos=Fraction(-1, 1), sum_cos_sq=Fraction(5, 2), "
+              "sum_inv_one_minus_cos=Fraction(8, 1))")
+
+
+@pytest.mark.parametrize("target, traced", [
+    ((0, -1), _P7_CLOSED.replace("Fraction(-1, 1)", "Fraction(-1, 2)")),  # cos over 2
+    ((0, -2), _P7_CLOSED.replace("Fraction(5, 2)", "Fraction(11, 4)")),  # cos^2 over 4
+    ((1, 0), _P7_CLOSED.replace("Fraction(8, 1)", "Fraction(785, 98)")),  # 2/t over 2 p^2
+])
+def test_trig_sums_names_a_skewed_trace_as_fractions(monkeypatch, target, traced):
+    # one class trace (keyed by k and lo) one too high at p = 7: the check
+    # runs on integer pairs, and the message still reads both sums as
+    # reduced Fractions
+    real = ident._class_trace
+    monkeypatch.setattr(ident, "_class_trace",
+                        lambda d, k, lo, nums: real(d, k, lo, nums) + ((k, lo) == target))
+    message = f"trig sums disagree at p=7: traced {traced} vs closed {_P7_CLOSED}"
+    with pytest.raises(ConsistencyError) as raised:
+        trig_sums(7)
+    assert str(raised.value) == message
+    monkeypatch.undo()
+    assert trig_sums(7) == _trig_closed_forms(7)
+
+
+def test_group_sums_build_no_fraction_until_a_check_fails(monkeypatch):
+    # class_sums and both kernels stay in integers; trig_sums builds only its
+    # three closed forms when its check passes
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return F(*args)
+
+    ident._class_trace.cache_clear()
+    monkeypatch.setattr(ident, "Fraction", counting)
+    try:
+        for p in (2, 12, 97, 720):
+            pairs = ident.class_sums(p, (ident._COS, ident._COS_SQ, ident._INV_ONE_MINUS_COS))
+            assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs), p
+            assert built == [], p
+            trig_sums(p)
+            assert len(built) == 3, p
+            built.clear()
     finally:
         ident._class_trace.cache_clear()
 
@@ -471,7 +565,7 @@ def test_sums_do_not_depend_on_what_the_memo_holds():
                 assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p), p
             else:
                 traced = TrigSums(*_traced_cos_sums(p),
-                                  *ident.class_sums(p, (ident._INV_ONE_MINUS_COS,)))
+                                  *_class_sums(p, (ident._INV_ONE_MINUS_COS,)))
                 assert traced == _trig_closed_forms(p) == trig_sums(p), p
 
     check()
@@ -488,7 +582,7 @@ def test_trig_paths_agree_with_small_brute():
         small = trig_sums_brute(p)
         sc, sc2 = _traced_cos_sums(p)
         assert (sc, sc2) == (small.sum_cos, small.sum_cos_sq), p
-        assert ident.class_sums(p, (ident._INV_ONE_MINUS_COS,)) == (small.sum_inv_one_minus_cos,), p
+        assert _class_sums(p, (ident._INV_ONE_MINUS_COS,)) == (small.sum_inv_one_minus_cos,), p
 
 
 def test_correction_sum_matches_closed_form_beyond_old_ceiling():
@@ -501,4 +595,4 @@ def test_trig_sums_match_closed_form_beyond_old_ceiling():
     # the int64 evaluator stopped at p = 2000
     for p in list(range(2, 2001)) + [10007]:
         assert _traced_cos_sums(p) == (-1, 1 if p == 2 else F(p - 2, 2)), p
-        assert ident.class_sums(p, (ident._INV_ONE_MINUS_COS,)) == (F(p * p - 1, 6),), p
+        assert _class_sums(p, (ident._INV_ONE_MINUS_COS,)) == (F(p * p - 1, 6),), p

@@ -32,7 +32,6 @@ from orbifold_index.scalars import (  # noqa: E402
     _prime_factors,
     _reduction_rows,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
     parse_rational,
     ramanujan_weights,
@@ -527,21 +526,6 @@ trace_orders = st.one_of(st.integers(2, 3000),
                          st.sampled_from([2, 3, 1009, 2999, 729, 1024, 2187, 2401, 2310]))
 
 
-@_settings
-@example(2310)
-@example(2)
-@given(trace_orders)
-def test_progression_sum_matches_the_oracle_slices(d):
-    # every progression r = a, a + m, ... < d that a class trace reads off
-    # u_d, as the sum over r = 0, m, ... of u_d's quadratic shifted by a
-    c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
-    vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2; u_d's quadratic is over 2 d^2
-    for m in divisors(d):
-        for a in range(m):
-            shifted = (c0 + a * (c1 + a * c2), c1 + 2 * a * c2, c2)
-            assert ident.progression_sum(shifted, d, m) == 2 * sum(vec[a::m]), (m, a)
-
-
 @st.composite
 def traced_numerators(draw):
     """(d, k, lo, nums) for a class sum_s nums[s - lo] z^s / t^k, k <= 1, in
@@ -587,7 +571,13 @@ traced_classes = st.builds(
 @example(3, [Laurent({1: 1}, 1), Laurent({-2: F(5, 3)})])  # d = 3 alone: no fault cancels
 @given(st.integers(2, 60), st.lists(traced_classes, min_size=1, max_size=3))
 def test_class_sums_match_the_per_element_sums(p, classes):
-    assert ident.class_sums(p, classes) == tuple(class_sum_per_element(c, p) for c in classes)
+    # each sum is an unreduced integer pair over the class's own denominator,
+    # times 2 p^2 over 1/t
+    pairs = ident.class_sums(p, classes)
+    assert tuple(F(num, den) for num, den in pairs) == tuple(
+        class_sum_per_element(c, p) for c in classes)
+    assert [den for _, den in pairs] == [c.den if c.k == 0 else 2 * c.den * p * p
+                                         for c in classes]
 
 
 @_settings
