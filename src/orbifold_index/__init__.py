@@ -11,9 +11,7 @@ from .scalars import (
     as_rational,
     cyclotomic_polynomial,
     euler_phi,
-    format_rational,
     parse_rational,
-    zeta_power,
 )
 from .identities import TrigSums, trig_sums
 from .ring import (

@@ -59,6 +59,7 @@ from .scalars import (
     as_rational,
     cyclotomic_zero,
     divisors,
+    int_digit_limit,
     parse_rational,
 )
 
@@ -75,6 +76,25 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract is 1
         raise UsageError(message)
+
+
+# digits a result adds to its largest integer flag: the closed-form index is
+# at most 30 times it, and an example report's numbers at most 3 times
+_RESULT_DIGITS = 2
+
+
+def _int_flag(text: str) -> int:
+    """type= of every integer flag.  A value with more digits than the
+    interpreter's int-to-str limit less _RESULT_DIGITS is refused by the
+    limit, not echoed, so every result it gives can be printed."""
+    limit = int_digit_limit() - _RESULT_DIGITS
+    if len(text) > limit and sum(map(str.isdigit, text)) > limit:
+        raise argparse.ArgumentTypeError(f"more than {limit} digits (the interpreter's int-to-str "
+                                         f"limit, less {_RESULT_DIGITS} for what a result adds)")
+    try:
+        return int(text)
+    except ValueError:  # argparse's own text for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -413,11 +433,11 @@ def _cmd_example(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_topology_flags(sp, required=True):
-    sp.add_argument("--chi", type=int, required=required, help="chi(M)")
-    sp.add_argument("--tau", type=int, required=required, help="tau(M)")
-    sp.add_argument("--sigma-chi", dest="sigma_chi", type=int, required=required,
+    sp.add_argument("--chi", type=_int_flag, required=required, help="chi(M)")
+    sp.add_argument("--tau", type=_int_flag, required=required, help="tau(M)")
+    sp.add_argument("--sigma-chi", dest="sigma_chi", type=_int_flag, required=required,
                     help="chi(Sigma)")
-    sp.add_argument("--sigma-sq", dest="sigma_sq", type=int, required=required,
+    sp.add_argument("--sigma-sq", dest="sigma_sq", type=_int_flag, required=required,
                     help="[Sigma]^2")
 
 
@@ -437,20 +457,20 @@ def build_parser() -> _Parser:
 
     sp = add_parser("index", help="deformation-complex index")
     _add_topology_flags(sp)
-    sp.add_argument("--p", type=int, required=True, help="cone order p >= 1")
+    sp.add_argument("--p", type=_int_flag, required=True, help="cone order p >= 1")
     sp.add_argument("--duality", choices=["asd", "sd"], required=True)
     sp.add_argument("--route", choices=["kawasaki", "closed", "both"],
                     default="both")
     sp.set_defaults(fn=_cmd_index)
 
     sp = add_parser("correction", help="group-averaged correction term")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--dump-element", type=int, default=None, metavar="J",
+    sp.add_argument("--p", type=_int_flag, required=True)
+    sp.add_argument("--dump-element", type=_int_flag, default=None, metavar="J",
                     help="also dump all equivariant characters at element J")
     sp.set_defaults(fn=_cmd_correction)
 
     sp = add_parser("verify", help="run the exactness suites")
-    sp.add_argument("--p-max", dest="p_max", type=int, required=True)
+    sp.add_argument("--p-max", dest="p_max", type=_int_flag, required=True)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = add_parser("orbifold-char", help="orbifold Euler characteristic and signature")
@@ -460,14 +480,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_orbifold_char)
 
     sp = add_parser("surfaces", help="self-intersection feasibility for crosscap surfaces")
-    sp.add_argument("--j", type=int, required=True, help="number of crosscaps")
+    sp.add_argument("--j", type=_int_flag, required=True, help="number of crosscaps")
     sp.set_defaults(fn=_cmd_surfaces)
 
     sp = add_parser("example", help="reproduce a worked example")
     sp.add_argument("which", choices=["hitchin", "lebrun", "ricci-flat"])
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--k", type=_int_flag, default=None)
+    sp.add_argument("--n", type=_int_flag, default=None)
+    sp.add_argument("--p", type=_int_flag, default=2)
     _add_topology_flags(sp, required=False)
     sp.set_defaults(fn=_cmd_example)
 

@@ -43,11 +43,6 @@ class TopologicalData(_Record):
         _set(self, "sigma_sq", sigma_sq)
         _set(self, "p", p)
 
-    @property
-    def sigma_hat_sq(self) -> Fraction:
-        """Orbifold self-intersection [Sigma-hat]^2 = [Sigma]^2 / p."""
-        return Fraction(self.sigma_sq, self.p)
-
 
 class Duality(Enum):
     ASD = "asd"
@@ -101,8 +96,8 @@ def correction_at(gamma: GroupElement) -> CohomElement:
     correction class evaluated at z = zeta_p^j.  Degree-2 coefficients are
     -(1/2)(8 cos + 7) on e and -4 cos - 5/(1 - cos) on h.  The result holds
     Cyclotomic values, which have no arithmetic, so it is read-only: ==,
-    hash, map and to_json work, but +, -, * and ring.invert_unit raise
-    TypeError."""
+    hash, map and to_json work, but +, -, ring.ring_mul and ring.invert_unit
+    raise TypeError."""
     if gamma.j == 0:
         raise ValueError("identity element is excluded from correction terms")
     return correction_class().map(lambda s: s.at(gamma.p, gamma.j))

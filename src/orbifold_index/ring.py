@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-from .scalars import Cyclotomic, _Record, _set, format_rational
+from .scalars import Cyclotomic, _Record, _set
 
 Scalar = Any  # Fraction, Laurent or a Cyclotomic value, uniform within one element
 
@@ -23,7 +23,7 @@ Scalar = Any  # Fraction, Laurent or a Cyclotomic value, uniform within one elem
 def _scalar_json(s: Scalar):
     if isinstance(s, Cyclotomic):
         return s.to_json()
-    return format_rational(s)
+    return str(s)
 
 
 class CohomElement(_Record):
@@ -56,18 +56,6 @@ class CohomElement(_Record):
                             self.ch - other.ch, self.cee - other.cee,
                             self.ceh - other.ceh, self.chh - other.chh)
 
-    def __neg__(self) -> "CohomElement":
-        return CohomElement(-self.c0, -self.ce, -self.ch,
-                            -self.cee, -self.ceh, -self.chh)
-
-    def __mul__(self, other):
-        if isinstance(other, CohomElement):
-            return ring_mul(self, other)
-        return scalar_mul(other, self)
-
-    def __rmul__(self, other):
-        return scalar_mul(other, self)
-
     def map(self, f) -> "CohomElement":
         """f applied to every coefficient."""
         return CohomElement(f(self.c0), f(self.ce), f(self.ch),
@@ -99,10 +87,6 @@ def scalar_mul(s: Scalar, a: CohomElement) -> CohomElement:
 
 def exp_class(a: Scalar, b: Scalar) -> CohomElement:
     """exp(a*e + b*h) truncated: 1 + (a e + b h) + (a e + b h)^2 / 2."""
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
     half = Fraction(1, 2)
     one = a * 0 + 1
     return CohomElement(one, a, b, a * a * half, a * b, b * b * half)

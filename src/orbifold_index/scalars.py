@@ -14,7 +14,7 @@ Both store integer numerators over one positive common denominator, in
 lowest terms, through one canonicaliser (_canonical) and one slot setter
 (_raw); rationals at the interface are `fractions.Fraction`.  No floating
 point appears anywhere.  Every element of Q(zeta_p) built from powers of
-zeta (Galois images, zeta powers, Laurent values) goes through one kernel,
+zeta (Galois images and Laurent values) goes through one kernel,
 Cyclotomic._from_terms, the only place that scales an exponent (by a Galois
 image's k or a Laurent value's j) and takes it mod p; Galois maps fix Q, so
 a rational element skips it.  The kernel reduces through one
@@ -50,9 +50,10 @@ class ConsistencyError(ArithmeticError):
     non-integer index, or a verified identity that did not hold)."""
 
 
-def format_rational(q: RationalLike) -> str:
-    """Serialize a rational as "num/den", or "num" when the denominator is 1."""
-    return str(Fraction(q))
+def int_digit_limit() -> int:
+    """The interpreter's int-to-str limit (4300 digits by default), and 4300
+    where the limit is off (0) or the interpreter has none (int() is 0)."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
 
 
 # the two forms Fraction parses, a/b and a decimal with an optional exponent,
@@ -69,7 +70,7 @@ def parse_rational(s: str) -> Fraction:
     interpreter's int-to-str limit (4300 digits by default, and the bound
     where the limit is off) the string is refused by name, so no value that
     str() cannot print is built, nor the power of ten of a large exponent."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = int_digit_limit()
     shown = repr(s) if len(s) <= 40 else f"{s[:20]!r}... ({len(s)} characters)"
     if (m := re.match(_RATIONAL_FORM, s, re.VERBOSE)) is not None:
         num, den, dec = (len((m[g] or "").replace("_", "")) for g in ("num", "den", "dec"))
@@ -269,11 +270,6 @@ class _Scalar:
     def __bool__(self):
         return any(self.nums)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The rational coefficients."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -305,8 +301,8 @@ class _Record:
     subclass is defined: == compares the field tuples of two records of the
     same class (a record never equals an instance of another type), hash
     is the hash of the field tuple, repr is Name(field=value, ...), and
-    pickle, copy and replace() rebuild through __init__, so every copy is
-    validated again."""
+    pickle and copy rebuild through __init__, so every copy is validated
+    again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -338,19 +334,13 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values(self)
 
-    def replace(self, **changes):
-        """A copy with the named fields changed, validated as a new record."""
-        values = dict(zip(self._fields, self._values(self)))
-        values.update(changes)  # an unknown name reaches __init__, which rejects it
-        return type(self)(**values)
-
 
 class Cyclotomic(_Scalar):
     """Immutable value of Q(zeta_p): phi(p) integer numerators `nums` in the
     power basis 1, zeta, ..., zeta^(phi-1), reduced modulo Phi_p, over one
-    common denominator `den`; `coeffs` is the rational view.  The form is
-    canonical (den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1), so
-    equal elements have equal (order, nums, den).
+    common denominator `den`.  The form is canonical (den > 0,
+    gcd(den, *nums) == 1, zero is (0, ..., 0)/1), so equal elements have
+    equal (order, nums, den).
 
     A value with no arithmetic: built from powers of zeta (_from_terms) or a
     rational, it has the Galois maps, equality, hash and JSON.  To compute
@@ -358,13 +348,6 @@ class Cyclotomic(_Scalar):
     """
 
     __slots__ = ("order", "nums", "den")
-
-    def __new__(cls, order: int, coeffs: Iterable[RationalLike]):
-        nums, den = _integer_form(coeffs)
-        phi = len(cyclotomic_polynomial(order)) - 1
-        if len(nums) != phi:
-            raise ValueError(f"need {phi} coefficients for order {order}, got {len(nums)}")
-        return cls._raw(order, nums, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -507,12 +490,11 @@ class Laurent(_Scalar):
     stands for the same expression at every zeta_p^j, j != 0.
 
     Stored as Cyclotomic is: N is the integer numerators `nums` of z^lo,
-    z^(lo+1), ... over one positive denominator `den`, in lowest terms;
-    `coeffs` is the rational view.  The form is canonical (gcd(den, *nums)
-    == 1, no zero numerator at either end, k >= 0, and t does not divide N
-    when k > 0; zero is ()/1 with lo = k = 0), so equal elements have equal
-    (lo, nums, den, k).  The units are exactly Laurent({0: c}, -m) =
-    c * t^m, m any integer.
+    z^(lo+1), ... over one positive denominator `den`, in lowest terms.  The
+    form is canonical (gcd(den, *nums) == 1, no zero numerator at either
+    end, k >= 0, and t does not divide N when k > 0; zero is ()/1 with
+    lo = k = 0), so equal elements have equal (lo, nums, den, k).  The units
+    are exactly Laurent({0: c}, -m) = c * t^m, m any integer.
     """
 
     __slots__ = ("lo", "nums", "den", "k")
@@ -555,10 +537,6 @@ class Laurent(_Scalar):
             (lo, nums), k = q, k - 1
         return cls._raw(lo, tuple(nums), den, k)
 
-    def terms(self) -> dict[int, Fraction]:
-        """The nonzero coefficients of N by power of z."""
-        return {s: Fraction(c, self.den) for s, c in enumerate(self.nums, self.lo) if c}
-
     @staticmethod
     def _coerce(other) -> Optional["Laurent"]:
         if isinstance(other, Laurent):
@@ -578,10 +556,6 @@ class Laurent(_Scalar):
     def __sub__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else self._add(o, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o._add(self, -1)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -659,16 +633,8 @@ class Laurent(_Scalar):
         return self.lo, self.nums, self.den, self.k
 
     def __repr__(self):
-        return f"Laurent({ {s: str(c) for s, c in self.terms().items()} }, k={self.k})"
-
-
-# ---------------------------------------------------------------------------
-# field-level operations
-# ---------------------------------------------------------------------------
-
-def zeta_power(p: int, k: int) -> Cyclotomic:
-    """zeta_p^k, reduced modulo Phi_p; p < 1 raises ValueError."""
-    return Cyclotomic._from_terms(p, [(k, 1)])
+        terms = {s: str(Fraction(c, self.den)) for s, c in enumerate(self.nums, self.lo) if c}
+        return f"Laurent({terms}, k={self.k})"
 
 
 def as_rational(a) -> Optional[Fraction]:

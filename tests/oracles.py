@@ -27,6 +27,7 @@ from orbifold_index.scalars import (
     ConsistencyError,
     Cyclotomic,
     Laurent,
+    _integer_form,
     _poly_mul_int,
     _times_t,
     cyclotomic_polynomial,
@@ -142,6 +143,12 @@ def zeta(p, k):
     return Cyc._from_terms(p, [(k, 1)])
 
 
+def cyc(p, coeffs):
+    """sum coeffs[s] zeta_p^s over rational coefficients, as a field element."""
+    nums, den = _integer_form(coeffs)
+    return Cyc._from_terms(p, enumerate(nums), den)
+
+
 def cos_of(p, j):
     """Exact cos(2*pi*j/p) = (zeta^j + zeta^-j) / 2."""
     return (zeta(p, j) + zeta(p, -j)) * Fraction(1, 2)
@@ -225,19 +232,26 @@ def trace(vec, terms):
                for m, w in ramanujan_weights(len(vec)))
 
 
+def laurent_terms(a):
+    """The nonzero coefficients of a Laurent class's numerator N, as
+    {power of z: Fraction}."""
+    return {s: Fraction(c, a.den) for s, c in enumerate(a.nums, a.lo) if c}
+
+
 def laurent_add(a, b, sign=1):
     """a + sign * b through {power: Fraction} dicts: over the common t^k,
     each numerator is N * t^(k - own k), rebuilt by the constructor."""
     k = max(a.k, b.k)
-    x, y = (c.terms() if c.k == k else Laurent(c.terms(), c.k - k).terms() for c in (a, b))
+    x, y = (laurent_terms(c if c.k == k else Laurent(laurent_terms(c), c.k - k))
+            for c in (a, b))
     return Laurent({s: x.get(s, 0) + sign * y.get(s, 0) for s in x.keys() | y.keys()}, k)
 
 
 def laurent_mul(a, b):
     """a * b by the schoolbook product of their {power: Fraction} dicts."""
     out = {}
-    for s, c in a.terms().items():
-        for r, d in b.terms().items():
+    for s, c in laurent_terms(a).items():
+        for r, d in laurent_terms(b).items():
             out[s + r] = out.get(s + r, 0) + c * d
     return Laurent(out, a.k + b.k)
 
@@ -281,7 +295,7 @@ def trig_sums_brute(p):
 def laurent_at(c, p, j):
     """The Laurent class c = N(z) / t^k evaluated at z = zeta_p^j
     (j != 0 mod p) in the field, as a library value."""
-    n = sum((zeta(p, j * s) * v for s, v in c.terms().items()), Cyc.zero(p))
+    n = sum((zeta(p, j * s) * v for s, v in laurent_terms(c).items()), Cyc.zero(p))
     t = 2 - zeta(p, j) - zeta(p, -j)
     return (n * t.inverse() ** c.k).value()
 

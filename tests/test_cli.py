@@ -117,7 +117,7 @@ def test_index_route_disagreement_exits_3(capsys, monkeypatch):
 def test_correction_route_disagreement_exits_3_and_names_both_values(capsys, monkeypatch):
     real = cli.correction_sum_closed_form
     monkeypatch.setattr(cli, "correction_sum_closed_form",
-                        lambda p: real(p).replace(coeff_e=real(p).coeff_e + 1))
+                        lambda p: index_mod.CorrectionSum(real(p).coeff_e + 1, real(p).coeff_h))
     rc, data, err = run_json(capsys, ["--json", "correction", "--p", "7"])
     assert rc == 3
     assert data["agree"] is False
@@ -217,6 +217,52 @@ def test_orbifold_char_refuses_a_result_past_the_digit_limit(capsys):
                                 "--beta", f"1e{_DIGIT_LIMIT - 1}"])
     assert (rc, out) == (1, "")
     assert err.startswith("usage error:") and "cannot be printed" in err
+
+
+_FLAG_DIGITS = _DIGIT_LIMIT - cli._RESULT_DIGITS  # the most digits an integer flag takes
+
+
+def _widest_results(n):
+    """Each route of index, and example lebrun and ricci-flat, on n-digit
+    flags signed so that the results have the most digits: the ASD closed
+    form is (15 chi + 29 tau - 8 chi(Sigma) - 8 [Sigma]^2) / 2, 30 times
+    the flags here, and lebrun's numbers are 3 times --n."""
+    big, neg = "9" * n, "-" + "9" * n
+    topo = ["--chi", big, "--tau", big, "--sigma-chi", neg, "--sigma-sq", neg]
+    index = ["index", *topo, "--duality", "asd"]
+    return {"index_both": [*index, "--p", "7"],
+            "index_kawasaki": [*index, "--p", "7", "--route", "kawasaki"],
+            "index_closed": [*index, "--p", "7", "--route", "closed"],
+            "index_smooth": [*index, "--p", "1"],
+            "lebrun": ["example", "lebrun", "--n", big, "--p", "3"],
+            "ricci_flat": ["example", "ricci-flat", *topo, "--p", "3"]}
+
+
+@pytest.mark.parametrize("name", sorted(_widest_results(1)))
+def test_integer_flags_at_the_digit_limit_answer(capsys, name):
+    rc, data, err = run_json(capsys, ["--json", *_widest_results(_FLAG_DIGITS)[name]])
+    assert rc == 0, err
+    widest = 10 ** _FLAG_DIGITS - 1
+    if name.startswith("index"):
+        assert data["index"] == (22 if name == "index_smooth" else 30) * widest
+    elif name == "ricci_flat":
+        assert data["moduli_dim"] == -30 * widest
+
+
+@pytest.mark.parametrize("name", sorted(_widest_results(1)))
+def test_integer_flags_past_the_digit_limit_are_usage_errors(capsys, name):
+    # one more digit: refused at parse time by the flag's name and the
+    # limit, and the value is not echoed
+    flag = "--n" if name == "lebrun" else "--chi"
+    rc, out, err = run(capsys, ["--json", *_widest_results(_FLAG_DIGITS + 1)[name]])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"usage error: argument {flag}: more than {_FLAG_DIGITS} digits")
+    assert len(err) < 200
+
+
+def test_a_malformed_integer_keeps_the_argparse_message(capsys):
+    rc, out, err = run(capsys, ["--json", "correction", "--p", "7x"])
+    assert (rc, out, err) == (1, "", "usage error: argument --p: invalid int value: '7x'\n")
 
 
 @pytest.mark.parametrize("beta, chi_orb, tau_orb", [("1/3", "4/3", "16/27"), ("0.5", "3/2", "1/2"),
@@ -442,7 +488,7 @@ def _inject(monkeypatch, name, slot, j, wrong):
     Laurent.at answers for that copy at j."""
     chars = dict(bundles.generic_characters())
     marked = copy.copy(getattr(chars[name], slot))
-    chars[name] = chars[name].replace(**{slot: marked})
+    chars[name] = CohomElement(**{**vars(chars[name]), slot: marked})
     monkeypatch.setattr(bundles, "generic_characters", lambda: MappingProxyType(chars))
     real_at = Laurent.at
     monkeypatch.setattr(Laurent, "at", lambda a, p, i: wrong(p) if a is marked and i == j
@@ -453,7 +499,7 @@ def test_a_non_unit_thom_class_is_a_failed_check_not_a_crash(capsys, monkeypatch
     # degree-0 part 1 + t = 3 - z - 1/z: symmetric under z -> 1/z, so every
     # check of the characters holds, but no unit c * t^m to invert
     chars = dict(bundles.generic_characters())
-    chars["thom"] = chars["thom"].replace(c0=Laurent({-1: -1, 0: 3, 1: -1}))
+    chars["thom"] = CohomElement(**{**vars(chars["thom"]), "c0": Laurent({-1: -1, 0: 3, 1: -1})})
     monkeypatch.setattr(bundles, "generic_characters", lambda: MappingProxyType(chars))
     index_mod.correction_class.cache_clear()
     index_mod.correction_sum.cache_clear()  # p-independence reads the cached sums

@@ -1,10 +1,11 @@
 """Byte-exact stdout of the CLI commands in COMMANDS and of the program's
 --help pages in HELP_PAGES against the recorded files in tests/golden/, and
 of three large element dumps and the verify sweeps to p = 100 and p = 200
-against their recorded sha256.  CI reads COMMANDS, HELP_PAGES and the
-correction_p<p>_dump<j>.sha256 files from here to check the installed
-console script, and checks the verify sweeps to p = 100, 200, 400 and 800
-against their recorded sha256 too.
+against their recorded sha256; and exit 1 with a usage error, on no stdout,
+for each argv in USAGE_ERRORS.  CI reads COMMANDS, HELP_PAGES, USAGE_ERRORS
+and the correction_p<p>_dump<j>.sha256 files from here to check the
+installed console script, and checks the verify sweeps to p = 100, 200, 400
+and 800 against their recorded sha256 too.
 The repr of every derived class is recorded as well."""
 
 import hashlib
@@ -37,6 +38,36 @@ COMMANDS = {
     "orbifold_char_beta1_3.json": ["--json", "orbifold-char", "--chi", "2", "--tau", "0",
                                    "--sigma-chi", "1", "--sigma-sq", "-2", "--beta", "1/3"],
 }
+
+
+# argv that main refuses as a usage error, on both of its parse paths: the
+# whole parser (no subcommand, an unknown word) and a subcommand's own
+_NINES = "9" * 4300  # the int-to-str limit's default: a result would add digits past it
+USAGE_ERRORS = {
+    "no_subcommand": [],
+    "unknown_subcommand": ["bogus"],
+    "missing_flags": ["--json", "index", "--chi", "2"],
+    "unknown_flag": ["index", "--chi", "5", "--tau", "3", "--sigma-chi", "2", "--sigma-sq", "3",
+                     "--p", "7", "--duality", "sd", "--bogus"],
+    # refused by its digit count, before 10^999999999 is built
+    "beta_digits": ["--json", "orbifold-char", "--chi", "2", "--tau", "0", "--sigma-chi", "1",
+                    "--sigma-sq", "-2", "--beta", "1e999999999"],
+    # 2^63 + 1 Massey values cannot be one list: refused, not a crash
+    "surfaces_list": ["surfaces", "--j", "9223372036854775808"],
+    # integer flags whose results could not be printed: refused by the
+    # digit limit, and the value is not echoed
+    "index_digits": ["--json", "index", "--chi", _NINES, "--tau", "1", "--sigma-chi", "2",
+                     "--sigma-sq", "3", "--p", "7", "--duality", "sd"],
+    "lebrun_digits": ["--json", "example", "lebrun", "--n", _NINES, "--p", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_1(capsys, name):
+    rc = cli.main(USAGE_ERRORS[name])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith("usage error:") and len(err) < 1000, err[:200]
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

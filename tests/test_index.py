@@ -243,7 +243,6 @@ def test_index_integrality_guard():
 def test_topological_data_validation():
     with pytest.raises(ValueError):
         TopologicalData(2, 0, 1, -2, 0)
-    assert TopologicalData(2, 0, 1, -2, 5).sigma_hat_sq == F(-2, 5)
 
 
 def test_orbifold_characteristics():

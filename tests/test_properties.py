@@ -39,10 +39,12 @@ from orbifold_index.scalars import (  # noqa: E402
 from oracles import (  # noqa: E402
     Cyc,
     class_sum_per_element,
+    cyc,
     inv_two_minus_two_cos_vec,
     laurent_add,
     laurent_at,
     laurent_mul,
+    laurent_terms,
     poly_divmod_int,
     reduction_rows_dense,
     trace,
@@ -59,15 +61,19 @@ rationals = st.builds(F, st.integers(-1000, 1000), st.integers(1, 12))
 @lru_cache(maxsize=None)
 def elements(p, nonzero=False):
     el = st.lists(rationals, min_size=euler_phi(p), max_size=euler_phi(p)).map(
-        lambda cs: Cyc(p, cs))
+        lambda cs: cyc(p, cs))
     return el.filter(bool) if nonzero else el
+
+
+def coeffs(a):
+    """The rational coefficients of a Cyclotomic or a Laurent numerator."""
+    return tuple(F(c, a.den) for c in a.nums)
 
 
 def assert_canonical(a):
     assert len(a.nums) == euler_phi(a.order)
     assert all(type(c) is int for c in a.nums) and type(a.den) is int
     assert a.den > 0 and gcd(a.den, *a.nums) == 1  # zero is (0, ..., 0)/1
-    assert a.coeffs == tuple(F(c, a.den) for c in a.nums)
 
 
 def test_mutant_profile_generates_without_shrinking():
@@ -127,7 +133,7 @@ def test_from_terms_takes_any_integer_exponent(args):
         poly[s] += c
     _, rem = poly_divmod_int(tuple(poly), cyclotomic_polynomial(p))
     rem += (0,) * (euler_phi(p) - len(rem))
-    assert a == Cyclotomic(p, [F(c, den) for c in rem])
+    assert a == cyc(p, [F(c, den) for c in rem]).value()
 
 
 @st.composite
@@ -248,15 +254,15 @@ def test_eq_and_hash_agree_with_int_and_fraction(p, q, abc):
         assert c == int(q) and hash(c) == hash(int(q))
     a = abc[0]
     assert (a == q) == (a.as_rational() == q)
-    assert len({a, a * 1, a + 0, Cyc(a.order, a.coeffs)}) == 1
+    assert len({a, a * 1, a + 0, cyc(a.order, coeffs(a))}) == 1
 
 
 @_settings
 @given(orders.flatmap(elements).map(Cyc.value))
 def test_json_roundtrip(a):
-    data = a.to_json()  # read back through the validated constructor
-    assert Cyclotomic(data["order"], [parse_rational(c) for c in data["coeffs"]]) == a
-    assert data["coeffs"] == [str(c) for c in a.coeffs]
+    data = a.to_json()  # read back through the kernel
+    assert cyc(data["order"], [parse_rational(c) for c in data["coeffs"]]).value() == a
+    assert data["coeffs"] == [str(c) for c in coeffs(a)]
     # pickle and copy round-trip to an equal, equally hashed, canonical element
     for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(b) is Cyclotomic and b == a and hash(b) == hash(a)
@@ -271,7 +277,7 @@ def format_cases(draw):
     numerators = st.sampled_from([0, 1, -1]) | st.integers(-60, 60) | st.integers(-10**30, 10**30)
     nums = draw(st.lists(numerators, min_size=euler_phi(p), max_size=euler_phi(p)))
     den = draw(st.sampled_from([1, 2, 6, 12, 36, 210]) | st.integers(1, 10**12))
-    return Cyclotomic(p, [F(c, den) for c in nums])
+    return cyc(p, [F(c, den) for c in nums]).value()
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -279,9 +285,9 @@ def format_cases(draw):
 def test_json_and_repr_format_each_coefficient_as_its_fraction(a):
     assert_canonical(a)
     data = a.to_json()
-    assert data == {"order": a.order, "coeffs": [str(c) for c in a.coeffs]}
-    assert repr(a) == f"Cyclotomic({a.order}, {[str(c) for c in a.coeffs]})"
-    assert Cyclotomic(data["order"], [parse_rational(c) for c in data["coeffs"]]) == a
+    assert data == {"order": a.order, "coeffs": [str(c) for c in coeffs(a)]}
+    assert repr(a) == f"Cyclotomic({a.order}, {[str(c) for c in coeffs(a)]})"
+    assert cyc(data["order"], [parse_rational(c) for c in data["coeffs"]]).value() == a
 
 
 # few values, so that equal ones of different types and orders meet
@@ -325,7 +331,6 @@ laurents = st.builds(lambda terms, k, m: Laurent(terms, k) * t_power(m),
 def assert_laurent_canonical(a):
     assert type(a.nums) is tuple and all(type(c) is int for c in a.nums)
     assert type(a.den) is int and a.den > 0 and gcd(a.den, *a.nums) == 1
-    assert a.coeffs == tuple(F(c, a.den) for c in a.nums)
     assert type(a.lo) is int and type(a.k) is int and a.k >= 0
     if not a.nums:
         assert (a.lo, a.den, a.k) == (0, 1, 0)
@@ -333,12 +338,12 @@ def assert_laurent_canonical(a):
     assert a.nums[0] and a.nums[-1]
     if a.k:
         # t = -(z - 1)^2 / z divides N exactly when N(1) = N'(1) = 0
-        assert sum(a.coeffs) or sum(s * c for s, c in enumerate(a.coeffs, a.lo))
+        assert sum(a.nums) or sum(s * c for s, c in enumerate(a.nums, a.lo))
 
 
 def value(a, z):
     """a at the rational point z, where t(z) != 0."""
-    n = sum(c * F(z) ** s for s, c in enumerate(a.coeffs, a.lo))
+    n = sum(c * F(z) ** s for s, c in enumerate(coeffs(a), a.lo))
     return n / (2 - z - 1 / F(z)) ** a.k
 
 
@@ -350,7 +355,7 @@ POINTS = (2, -1, F(1, 3))
        st.dictionaries(st.integers(-3, 3), rationals, max_size=4), st.integers(-3, 3))
 def test_laurent_canonical_form_after_every_operation(a, b, q, k, terms, tk):
     built = Laurent(terms, tk)
-    results = [a + b, a - b, a * b, -a, a + q, q - a, a * q, k * a, a + k, a.conjugate(),
+    results = [a + b, a - b, a * b, -a, a + q, -a + q, a * q, k * a, a + k, a.conjugate(),
                Laurent({0: q}), built]
     for r in results:
         assert_laurent_canonical(r)
@@ -401,7 +406,7 @@ def test_laurent_eq_and_hash(q, a, b):
     if q.denominator == 1:
         assert c == int(q) and hash(c) == hash(int(q))
     assert (a == q) == (a.as_rational() == q)
-    copy_a = Laurent(a.terms(), a.k)
+    copy_a = Laurent(laurent_terms(a), a.k)
     assert len({a, a * 1, a + 0, copy_a}) == 1
     for b2 in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert type(b2) is Laurent and b2 == a and hash(b2) == hash(a)
@@ -495,7 +500,7 @@ def test_laurent_at_matches_the_literal_evaluation(a, p):
         v = a.at(p, j)
         assert v == laurent_at(a, p, j), j
         assert_canonical(v)
-    assert a.at(p, 0) == sum(a.coeffs)  # z = 1
+    assert a.at(p, 0) == sum(coeffs(a))  # z = 1
     assert_canonical(a.at(p, 0))
 
 
@@ -661,7 +666,7 @@ def test_index_is_an_integer_on_both_routes(data, duality):
 @_settings
 @given(topological_data())
 def test_sd_is_asd_of_the_negated_data(data):
-    flipped = data.replace(tau_M=-data.tau_M, sigma_sq=-data.sigma_sq)
+    flipped = TopologicalData(**{**vars(data), "tau_M": -data.tau_M, "sigma_sq": -data.sigma_sq})
     assert index_kawasaki(data, Duality.SD) == index_kawasaki(flipped, Duality.ASD)
     assert (index_smooth(data.chi_M, data.tau_M, Duality.SD)
             == index_smooth(flipped.chi_M, flipped.tau_M, Duality.ASD))
@@ -673,5 +678,5 @@ def test_sd_is_asd_of_the_negated_data(data):
 @_settings
 @given(topological_data(p=st.integers(2, 60)), st.integers(2, 60), dualities)
 def test_kawasaki_index_is_independent_of_the_cone_order(data, q, duality):
-    other = data.replace(p=q)
+    other = TopologicalData(**{**vars(data), "p": q})
     assert index_kawasaki(data, duality) == index_kawasaki(other, duality)

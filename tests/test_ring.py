@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import Cyc, zeta
+from oracles import Cyc, cyc, zeta
 from orbifold_index.ring import (
     CohomElement,
     a_hat_squared,
@@ -22,9 +22,9 @@ ONE = CohomElement.constant(F(1))
 
 
 def test_ring_mul_examples():
-    assert (ONE + E) * (ONE + H) == CohomElement(F(1), F(1), F(1), F(0), F(1), F(0))
-    assert (E + H) * (E + H) == CohomElement(F(0), F(0), F(0), F(1), F(2), F(1))
-    assert (E * E) * H == CohomElement.constant(F(0))  # degree 6 truncates
+    assert ring_mul(ONE + E, ONE + H) == CohomElement(F(1), F(1), F(1), F(0), F(1), F(0))
+    assert ring_mul(E + H, E + H) == CohomElement(F(0), F(0), F(0), F(1), F(2), F(1))
+    assert ring_mul(ring_mul(E, E), H) == CohomElement.constant(F(0))  # degree 6 truncates
 
 
 def _random_rational_element(rng):
@@ -36,7 +36,7 @@ def _random_cyclotomic_element(rng, p):
     phi = euler_phi(p)
 
     def scalar():
-        return Cyc(p, [F(rng.randint(-3, 3)) for _ in range(phi)])
+        return cyc(p, [F(rng.randint(-3, 3)) for _ in range(phi)])
 
     return CohomElement(*(scalar() for _ in range(6)))
 
@@ -48,9 +48,9 @@ def test_ring_axioms_random():
     for make in makers:
         for _ in range(8):
             a, b, c = make(), make(), make()
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert ring_mul(a, b) == ring_mul(b, a)
+            assert ring_mul(ring_mul(a, b), c) == ring_mul(a, ring_mul(b, c))
+            assert ring_mul(a, b + c) == ring_mul(a, b) + ring_mul(a, c)
             assert a + b == b + a
 
 
