@@ -79,22 +79,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 # digits a result adds to its largest integer flag: the closed-form index is
-# at most 30 times it, and an example report's numbers at most 3 times
+# at most 30 times it, an example report's numbers at most 3 times, and the
+# correction sum's h numerator 5p^2 - 29 at most 5 times the square of --p
 _RESULT_DIGITS = 2
 
 
-def _int_flag(text: str) -> int:
+def _int_flag(text: str, power: int = 1) -> int:
     """type= of every integer flag.  A value with more digits than the
-    interpreter's int-to-str limit less _RESULT_DIGITS is refused by the
-    limit, not echoed, so every result it gives can be printed."""
-    limit = int_digit_limit() - _RESULT_DIGITS
+    interpreter's int-to-str limit less _RESULT_DIGITS, divided by the
+    power of the flag that a result holds, is refused by the limit, not
+    echoed, so every result it gives can be printed."""
+    limit = (int_digit_limit() - _RESULT_DIGITS) // power
     if len(text) > limit and sum(map(str.isdigit, text)) > limit:
-        raise argparse.ArgumentTypeError(f"more than {limit} digits (the interpreter's int-to-str "
-                                         f"limit, less {_RESULT_DIGITS} for what a result adds)")
+        raise argparse.ArgumentTypeError(f"more than {limit} digits: a result would pass the "
+                                         f"interpreter's int-to-str limit, {int_digit_limit()}")
     try:
         return int(text)
     except ValueError:  # argparse's own text for type=int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+# the type= of every --p: the correction sum's h coefficient holds p^2
+_cone_order_flag = functools.partial(_int_flag, power=2)
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -457,14 +463,14 @@ def build_parser() -> _Parser:
 
     sp = add_parser("index", help="deformation-complex index")
     _add_topology_flags(sp)
-    sp.add_argument("--p", type=_int_flag, required=True, help="cone order p >= 1")
+    sp.add_argument("--p", type=_cone_order_flag, required=True, help="cone order p >= 1")
     sp.add_argument("--duality", choices=["asd", "sd"], required=True)
     sp.add_argument("--route", choices=["kawasaki", "closed", "both"],
                     default="both")
     sp.set_defaults(fn=_cmd_index)
 
     sp = add_parser("correction", help="group-averaged correction term")
-    sp.add_argument("--p", type=_int_flag, required=True)
+    sp.add_argument("--p", type=_cone_order_flag, required=True)
     sp.add_argument("--dump-element", type=_int_flag, default=None, metavar="J",
                     help="also dump all equivariant characters at element J")
     sp.set_defaults(fn=_cmd_correction)
@@ -487,7 +493,7 @@ def build_parser() -> _Parser:
     sp.add_argument("which", choices=["hitchin", "lebrun", "ricci-flat"])
     sp.add_argument("--k", type=_int_flag, default=None)
     sp.add_argument("--n", type=_int_flag, default=None)
-    sp.add_argument("--p", type=_int_flag, default=2)
+    sp.add_argument("--p", type=_cone_order_flag, default=2)
     _add_topology_flags(sp, required=False)
     sp.set_defaults(fn=_cmd_example)
 

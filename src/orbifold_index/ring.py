@@ -23,7 +23,7 @@ Scalar = Any  # Fraction, Laurent or a Cyclotomic value, uniform within one elem
 def _scalar_json(s: Scalar):
     if isinstance(s, Cyclotomic):
         return s.to_json()
-    return str(s)
+    return str(Fraction(s))
 
 
 class CohomElement(_Record):

@@ -220,27 +220,30 @@ def test_orbifold_char_refuses_a_result_past_the_digit_limit(capsys):
 
 
 _FLAG_DIGITS = _DIGIT_LIMIT - cli._RESULT_DIGITS  # the most digits an integer flag takes
+_P_DIGITS = _FLAG_DIGITS // 2  # and --p, whose square the correction sum holds
 
 
-def _widest_results(n):
+def _widest_results(n, n_p):
     """Each route of index, and example lebrun and ricci-flat, on n-digit
     flags signed so that the results have the most digits: the ASD closed
     form is (15 chi + 29 tau - 8 chi(Sigma) - 8 [Sigma]^2) / 2, 30 times
-    the flags here, and lebrun's numbers are 3 times --n."""
+    the flags here, and lebrun's numbers are 3 times --n.  Where the
+    correction sum is not traced, --p has n_p digits."""
     big, neg = "9" * n, "-" + "9" * n
     topo = ["--chi", big, "--tau", big, "--sigma-chi", neg, "--sigma-sq", neg]
     index = ["index", *topo, "--duality", "asd"]
+    wide_p = "9" * n_p
     return {"index_both": [*index, "--p", "7"],
             "index_kawasaki": [*index, "--p", "7", "--route", "kawasaki"],
-            "index_closed": [*index, "--p", "7", "--route", "closed"],
+            "index_closed": [*index, "--p", wide_p, "--route", "closed"],
             "index_smooth": [*index, "--p", "1"],
-            "lebrun": ["example", "lebrun", "--n", big, "--p", "3"],
-            "ricci_flat": ["example", "ricci-flat", *topo, "--p", "3"]}
+            "lebrun": ["example", "lebrun", "--n", big, "--p", wide_p],
+            "ricci_flat": ["example", "ricci-flat", *topo, "--p", wide_p]}
 
 
-@pytest.mark.parametrize("name", sorted(_widest_results(1)))
+@pytest.mark.parametrize("name", sorted(_widest_results(1, 1)))
 def test_integer_flags_at_the_digit_limit_answer(capsys, name):
-    rc, data, err = run_json(capsys, ["--json", *_widest_results(_FLAG_DIGITS)[name]])
+    rc, data, err = run_json(capsys, ["--json", *_widest_results(_FLAG_DIGITS, _P_DIGITS)[name]])
     assert rc == 0, err
     widest = 10 ** _FLAG_DIGITS - 1
     if name.startswith("index"):
@@ -249,15 +252,55 @@ def test_integer_flags_at_the_digit_limit_answer(capsys, name):
         assert data["moduli_dim"] == -30 * widest
 
 
-@pytest.mark.parametrize("name", sorted(_widest_results(1)))
-def test_integer_flags_past_the_digit_limit_are_usage_errors(capsys, name):
-    # one more digit: refused at parse time by the flag's name and the
-    # limit, and the value is not echoed
-    flag = "--n" if name == "lebrun" else "--chi"
-    rc, out, err = run(capsys, ["--json", *_widest_results(_FLAG_DIGITS + 1)[name]])
+# one more digit than each budget takes, on routes that trace no correction
+# sum; test_golden.USAGE_ERRORS holds the 4300-digit index --chi and
+# example lebrun --n
+@pytest.mark.parametrize("argv, flag, limit", [
+    (["example", "ricci-flat", "--chi", "9" * (_FLAG_DIGITS + 1), "--tau", "1",
+      "--sigma-chi", "2", "--sigma-sq", "3", "--p", "3"], "--chi", _FLAG_DIGITS),
+    (["index", "--chi", "5", "--tau", "3", "--sigma-chi", "2", "--sigma-sq", "3",
+      "--duality", "sd", "--route", "closed", "--p", "-" + "9" * (_P_DIGITS + 1)],
+     "--p", _P_DIGITS),
+    (["example", "lebrun", "--n", "4", "--p", "9" * (_P_DIGITS + 1)], "--p", _P_DIGITS)],
+    ids=["ricci_flat_chi", "index_closed_p", "lebrun_p"])
+def test_integer_flags_past_the_digit_limit_are_usage_errors(capsys, argv, flag, limit):
+    # refused at parse time by the flag's name and the limit, and the value
+    # is not echoed
+    rc, out, err = run(capsys, ["--json", *argv])
     assert (rc, out) == (1, "")
-    assert err.startswith(f"usage error: argument {flag}: more than {_FLAG_DIGITS} digits")
+    assert err.startswith(f"usage error: argument {flag}: more than {limit} digits")
     assert len(err) < 200
+
+
+@pytest.fixture
+def int_digit_limit_640():
+    """The interpreter's least int-to-str limit, so that a --p at its budget
+    can be 3 times a power of two, whose correction sum is traced in a
+    fraction of a second."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield (640 - cli._RESULT_DIGITS) // 2
+    sys.set_int_max_str_digits(old)
+
+
+def test_the_correction_sum_at_the_p_digit_limit_prints(capsys, int_digit_limit_640):
+    # p = 3 * 2^1057 has 319 digits, the budget at 640, and the h numerator
+    # 5 p^2 - 29, prime to 6p, has 639: correction and the traced index
+    # routes print it
+    p = 3 * 2 ** 1057
+    assert len(str(p)) == int_digit_limit_640
+    for argv, key in ((["correction", "--p", str(p)], "brute"),
+                      (["index", *_HITCHIN, "--duality", "sd", "--p", str(p)], "correction")):
+        rc, data, err = run_json(capsys, ["--json", *argv])
+        assert rc == 0, err
+        h = data[key]["h"]
+        assert h == f"-{5 * p * p - 29}/{6 * p}" and len(h) == 1 + 639 + 1 + 320
+    # 8p has one digit more: its h numerator would have 641
+    rc, out, err = run(capsys, ["--json", "correction", "--p", str(8 * p)])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"usage error: argument --p: more than {int_digit_limit_640} digits")
 
 
 def test_a_malformed_integer_keeps_the_argparse_message(capsys):

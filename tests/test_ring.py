@@ -14,7 +14,7 @@ from orbifold_index.ring import (
     invert_unit,
     ring_mul,
 )
-from orbifold_index.scalars import euler_phi
+from orbifold_index.scalars import Laurent, euler_phi
 
 E = CohomElement(F(0), F(1), F(0), F(0), F(0), F(0))
 H = CohomElement(F(0), F(0), F(1), F(0), F(0), F(0))
@@ -147,3 +147,6 @@ def test_cohom_serialization():
     z = zeta(4, 1)
     b = CohomElement.constant(z)
     assert b.to_json()["1"] == {"order": 4, "coeffs": ["0", "1"]}
+    # a Laurent coefficient has no JSON form: refused, not written as its repr
+    with pytest.raises(TypeError):
+        CohomElement.constant(Laurent({1: 1})).to_json()
