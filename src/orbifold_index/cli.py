@@ -12,21 +12,9 @@ unknown word, a top-level -h, --js, --json=1, -- before the subcommand, or a
 REST token starting with --=.  Help, usage messages and exit codes are
 argparse's own either way.
 
-verify runs six suites at every order p = 2..N.  Per order the
-conjugation suite checks that the reduction table of the evaluation kernel
-closes under its own recurrence (scalars._reduction_rows_close), in time
-linear in the table, and evaluates the characters once at each j of J =
-{1, p // 2, q} and its partners p - j, q the least prime factor of a
-composite p: J is closed under j -> p - j, so comparing each value's
-conjugate with the value at p - j compares every pair both ways.  It needs
-no identity of the derived characters: conj f(zeta^j) = f(zeta^-j) holds
-for every rational Laurent polynomial f.  The
-divisibility suite compares each zero slot's value with the one shared zero
-of the order, in O(1) a read.  A fault in
-the character algebra (mutants M13 and M15 of the project's mutant table)
-is caught by the correction and p-independence suites, as by the tests'
-per-element oracle.  A derived Thom class that is no unit fails those two
-suites at every order instead of crashing the sweep.
+The front end parses, dispatches and renders; the numbers come from the
+library.  verify runs each suite of orbifold_index.verify.SUITES at every
+order p = 2..N, order by order, and counts passes and failures.
 
 Exit codes: 0 success, 1 usage error (raised as UsageError by the argument
 checks), 2 verification failure, 3 internal consistency failure or any other
@@ -41,27 +29,11 @@ import functools
 import json
 import sys
 
-from . import applications, bundles, index as index_mod
+from . import applications, bundles, index as index_mod, verify
 from .bundles import GroupElement
-from .identities import trig_sums
-from .index import (
-    Duality,
-    TopologicalData,
-    correction_sum_closed_form,
-    index_closed_form,
-    index_kawasaki,
-    index_smooth,
-)
-from .scalars import (
-    ConsistencyError,
-    Cyclotomic,
-    _reduction_rows_close,
-    as_rational,
-    cyclotomic_zero,
-    divisors,
-    int_digit_limit,
-    parse_rational,
-)
+from .index import (Duality, TopologicalData, correction_sum_closed_form, index_closed_form,
+                    index_kawasaki, index_smooth)
+from .scalars import ConsistencyError, int_digit_limit, parse_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,52 +105,44 @@ def _topology(args) -> TopologicalData:
 def _cmd_index(args) -> int:
     data = _topology(args)
     duality = Duality(args.duality)  # argparse has checked the choice
-    route = args.route
-    if route == "closed" and data.p == 1:
+    p, route = data.p, args.route
+    if route == "closed" and p == 1:
         raise UsageError(
             "p = 1 is the smooth case: the closed form does not apply there; "
             "use --route kawasaki, which reduces to (1/2)(15 chi +- 29 tau)")
     payload: dict = {"inputs": {
         "chi": data.chi_M, "tau": data.tau_M, "sigma_chi": data.chi_Sigma,
-        "sigma_sq": data.sigma_sq, "p": data.p, "duality": duality.value,
+        "sigma_sq": data.sigma_sq, "p": p, "duality": duality.value,
     }, "route": route}
-    human = []
-    agree = True
-    if route in ("kawasaki", "both"):
-        payload["correction"] = index_mod.correction_sum(data.p).to_json()
-    if route == "kawasaki":
-        idx = index_kawasaki(data, duality)
-        payload["index"] = idx
-        if data.p == 1:
-            payload["route"] = "smooth"  # the empty-sum route is the smooth formula
-    elif route == "closed":
-        idx = index_closed_form(data, duality)
-        payload["index"] = idx
+    title = f"index ({duality.value}, p={p}): "
+    if route == "closed":
         payload["route"] = "closed_form"
-    else:
-        k = index_kawasaki(data, duality)
-        if data.p == 1:
-            other_name, other = "smooth", index_smooth(data.chi_M, data.tau_M, duality)
-            agree = k == other
-            other = str(other)
+        payload["index"] = idx = index_closed_form(data, duality)
+        _emit(args, payload, [f"{title}{idx}"])
+        return EXIT_OK
+    payload["correction"] = c = index_mod.correction_sum(p).to_json()
+    payload["index"] = idx = index_kawasaki(data, duality)
+    human = [f"{title}{idx}"]
+    agree = True
+    if route == "kawasaki":
+        if p == 1:
+            payload["route"] = "smooth"  # the empty-sum route is the smooth formula
+    else:  # both: the kawasaki route against the smooth formula or the closed form
+        if p == 1:
+            name, other = "smooth", index_smooth(data.chi_M, data.tau_M, duality)
         else:
-            other_name, other = "closed_form", index_closed_form(data, duality)
-            agree = k == other
-        payload["routes"] = {"kawasaki": k, other_name: other}
+            name, other = "closed_form", index_closed_form(data, duality)
+        agree = idx == other
+        payload["routes"] = {"kawasaki": idx, name: str(other) if p == 1 else other}
         payload["agree"] = agree
-        payload["index"] = k
-        idx = k
-        human.append(f"kawasaki route:   {k}")
-        human.append(f"{other_name.replace('_', ' ')} route: {other}")
-        human.append(f"agree:            {'yes' if agree else 'NO'}")
-    human.insert(0, f"index ({duality.value}, p={data.p}): {idx}")
-    if "correction" in payload:
-        c = payload["correction"]
-        human.append(f"correction sum:   e: {c['e']}  h: {c['h']}")
+        label = name.replace("_", " ")
+        human += [f"kawasaki route:   {idx}", f"{label} route: {other}",
+                  f"agree:            {'yes' if agree else 'NO'}"]
+    human.append(f"correction sum:   e: {c['e']}  h: {c['h']}")
     _emit(args, payload, human)
     if not agree:
-        raise ConsistencyError(f"route disagreement at p={data.p}: kawasaki index {k}, "
-                               f"{other_name.replace('_', ' ')} index {other}")
+        raise ConsistencyError(f"route disagreement at p={p}: kawasaki index {idx}, "
+                               f"{label} index {other}")
     return EXIT_OK
 
 
@@ -187,35 +151,36 @@ def _cmd_index(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_correction(args) -> int:
-    p = args.p
+    p, j = args.p, args.dump_element
     if p < 1:
         raise UsageError("p must be a positive integer")
+    if j is not None and not 1 <= j < p:
+        raise UsageError("--dump-element needs 1 <= j < p")
     traced = index_mod.correction_sum(p)
+    closed = correction_sum_closed_form(p) if p >= 2 else None
+    agree = closed is None or traced == closed
     # the JSON key keeps its old name "brute": readers of --json depend on it
-    payload: dict = {"p": p, "brute": traced.to_json()}
+    payload: dict = {"p": p, "brute": traced.to_json(), "agree": agree,
+                     "closed": None if closed is None else closed.to_json()}
     human = [f"correction sum at p={p}:",
              f"  class traces: e: {traced.coeff_e}  h: {traced.coeff_h}"]
-    if p >= 2:
-        closed = correction_sum_closed_form(p)
-        payload["closed"] = closed.to_json()
-        payload["agree"] = traced == closed
-        human.append(f"  closed form:  e: {closed.coeff_e}  h: {closed.coeff_h}")
-        human.append(f"  agree: {'yes' if traced == closed else 'NO'}")
-    else:
-        payload["closed"] = None
-        payload["agree"] = True
+    if closed is None:
         human.append("  closed form:  not defined at p = 1 (empty sum)")
-    if args.dump_element is not None:
-        j = args.dump_element
-        if not (1 <= j < p):
-            raise UsageError("--dump-element needs 1 <= j < p")
+    else:
+        human += [f"  closed form:  e: {closed.coeff_e}  h: {closed.coeff_h}",
+                  f"  agree: {'yes' if agree else 'NO'}"]
+    if j is not None:
         gamma = GroupElement(p, j)
+        try:  # through a table of x^s mod Phi_p per s < p, which a large p cannot build
+            payload["characters"] = bundles.character_dump(gamma)
+            payload["correction_at"] = index_mod.correction_at(gamma).to_json()
+        except (OverflowError, MemoryError) as exc:
+            raise UsageError(f"--p is too large for an element dump: its values at zeta_p "
+                             f"cannot be built ({type(exc).__name__})")
         payload["element"] = {"p": p, "j": j}
-        payload["characters"] = bundles.character_dump(gamma)
-        payload["correction_at"] = index_mod.correction_at(gamma).to_json()
         human.append(f"  (character dump for j={j} included in JSON output)")
     _emit(args, payload, human)
-    if not payload["agree"]:
+    if not agree:
         raise ConsistencyError(
             f"route disagreement at p={p}: class traces e={traced.coeff_e} h={traced.coeff_h}, "
             f"closed form e={closed.coeff_e} h={closed.coeff_h}")
@@ -226,89 +191,16 @@ def _cmd_correction(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_correction(p: int) -> bool:
-    return index_mod.correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
-
-
-def _check_trig(p: int) -> bool:
-    trig_sums(p)  # raises ConsistencyError if traced and closed forms disagree
-    return True
-
-
-def _check_conjugation(p: int) -> bool:
-    # Kernel: the reduction table closes under its own recurrence, so each
-    # row s is x^s mod Phi_p, and _from_terms, linear in its terms, reduces
-    # every power of zeta_p right.
-    if not _reduction_rows_close(p):
-        return False
-    # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range),
-    # at the least prime factor q of a composite p (an element of smaller
-    # order) and at p - j for each, each element evaluated once.  The set
-    # is closed under j -> p - j, so every pair is compared both ways and a
-    # conjugation that is no involution fails: the check of galois, of
-    # _from_terms scaling exponents and taking them mod p, and of the j
-    # that Laurent.at hands it
-    q = divisors(p)[1]
-    js = {1, p // 2, q if q < p else 1}
-    elements = [GroupElement(p, j) for j in js | {p - j for j in js}]
-    for name in ("symbol", "thom", "lambda_plus"):
-        vals = {g.j: bundles.character(name, g) for g in elements}
-        if any(f.map(Cyclotomic.conjugate) != vals[p - j] for j, f in vals.items()):
-            return False
-    return True
-
-
-_RANKS = (("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),
-          ("s20_cotangent", 9), ("s20_lambda_plus", 5))
-
-
-def _check_rank(p: int) -> bool:
-    # the rank is the degree-0 part at the identity: only c0 is evaluated
-    chars = bundles.generic_characters()
-    return all(as_rational(chars[name].c0.at(p, 0)) == rank for name, rank in _RANKS)
-
-
-def _check_divisibility(p: int) -> bool:
-    # the symbol's 1, h and h^2 parts, the ones read, at every nontrivial
-    # element; a zero slot's value is the shared zero of order p, so a right
-    # answer compares equal by identity in O(1), and a wrong one is unequal
-    symbol = bundles.generic_characters()["symbol"]
-    zero = cyclotomic_zero(p)
-    return all(s.at(p, j) == zero for j in range(1, p) for s in (symbol.c0, symbol.ch, symbol.chh))
-
-
-_P_INDEPENDENCE_SAMPLES = ((2, 0, 1, -2), (2, 0, 2, 0), (5, 3, 2, 3), (4, -2, -1, 6))
-
-
-def _check_p_independence(p: int) -> bool:
-    for chi, tau, schi, ssq in _P_INDEPENDENCE_SAMPLES:
-        data = TopologicalData(chi, tau, schi, ssq, p)
-        for duality in Duality:
-            if index_kawasaki(data, duality) != index_closed_form(data, duality):
-                return False
-    return True
-
-
-_SUITES = (
-    ("correction", _check_correction),
-    ("trig", _check_trig),
-    ("conjugation", _check_conjugation),
-    ("rank", _check_rank),
-    ("divisibility", _check_divisibility),
-    ("p-independence", _check_p_independence),
-)
-
-
 def _cmd_verify(args) -> int:
     p_max = args.p_max
     if p_max < 2:
         raise UsageError("--p-max must be at least 2")
-    suites = {name: {"pass": 0, "fail": []} for name, _ in _SUITES}
+    suites = {name: {"pass": 0, "fail": []} for name, _ in verify.SUITES}
     # order by order, so the per-order tables (scalars._reduction_rows) are
     # built once per order and dropped after it; each suite's fail list
     # still fills in order of p
     for p in range(2, p_max + 1):
-        for name, fn in _SUITES:
+        for name, fn in verify.SUITES:
             entry = suites[name]
             try:
                 ok = fn(p)
@@ -326,8 +218,7 @@ def _cmd_verify(args) -> int:
     total = p_max - 1
     payload = {"p_max": p_max, "suites": suites, "ok": all_ok}
     human = [f"verification sweep, p = 2..{p_max}:"]
-    for name, _ in _SUITES:
-        entry = suites[name]
+    for name, entry in suites.items():
         status = "PASS" if not entry["fail"] else f"FAIL at p={entry['fail']}"
         human.append(f"  {name:<16} {entry['pass']}/{total}  {status}")
     human.append("all suites passed" if all_ok else "FAILURES detected")
@@ -383,40 +274,10 @@ def _cmd_surfaces(args) -> int:
     return EXIT_OK
 
 
-def _report_payload(inputs: dict, report) -> dict:
-    return {"inputs": inputs, "report": report.to_json()}
-
-
-def _report_human(title: str, report) -> list[str]:
-    lines = [title,
-             f"  index: {report.index}",
-             f"  dim H0: {report.dim_h0}  dim H1: {report.dim_h1}  dim H2: {report.dim_h2}",
-             f"  verdict: {report.verdict}"]
-    if report.assumptions:
-        lines.append(f"  assumptions: {', '.join(report.assumptions)}")
-    return lines
-
-
 def _cmd_example(args) -> int:
-    if args.which == "hitchin":
-        if args.k is None or args.k < 3:
-            raise UsageError("hitchin needs --k K with K >= 3")
-        report = applications.hitchin_report(args.k)
-        payload = _report_payload({"k": args.k}, report)
-        human = _report_human(f"conical metric on (S^4, RP^2), k={args.k}:", report)
-    elif args.which == "lebrun":
-        if args.n is None or args.n < 1:
-            raise UsageError("lebrun needs --n N with N >= 1")
-        if args.p < 2:
-            raise UsageError("lebrun needs --p P with P >= 2")
-        report = applications.lebrun_report(args.n, args.p)
-        payload = _report_payload({"n": args.n, "p": args.p}, report)
-        human = _report_human(
-            f"hyperbolic-monopole metric on {args.n}#CP^2, p={args.p}:", report)
-    else:  # ricci-flat
-        for flag in ("chi", "tau", "sigma_chi", "sigma_sq"):
-            if getattr(args, flag) is None:
-                raise UsageError("ricci-flat needs --chi --tau --sigma-chi --sigma-sq")
+    if args.which == "ricci-flat":
+        if None in (args.chi, args.tau, args.sigma_chi, args.sigma_sq):
+            raise UsageError("ricci-flat needs --chi --tau --sigma-chi --sigma-sq")
         data = _topology(args)
         if data.p < 2:
             raise UsageError("ricci-flat needs --p P with P >= 2")
@@ -430,7 +291,29 @@ def _cmd_example(args) -> int:
         human = [f"Ricci-flat moduli dimension: {dim}"]
         if dim < 0:
             human.append("  negative dimension: the hypotheses cannot all hold")
-    _emit(args, payload, human)
+        _emit(args, payload, human)
+        return EXIT_OK
+    if args.which == "hitchin":
+        if args.k is None or args.k < 3:
+            raise UsageError("hitchin needs --k K with K >= 3")
+        inputs = {"k": args.k}
+        report = applications.hitchin_report(args.k)
+        title = f"conical metric on (S^4, RP^2), k={args.k}:"
+    else:  # lebrun
+        if args.n is None or args.n < 1:
+            raise UsageError("lebrun needs --n N with N >= 1")
+        if args.p < 2:
+            raise UsageError("lebrun needs --p P with P >= 2")
+        inputs = {"n": args.n, "p": args.p}
+        report = applications.lebrun_report(args.n, args.p)
+        title = f"hyperbolic-monopole metric on {args.n}#CP^2, p={args.p}:"
+    human = [title,
+             f"  index: {report.index}",
+             f"  dim H0: {report.dim_h0}  dim H1: {report.dim_h1}  dim H2: {report.dim_h2}",
+             f"  verdict: {report.verdict}"]
+    if report.assumptions:
+        human.append(f"  assumptions: {', '.join(report.assumptions)}")
+    _emit(args, {"inputs": inputs, "report": report.to_json()}, human)
     return EXIT_OK
 
 

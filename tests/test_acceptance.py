@@ -18,7 +18,7 @@ from orbifold_index.applications import (
     ricci_flat_moduli_dim,
     whitney_massey_values,
 )
-from orbifold_index.cli import (
+from orbifold_index.verify import (
     _check_conjugation,
     _check_divisibility,
     _check_rank,

@@ -14,7 +14,7 @@ import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 import orbifold_index.scalars as scalars
 from oracles import Cyc
-from orbifold_index import cli
+from orbifold_index import cli, verify
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import Cyclotomic, Laurent
 
@@ -413,9 +413,9 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
     real = Cyclotomic.conjugate
     monkeypatch.setattr(Cyclotomic, "conjugate",
                         lambda a: real(a) if a in low else (Cyc.of(real(a)) + 1).value())
-    assert cli._check_conjugation(p) is False
+    assert verify._check_conjugation(p) is False
     monkeypatch.undo()
-    assert cli._check_conjugation(p) is True
+    assert verify._check_conjugation(p) is True
 
 
 @pytest.mark.parametrize("p, elements", [(12, {1, 2, 6, 10, 11}), (13, {1, 6, 7, 12}),
@@ -428,7 +428,7 @@ def test_conjugation_suite_evaluates_each_element_once(monkeypatch, p, elements)
     real = bundles.character
     monkeypatch.setattr(bundles, "character",
                         lambda name, g: calls.append((name, g.j)) or real(name, g))
-    assert cli._check_conjugation(p) is True
+    assert verify._check_conjugation(p) is True
     assert len(calls) == len(set(calls)) == 3 * len(elements)
     assert {j for _, j in calls} == elements
     assert {name for name, _ in calls} == {"symbol", "thom", "lambda_plus"}
@@ -447,12 +447,12 @@ def test_conjugation_suite_catches_one_wrong_reduction_row(capsys, monkeypatch, 
         return table[:p - 2] + (table[p - 2] + ((0, 1),),) + table[p - 1:]
 
     monkeypatch.setattr(scalars, "_reduction_rows", rows)
-    assert cli._check_conjugation(p) is False
+    assert verify._check_conjugation(p) is False
     rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
     assert rc == 2
     assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
     monkeypatch.undo()
-    assert cli._check_conjugation(p) is True
+    assert verify._check_conjugation(p) is True
 
 
 def _added_phi(table, p):
@@ -493,13 +493,13 @@ def test_conjugation_suite_catches_each_table_fault(capsys, monkeypatch, fault):
                         lambda q: wrong(real(q), q) if q == p else real(q))
     assert scalars._reduction_rows(p) != real(p)
     assert scalars._reduction_rows_close(p) is False
-    assert cli._check_conjugation(p) is False
+    assert verify._check_conjugation(p) is False
     rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
     assert rc == 2
     assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
     assert all(not v["fail"] for name, v in data["suites"].items() if name != "conjugation")
     monkeypatch.undo()
-    assert cli._check_conjugation(p) is True
+    assert verify._check_conjugation(p) is True
 
 
 def test_conjugation_suite_catches_a_table_whose_wrap_fails(capsys, monkeypatch):
@@ -516,13 +516,13 @@ def test_conjugation_suite_catches_a_table_whose_wrap_fails(capsys, monkeypatch)
     assert len(rows) == p and rows[0] == ((0, 1),) and rows != good
     # the closure check itself fails, not only the characters read through it
     assert scalars._reduction_rows_close(p) is False
-    assert cli._check_conjugation(p) is False
+    assert verify._check_conjugation(p) is False
     rc, data, _ = run_json(capsys, ["verify", "--p-max", str(p + 1)])
     assert rc == 2
     assert data["suites"]["conjugation"] == {"pass": p - 1, "fail": [p]}
     assert all(not v["fail"] for name, v in data["suites"].items() if name != "conjugation")
     monkeypatch.undo()
-    assert cli._check_conjugation(p) is True
+    assert verify._check_conjugation(p) is True
 
 
 def _inject(monkeypatch, name, slot, j, wrong):
@@ -571,8 +571,8 @@ def test_divisibility_suite_checks_each_read_slot_at_every_element(monkeypatch, 
     for j in range(1, p):
         with monkeypatch.context() as m:
             _inject(m, "symbol", slot, j, lambda q: Cyclotomic.from_rational(q, 1))
-            assert cli._check_divisibility(p) is False, j
-    assert cli._check_divisibility(p) is True
+            assert verify._check_divisibility(p) is False, j
+    assert verify._check_divisibility(p) is True
 
 
 def test_divisibility_suite_builds_a_bounded_number_of_values(monkeypatch):
@@ -580,11 +580,11 @@ def test_divisibility_suite_builds_a_bounded_number_of_values(monkeypatch):
     # values built per order do not grow with p (3 (p - 1) = 1200 of them,
     # each a phi(p)-tuple, when every read built its own zero)
     p, built = 401, []
-    assert cli._check_divisibility(2) is True  # the last order read is another one
+    assert verify._check_divisibility(2) is True  # the last order read is another one
     real = Cyclotomic.__dict__["_raw"].__func__
     monkeypatch.setattr(Cyclotomic, "_raw",
                         classmethod(lambda cls, *a: built.append(cls) or real(cls, *a)))
-    assert cli._check_divisibility(p) is True
+    assert verify._check_divisibility(p) is True
     assert len(built) <= 3
 
 
@@ -594,8 +594,8 @@ def test_rank_suite_checks_each_character_at_the_identity(monkeypatch, name, ran
     p = 5
     with monkeypatch.context() as m:
         _inject(m, name, "c0", 0, lambda q: Cyclotomic.from_rational(q, rank + 1))
-        assert cli._check_rank(p) is False
-    assert cli._check_rank(p) is True
+        assert verify._check_rank(p) is False
+    assert verify._check_rank(p) is True
 
 
 def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):
@@ -603,8 +603,8 @@ def test_verify_reports_crashing_suite_as_internal_error(capsys, monkeypatch):
     def boom(p):
         raise RuntimeError("not a verdict")
 
-    suites = tuple((name, boom if name == "rank" else fn) for name, fn in cli._SUITES)
-    monkeypatch.setattr(cli, "_SUITES", suites)
+    suites = tuple((name, boom if name == "rank" else fn) for name, fn in verify.SUITES)
+    monkeypatch.setattr(verify, "SUITES", suites)
     rc, out, err = run(capsys, ["verify", "--p-max", "3"])
     assert rc == 3
     assert out == ""
@@ -641,6 +641,36 @@ def test_value_error_from_the_library_is_an_internal_error(capsys, monkeypatch):
     rc, out, err = run(capsys, ["--json", "correction", "--p", "5"])
     assert rc == 3 and out == ""
     assert err == "internal error: ValueError: zeta -> zeta^5 is not an automorphism for order 5\n"
+
+
+@pytest.mark.parametrize("p, j", [(7, 0), (7, 7), (1, 1), (10**15 + 37, 0)])
+def test_an_out_of_range_dump_element_is_refused_before_any_sum(capsys, monkeypatch, p, j):
+    # the element is checked first: at 10^15 + 37 the sum alone takes seconds
+    def unreachable(p):
+        raise AssertionError("the correction sum was computed")
+
+    monkeypatch.setattr(index_mod, "correction_sum", unreachable)
+    rc, out, err = run(capsys, ["correction", "--p", str(p), "--dump-element", str(j)])
+    assert (rc, out, err) == (1, "", "usage error: --dump-element needs 1 <= j < p\n")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, OverflowError])
+def test_a_dump_too_large_to_build_is_a_usage_error(capsys, monkeypatch, exc):
+    # the reduction table of the order cannot be built: a range limit on a
+    # valid query, named by its flag and not by its value
+    def too_large(p):
+        raise exc("injected")
+
+    argv = ["--json", "correction", "--p", "11", "--dump-element", "3"]
+    monkeypatch.setattr(scalars, "_reduction_rows", too_large)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err == ("usage error: --p is too large for an element dump: its values at zeta_p "
+                   f"cannot be built ({exc.__name__})\n")
+    # the same exception from the correction sum is no limit of the dump: a crash
+    monkeypatch.setattr(index_mod, "correction_sum", too_large)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (3, "", f"internal error: {exc.__name__}: injected\n")
 
 
 def test_json_output_is_deterministic(capsys):

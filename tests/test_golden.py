@@ -6,9 +6,12 @@ for each argv in USAGE_ERRORS.  CI reads COMMANDS, HELP_PAGES, USAGE_ERRORS
 and the correction_p<p>_dump<j>.sha256 files from here to check the
 installed console script, and checks the verify sweeps to p = 100, 200, 400
 and 800 against their recorded sha256 too.
-The repr of every derived class is recorded as well."""
+The repr of every derived class is recorded as well, and so is the stdout,
+stderr and exit code of each argv in TRANSCRIPT, on a terminal (the tables)
+and redirected (JSON), byte for byte."""
 
 import hashlib
+import shlex
 import sys
 from pathlib import Path
 
@@ -59,6 +62,8 @@ USAGE_ERRORS = {
     "index_digits": ["--json", "index", "--chi", _NINES, "--tau", "1", "--sigma-chi", "2",
                      "--sigma-sq", "3", "--p", "7", "--duality", "sd"],
     "lebrun_digits": ["--json", "example", "lebrun", "--n", _NINES, "--p", "3"],
+    # an element of order 10^20, whose values at zeta_p cannot be built
+    "dump_too_large": ["--json", "correction", "--p", "1" + "0" * 20, "--dump-element", "1"],
 }
 
 
@@ -116,6 +121,64 @@ def test_verify_sweep_to_200_matches_golden_digest(capsys):
     rc = cli.main(["--json", "verify", "--p-max", "200"])
     assert rc == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_TOPOLOGY = ["--chi", "5", "--tau", "3", "--sigma-chi", "2", "--sigma-sq", "3"]
+_RICCI_FLAT = ["example", "ricci-flat", "--chi", "24", "--tau", "-16", "--sigma-chi", "2",
+               "--sigma-sq", "-4"]
+
+# argv whose outputs are recorded in cli_transcript.txt: every index
+# route at the smooth order 1 and at 2 and 7; correction with each kind of
+# element dump, valid or not; every example, surfaces and orbifold-char
+# report with their usage errors; a short verify sweep
+TRANSCRIPT = [
+    *(["index", *_TOPOLOGY, "--p", p, "--duality", duality, "--route", route]
+      for p in ("1", "2", "7") for route in ("kawasaki", "closed", "both")
+      for duality in ("asd", "sd")),
+    *(["correction", "--p", p, *dump] for p in ("1", "2", "15", "24")
+      for dump in ([], *(["--dump-element", j] for j in dict.fromkeys(("0", "1", "5", p))))),
+    ["example", "hitchin", "--k", "3"],
+    ["example", "hitchin", "--k", "7"],
+    ["example", "hitchin"],
+    ["example", "hitchin", "--k", "2"],
+    ["example", "lebrun", "--n", "4", "--p", "3"],
+    ["example", "lebrun", "--n", "2", "--p", "5"],
+    ["example", "lebrun", "--p", "3"],
+    ["example", "lebrun", "--n", "2", "--p", "1"],
+    [*_RICCI_FLAT, "--p", "3"],
+    [*_RICCI_FLAT, "--p", "1"],
+    ["example", "ricci-flat", "--chi", "24", "--tau", "-16", "--p", "3"],
+    ["example", "ricci-flat", "--chi", "24", "--tau", "-15", "--sigma-chi", "2",
+     "--sigma-sq", "-4", "--p", "3"],
+    # a negative moduli dimension, which the table flags
+    ["example", "ricci-flat", "--chi", "4", "--tau", "0", "--sigma-chi", "0",
+     "--sigma-sq", "-10", "--p", "2"],
+    ["verify", "--p-max", "6"],
+    ["verify", "--p-max", "1"],
+    ["surfaces", "--j", "5"],
+    ["surfaces", "--j", "0"],
+    ["orbifold-char", *_TOPOLOGY, "--beta", "1/3"],
+    ["orbifold-char", *_TOPOLOGY, "--beta", "0"],
+]
+
+
+def transcript(capsys, monkeypatch, cases):
+    """Each argv's stdout, stderr and exit code, run first with stdout a
+    terminal, then with it redirected (shown as `| cat`)."""
+    parts = []
+    for tty, pipe in ((True, ""), (False, " | cat")):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: tty)
+        for argv in cases:
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
+            parts.append(f"$ orbifold-index {shlex.join(argv)}{pipe}\n{out}"
+                         + (f"[stderr]\n{err}" if err else "") + f"[exit {rc}]\n\n")
+    return "".join(parts)
+
+
+def test_cli_outputs_match_golden_transcript(capsys, monkeypatch):
+    text = transcript(capsys, monkeypatch, TRANSCRIPT)
+    assert text.encode() == (GOLDEN / "cli_transcript.txt").read_bytes()
 
 
 def test_derived_classes_match_golden_reprs():
