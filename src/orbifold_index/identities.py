@@ -43,14 +43,16 @@ one pass over the terms and one closed-form sum of that quadratic over
 r = 0, m, 2m, ... < d, written out in place in sparse_trace_over_t.
 
 A class trace depends on d and the class only, never on p, so each (d,
-class) trace is computed once per process and kept as one integer
-(_class_trace), keyed on the class's own fields (d, k, lo, nums): the
-numerator tuple is the Laurent's own, and both kernels read it as it is
-stored, the numerators of z^lo, z^(lo+1), ..., skipping its zeros, so a
-miss builds no other form of the class.  The denominator stays outside the
-key.  A group sum is class_sums, the one entry point: it lists p's
-divisors once and traces every class it is given over that one list,
-and hands each class's sum back as two integers, the sum of the kept
+class) trace is computed once per process and kept as one integer in
+_TRACES, one plain dict per class keyed on the class's own fields
+(k, lo, nums), which maps d to its trace: the numerator tuple is the
+Laurent's own, and both kernels read it as it is stored, the numerators of
+z^lo, z^(lo+1), ..., skipping its zeros, so a miss builds no other form of
+the class.  The denominator stays outside the key.  A group sum is
+class_sums, the one entry point: it lists p's divisors once, fetches each
+class's dict once and reads every d of that one list from it, so a lookup
+builds no key of its own; a miss stores its trace only once its kernel has
+returned.  Each class's sum goes back as two integers, the sum of the kept
 traces over the class's one positive denominator, unreduced; no Fraction
 is built until a caller needs one (trig_sums cross-multiplies with its
 closed forms, index.correction_sum builds each coefficient once).  The
@@ -65,7 +67,6 @@ per-element sweeps over Q(zeta_p) as the independent route.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .scalars import ConsistencyError, Laurent, divisors, ramanujan_weights
@@ -87,22 +88,19 @@ def inv_two_minus_two_cos_quadratic(d: int) -> tuple[int, int, int]:
 def verify_inverse_quadratic(d: int, coeffs: tuple[int, int, int]) -> None:
     """Check (2 - x - x^-1) * v = 2d^2 - 2d N_d in Z[x]/(x^d - 1) for
     v = sum_r v(r) x^r, v(r) = c0 + c1 r + c2 r^2, exactly and in O(1): the
-    all-ones N_d vanishes at every primitive d-th root of unity.  Entry r of
-    the left side is 2 v(r) - v(r-1) - v(r+1), computed with cyclic
-    neighbours at the two ends r = 0 and r = d - 1, and the constant -2 c2
-    at every interior 0 < r < d - 1.  Two ends plus the zero sum: the
-    entries of both sides sum to 0 (t's coefficients do), so once the two
-    ends agree, the d - 2 interior entries do too, and -2 c2 = -2d.  At
-    d = 2 the two ends are all the entries."""
-    den = 2 * d * d
+    all-ones N_d vanishes at every primitive d-th root of unity, d >= 2.
+    Entry r of the left side is 2 v(r) - v(r-1) - v(r+1), with cyclic
+    neighbours at the two ends, which are closed expressions in c0, c1, c2:
+    2 v(0) - v(d-1) - v(1) and 2 v(d-1) - v(d-2) - v(0), with v(0) = c0 and
+    v(1) = c0 + c1 + c2; every interior 0 < r < d - 1 is the constant
+    -2 c2.  Two ends plus the zero sum: the entries of both sides sum to 0
+    (t's coefficients do), so once the two ends agree, the d - 2 interior
+    entries do too, and -2 c2 = -2d.  At d = 2 the two ends are all the
+    entries."""
     c0, c1, c2 = coeffs
-
-    def v(r):
-        r %= d
-        return c0 + r * (c1 + r * c2)
-
-    if (2 * v(0) - v(-1) - v(1) != den - den // d
-            or 2 * v(d - 1) - v(d - 2) - v(d) != -(den // d)):
+    top = c0 + (d - 1) * (c1 + (d - 1) * c2)  # v(d - 1)
+    if (c0 - c1 - c2 - top != 2 * d * (d - 1)
+            or 2 * top - c0 - (c0 + (d - 2) * (c1 + (d - 2) * c2)) != -2 * d):
         raise ConsistencyError(
             f"closed-form inverse failed its ring identity at d={d}")
 
@@ -132,6 +130,7 @@ def sparse_trace_over_t(d: int, lo: int, nums: tuple[int, ...]) -> int:
     S2 = sum (m i)^2."""
     c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
     z0 = sum(nums)
+    c0z0, c1z0, c2z0 = c0 * z0, c1 * z0, c2 * z0
     total = 0
     for m, w in ramanujan_weights(d):
         z1 = z2 = 0
@@ -143,19 +142,13 @@ def sparse_trace_over_t(d: int, lo: int, nums: tuple[int, ...]) -> int:
                 z2 += ca * a
         n = d // m
         s1 = m * n * (n - 1) // 2
-        s2 = m * m * (n - 1) * n * (2 * n - 1) // 6
-        total += w * (n * (c0 * z0 + c1 * z1 + c2 * z2)
-                      + (c1 * z0 + 2 * c2 * z1) * s1 + c2 * z0 * s2)
+        s2 = s1 * m * (2 * n - 1) // 3  # m^2 (n-1) n (2n-1) / 6, exactly
+        total += w * (n * (c0z0 + c1 * z1 + c2 * z2) + (c1z0 + 2 * c2 * z1) * s1 + c2z0 * s2)
     return total
 
 
-@lru_cache(maxsize=None)
-def _class_trace(d: int, k: int, lo: int, nums: tuple[int, ...]) -> int:
-    """The integer trace at z = zeta_d of the class sum_s nums[s - lo] z^s
-    / t^k, keyed on the class's own fields (its denominator is applied by
-    class_sums): Tr of the polynomial when k = 0, and 2 d^2 times Tr of the
-    class when k = 1."""
-    return sparse_trace(d, lo, nums) if k == 0 else sparse_trace_over_t(d, lo, nums)
+# the class traces: (k, lo, nums) -> {d: trace}, one dict per class
+_TRACES: dict[tuple[int, int, tuple[int, ...]], dict[int, int]] = {}
 
 
 def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[tuple[int, int], ...]:
@@ -165,8 +158,8 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[tuple[int, int], ...
     d > 1, of Tr_{Q(zeta_d)/Q} c(zeta_d), which is the sum of c over the
     elements of exact order d, N traced term by term when k = 0, and N
     times the checked representative of 1/t when k = 1.  p's divisors are
-    listed once for all the classes.  num adds the integer traces of
-    _class_trace, taken on the integer numerators of N, and den is N's own
+    listed once for all the classes.  num adds the integer traces kept in
+    _TRACES, taken on the integer numerators of N, and den is N's own
     denominator, times 2 p^2 when k = 1, where u_d's 2 d^2 is scaled by
     (p/d)^2 (p is the lcm of the classes).  No Fraction is built."""
     if p < 2:
@@ -174,17 +167,26 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[tuple[int, int], ...
     ds = divisors(p)[1:]
     sums = []
     for c in classes:
-        if c.k > 1:
+        k, lo, nums = c.k, c.lo, c.nums
+        if k > 1:
             raise ValueError(f"only classes over at most one power of t are traced, not {c!r}")
-        lo, nums, total = c.lo, c.nums, 0
-        if c.k == 0:
+        key = (k, lo, nums)
+        memo = _TRACES.get(key) or {}  # a kept dict is never empty
+        total = 0
+        if k == 0:
             for d in ds:
-                total += _class_trace(d, 0, lo, nums)
+                t = memo.get(d)
+                if t is None:  # stored only once the kernel has returned
+                    t = _TRACES.setdefault(key, memo)[d] = sparse_trace(d, lo, nums)
+                total += t
             sums.append((total, c.den))
         else:
             for d in ds:
+                t = memo.get(d)
+                if t is None:
+                    t = _TRACES.setdefault(key, memo)[d] = sparse_trace_over_t(d, lo, nums)
                 q = p // d
-                total += _class_trace(d, 1, lo, nums) * q * q
+                total += t * q * q
             sums.append((total, 2 * c.den * p * p))
     return tuple(sums)
 
@@ -204,11 +206,15 @@ class TrigSums(NamedTuple):
     sum_inv_one_minus_cos: Fraction
 
 
+_MINUS_ONE = Fraction(-1)
+_ONE = Fraction(1)
+
+
 def _trig_closed_forms(p: int) -> TrigSums:
     # sum cos^2 is (p-2)/2 only for p >= 3; the p = 2 sum has the single
     # term cos^2(pi) = 1 because 2*theta wraps to a full turn.
-    sum_cos_sq = Fraction(1) if p == 2 else Fraction(p - 2, 2)
-    return TrigSums(Fraction(-1), sum_cos_sq, Fraction(p * p - 1, 6))
+    sum_cos_sq = _ONE if p == 2 else Fraction(p - 2, 2)
+    return TrigSums(_MINUS_ONE, sum_cos_sq, Fraction(p * p - 1, 6))
 
 
 def trig_sums(p: int) -> TrigSums:

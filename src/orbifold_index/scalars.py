@@ -120,8 +120,9 @@ def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
     out = [1]
     for q, e in _prime_factors(n):
-        out = [d * q ** i for d in out for i in range(e + 1)]
-    return sorted(out)
+        out += [d * q ** i for i in range(1, e + 1) for d in out]
+    out.sort()
+    return out
 
 
 def euler_phi(n: int) -> int:

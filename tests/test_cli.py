@@ -830,6 +830,75 @@ def test_reused_parser_keeps_nothing_between_calls(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def _decimal(n):
+    """str(n) for any int, in blocks of 1000 digits: the interpreter's
+    int-to-str limit refuses a larger int as one conversion."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    head, tail = divmod(n, 10 ** 1000)
+    return _decimal(head) + str(tail).zfill(1000) if head else str(tail)
+
+
+def test_every_drawn_query_answers_or_is_a_usage_error():
+    # argv from a grammar of the six subcommands, each flag present or not,
+    # in any order: a valid query answers (0) and anything else is refused
+    # (1), never a crash or a consistency failure.  Integers run to
+    # +-10^5000 on the flags whose cost does not grow with their value;
+    # those whose cost does grow are bounded above: --p below 10^6 (2000
+    # with --dump-element, whose output holds about p^2 coefficients),
+    # verify --p-max at 40 and surfaces --j at 10^4
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    def ints(top=10 ** 5000):  # each draw clipped to the flag's bound, top
+        wide = min(top, 10 ** 4000)  # within the bound, or printable
+        return st.one_of(st.integers(-30, 30), st.integers(-10 ** 6, 10 ** 6),
+                         st.integers(-wide, wide), st.integers(-10 ** 5000, 10 ** 5000),
+                         ).map(lambda n: _decimal(min(n, top)))
+
+    topology = {flag: ints() for flag in ("--chi", "--tau", "--sigma-chi", "--sigma-sq")}
+    p = ints(10 ** 6 - 1)
+    beta = ints() | st.builds("{}/{}".format, ints(), ints())
+    grammar = [  # (tokens, the flags a query needs, the other flags)
+        (["index"], {**topology, "--p": p, "--duality": st.sampled_from(["asd", "sd"])},
+         {"--route": st.sampled_from(["kawasaki", "closed", "both"])}),
+        (["correction"], {"--p": p}, {}),
+        (["correction"], {"--p": ints(2000)}, {"--dump-element": ints()}),
+        (["verify"], {"--p-max": ints(40)}, {}),
+        (["orbifold-char"], {**topology, "--beta": beta}, {}),
+        (["surfaces"], {"--j": ints(10 ** 4)}, {}),
+        (["example", "hitchin"], {"--k": ints()}, {"--p": p, **topology}),
+        (["example", "lebrun"], {"--n": ints()}, {"--p": p, **topology}),
+        (["example", "ricci-flat"], topology, {"--p": p, "--k": ints(), "--n": ints()}),
+    ]
+    queries = st.one_of([
+        (st.fixed_dictionaries(needed, optional=other)  # each flag a query needs, or any
+         | st.fixed_dictionaries({}, optional={**needed, **other}))
+        .flatmap(lambda drawn: st.permutations(list(drawn.items())))
+        .map(lambda pairs, head=head: [*head, *(tok for pair in pairs for tok in pair)])
+        for head, needed, other in grammar])
+    argvs = st.builds(lambda json_at, argv: [*json_at[0], *argv, *json_at[1]],
+                      st.sampled_from([([], []), (["--json"], []), ([], ["--json"])]), queries)
+    nines = "9" * _DIGIT_LIMIT
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(argvs)
+    @example(["index", "--chi", nines, "--tau", "1", "--sigma-chi", "1", "--sigma-sq", "1",
+              "--p", "5", "--duality", "sd"])
+    @example(["correction", "--p", "2000", "--dump-element", "1999"])
+    @example(["correction", "--p", "999983"])
+    @example(["verify", "--p-max", "40"])
+    @example(["surfaces", "--j", "10000"])
+    @example(["example", "lebrun", "--n", nines, "--p", "999999"])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 1), (argv, rc, err.getvalue())
+
+    check()
+
+
 def test_console_entry_point():
     import subprocess
     proc = subprocess.run(

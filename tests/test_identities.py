@@ -268,7 +268,7 @@ def test_importing_the_cli_does_not_derive_the_class():
             "from orbifold_index import bundles, identities, index\n"
             "assert index.correction_class.cache_info().currsize == 0\n"
             "assert bundles.generic_characters.cache_info().currsize == 0\n"
-            "assert identities._class_trace.cache_info().currsize == 0\n")
+            "assert identities._TRACES == {}\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
@@ -352,7 +352,7 @@ def test_classes_sharing_their_numerators_keep_their_own_sums():
     assert {c.nums for c in classes} == {(1, 3, 2)}
     orders = (2, 12, 30, 97)
     expected = {p: tuple(class_sum_per_element(c, p) for c in classes) for p in orders}
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     try:
         for p in orders:
             # one class at a time, each on top of what the others left
@@ -361,9 +361,27 @@ def test_classes_sharing_their_numerators_keep_their_own_sums():
             assert _class_sums(p, classes) == expected[p], p
         # the denominator is applied outside the memo: one entry per (d, k, lo)
         ds = {d for p in orders for d in divisors(p)[1:]}
-        assert ident._class_trace.cache_info().currsize == 4 * len(ds)
+        assert sum(map(len, ident._TRACES.values())) == 4 * len(ds)
     finally:
-        ident._class_trace.cache_clear()
+        ident._TRACES.clear()
+
+
+def test_each_class_keeps_one_dict_of_the_divisors_it_has_met():
+    # the memo is one plain dict per class, keyed by d: after the trig and
+    # correction sums at several orders, the five classes hold exactly the
+    # divisors d > 1 of those orders
+    orders = (2, 12, 97, 720, 2310)
+    correction_class()  # derived once per process, outside the memo
+    ident._TRACES.clear()
+    try:
+        for p in orders:
+            trig_sums(p)
+            correction_sum.__wrapped__(p)
+        met = {d for p in orders for d in divisors(p)[1:]}
+        assert len(ident._TRACES) == 5
+        assert all(memo.keys() == met for memo in ident._TRACES.values())
+    finally:
+        ident._TRACES.clear()
 
 
 def _skew_the_checked_representative(monkeypatch):
@@ -375,7 +393,7 @@ def _skew_the_checked_representative(monkeypatch):
 
 
 def test_failed_inverse_check_is_not_kept(monkeypatch):
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     _skew_the_checked_representative(monkeypatch)
     try:
         for _ in range(2):  # a failed check raises on every call
@@ -389,7 +407,7 @@ def test_failed_inverse_check_is_not_kept(monkeypatch):
             assert trig_sums(p) == _trig_closed_forms(p)
             assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
     finally:
-        ident._class_trace.cache_clear()
+        ident._TRACES.clear()
 
 
 _P7_CLOSED = ("TrigSums(sum_cos=Fraction(-1, 1), sum_cos_sq=Fraction(5, 2), "
@@ -404,28 +422,37 @@ _P7_CLOSED = ("TrigSums(sum_cos=Fraction(-1, 1), sum_cos_sq=Fraction(5, 2), "
 def test_trig_sums_names_a_skewed_trace_as_fractions(monkeypatch, target, traced):
     # one class trace (keyed by k and lo) one too high at p = 7: the check
     # runs on integer pairs, and the message still reads both sums as
-    # reduced Fractions
-    real = ident._class_trace
-    monkeypatch.setattr(ident, "_class_trace",
-                        lambda d, k, lo, nums: real(d, k, lo, nums) + ((k, lo) == target))
+    # reduced Fractions; the kernel of the class's power of t is skewed with
+    # the memo empty, so each d of the class is traced, and kept, skewed
+    k, skewed_lo = target
+    name = "sparse_trace" if k == 0 else "sparse_trace_over_t"
+    real = getattr(ident, name)
+    ident._TRACES.clear()
+    monkeypatch.setattr(ident, name,
+                        lambda d, lo, nums: real(d, lo, nums) + (lo == skewed_lo))
     message = f"trig sums disagree at p=7: traced {traced} vs closed {_P7_CLOSED}"
-    with pytest.raises(ConsistencyError) as raised:
-        trig_sums(7)
-    assert str(raised.value) == message
-    monkeypatch.undo()
-    assert trig_sums(7) == _trig_closed_forms(7)
+    try:
+        with pytest.raises(ConsistencyError) as raised:
+            trig_sums(7)
+        assert str(raised.value) == message
+        monkeypatch.undo()
+        ident._TRACES.clear()
+        assert trig_sums(7) == _trig_closed_forms(7)
+    finally:
+        ident._TRACES.clear()
 
 
 def test_group_sums_build_no_fraction_until_a_check_fails(monkeypatch):
-    # class_sums and both kernels stay in integers; trig_sums builds only its
-    # three closed forms when its check passes
+    # class_sums and both kernels stay in integers; trig_sums builds only the
+    # closed forms that depend on p when its check passes, (p - 2)/2 (p >= 3)
+    # and (p^2 - 1)/6: the sums -1 and, at p = 2, 1 are kept constants
     built = []
 
     def counting(*args):
         built.append(args)
         return F(*args)
 
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     monkeypatch.setattr(ident, "Fraction", counting)
     try:
         for p in (2, 12, 97, 720):
@@ -433,10 +460,10 @@ def test_group_sums_build_no_fraction_until_a_check_fails(monkeypatch):
             assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs), p
             assert built == [], p
             trig_sums(p)
-            assert len(built) == 3, p
+            assert len(built) == (1 if p == 2 else 2), p
             built.clear()
     finally:
-        ident._class_trace.cache_clear()
+        ident._TRACES.clear()
 
 
 def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
@@ -459,7 +486,7 @@ def test_each_representative_is_checked_once_per_class(monkeypatch):
         checked.append(d)
         real(d, coeffs)
 
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     monkeypatch.setattr(ident, "verify_inverse_quadratic", counting)
     for _ in range(2):
         for p in range(2, 201):
@@ -482,7 +509,7 @@ def test_a_group_sum_factors_its_order_once_and_each_divisor_once(monkeypatch):
     orders = (720, 360, 2310, 97, 1024, 5040)
     classes = {p: divisors(p)[1:] for p in orders}  # listed before the count
     correction_class()  # derived once per process, before the count
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     scalars.ramanujan_weights.cache_clear()
     monkeypatch.setattr(scalars, "_prime_factors", counting)
     # a fresh trig_sums at a composite order lists its divisors once for all
@@ -504,7 +531,7 @@ def test_a_non_integer_order_is_refused_and_poisons_no_memo():
     # a float order used to run the traces on float divisors: trig_sums(7.0)
     # raised only after it had kept float traces under keys equal to 7's,
     # and correction_sum(9.0) returned float coefficients
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     scalars.ramanujan_weights.cache_clear()
     correction_sum.cache_clear()
     for _ in range(2):
@@ -529,7 +556,7 @@ def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
     def failing(*args):
         raise ConsistencyError("injected failure")
 
-    ident._class_trace.cache_clear()
+    ident._TRACES.clear()
     p = 7
     try:
         with monkeypatch.context() as m:
@@ -543,7 +570,7 @@ def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
         with pytest.raises(ConsistencyError):
             correction_sum.__wrapped__(p)
     finally:
-        ident._class_trace.cache_clear()
+        ident._TRACES.clear()
 
 
 def test_sums_do_not_depend_on_what_the_memo_holds():
@@ -557,7 +584,7 @@ def test_sums_do_not_depend_on_what_the_memo_holds():
            st.lists(st.tuples(orders, st.booleans()), min_size=1, max_size=12))
     def check(clear, warm, queries):
         if clear:
-            ident._class_trace.cache_clear()
+            ident._TRACES.clear()
         for p in warm:  # leave part of the memo filled
             ident.class_sums(p, (ident._INV_ONE_MINUS_COS,))
         for p, correction in queries:

@@ -32,6 +32,7 @@ from orbifold_index.scalars import (  # noqa: E402
     _prime_factors,
     _reduction_rows,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     parse_rational,
     ramanujan_weights,
@@ -595,10 +596,12 @@ def test_class_sums_match_the_per_element_sums(p, classes):
 @example(999983**2)
 @example(2 * 999983)
 @example(10**13 + 37)
+@example(720720)
 @given(st.integers(1, 10**12))
 def test_prime_factors_match_sympy(n):
     sympy = pytest.importorskip("sympy")
     assert _prime_factors(n) == sorted(sympy.factorint(n).items())
+    assert divisors(n) == sympy.divisors(n)
 
 
 def _ramanujan_by_definition(d, s):
