@@ -8,7 +8,6 @@ reproduces the deformation-complex index and its corollaries exactly.
 from .scalars import (
     ConsistencyError,
     Cyclotomic,
-    as_rational,
     cyclotomic_polynomial,
     euler_phi,
     parse_rational,

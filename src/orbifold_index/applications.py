@@ -17,7 +17,8 @@ from .scalars import _Record, _set
 
 
 class SurfaceKind(_Record):
-    """Closed surface: sphere, orientable genus j >= 1, or j >= 1 crosscaps."""
+    """Closed surface: orientable of genus j >= 0 (the sphere is
+    SurfaceKind(True, 0)), or j >= 1 crosscaps (non_orientable(j))."""
 
     _fields = ("orientable", "j")
 
@@ -26,16 +27,6 @@ class SurfaceKind(_Record):
             raise ValueError("invalid surface description")
         _set(self, "orientable", orientable)
         _set(self, "j", j)
-
-    @classmethod
-    def sphere(cls) -> "SurfaceKind":
-        return cls(True, 0)
-
-    @classmethod
-    def orientable_genus(cls, j: int) -> "SurfaceKind":
-        if j < 1:
-            raise ValueError("genus must be >= 1 (use sphere() for genus 0)")
-        return cls(True, j)
 
     @classmethod
     def non_orientable(cls, j: int) -> "SurfaceKind":
@@ -69,10 +60,7 @@ class ModuliReport(_Record):
         _set(self, "assumptions", assumptions)
 
     def to_json(self) -> dict:
-        return {"index": self.index, "dim_h0": self.dim_h0,
-                "dim_h1": self.dim_h1, "dim_h2": self.dim_h2,
-                "verdict": self.verdict,
-                "assumptions": list(self.assumptions)}
+        return {**vars(self), "assumptions": list(self.assumptions)}
 
 
 def conf_dim(kind: SurfaceKind) -> int:
@@ -117,10 +105,11 @@ def feasible_self_intersections(j: int) -> list[int]:
 def orientable_verdict(j: int) -> ModuliReport:
     """Genus-j orientable singular set in the four-sphere: index 7 + 8j
     exceeds every H0 bound once j >= 1, so no unobstructed metric exists.
-    j = 0 (the sphere, [Sigma]^2 = 0) stays inconclusive."""
+    j = 0 (the sphere, [Sigma]^2 = 0) stays inconclusive; j < 0 raises
+    ValueError."""
     if j < 0:
         raise ValueError("genus must be >= 0")
-    kind = SurfaceKind.sphere() if j == 0 else SurfaceKind.orientable_genus(j)
+    kind = SurfaceKind(True, j)
     data = TopologicalData(chi_M=2, tau_M=0, chi_Sigma=kind.euler_char,
                            sigma_sq=0, p=2)
     idx = index_closed_form(data, Duality.SD)

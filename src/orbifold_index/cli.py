@@ -89,6 +89,12 @@ def _check_parity(args) -> None:
                          "every closed four-manifold")
 
 
+def _inputs(args, **extra) -> dict:
+    """The four topology flags as a payload's "inputs", with extra keys."""
+    return {"chi": args.chi, "tau": args.tau, "sigma_chi": args.sigma_chi,
+            "sigma_sq": args.sigma_sq, **extra}
+
+
 def _topology(args) -> TopologicalData:
     if args.p < 1:
         raise UsageError("cone order --p must be a positive integer")
@@ -110,10 +116,7 @@ def _cmd_index(args) -> int:
         raise UsageError(
             "p = 1 is the smooth case: the closed form does not apply there; "
             "use --route kawasaki, which reduces to (1/2)(15 chi +- 29 tau)")
-    payload: dict = {"inputs": {
-        "chi": data.chi_M, "tau": data.tau_M, "sigma_chi": data.chi_Sigma,
-        "sigma_sq": data.sigma_sq, "p": p, "duality": duality.value,
-    }, "route": route}
+    payload: dict = {"inputs": _inputs(args, p=p, duality=duality.value), "route": route}
     title = f"index ({duality.value}, p={p}): "
     if route == "closed":
         payload["route"] = "closed_form"
@@ -244,10 +247,7 @@ def _cmd_orbifold_char(args) -> int:
         chi_s, tau_s = str(chi), str(tau)
     except ValueError as exc:
         raise UsageError(f"chi_orb or tau_orb at this beta cannot be printed: {exc}")
-    payload = {"inputs": {"chi": args.chi, "tau": args.tau,
-                          "sigma_chi": args.sigma_chi, "sigma_sq": args.sigma_sq,
-                          "beta": str(beta)},
-               "chi_orb": chi_s, "tau_orb": tau_s}
+    payload = {"inputs": _inputs(args, beta=str(beta)), "chi_orb": chi_s, "tau_orb": tau_s}
     _emit(args, payload, [f"chi_orb: {chi_s}", f"tau_orb: {tau_s}"])
     return EXIT_OK
 
@@ -282,10 +282,7 @@ def _cmd_example(args) -> int:
         if data.p < 2:
             raise UsageError("ricci-flat needs --p P with P >= 2")
         dim = applications.ricci_flat_moduli_dim(data)
-        payload = {"inputs": {"chi": args.chi, "tau": args.tau,
-                              "sigma_chi": args.sigma_chi,
-                              "sigma_sq": args.sigma_sq, "p": args.p},
-                   "moduli_dim": dim,
+        payload = {"inputs": _inputs(args, p=args.p), "moduli_dim": dim,
                    "assumptions": ["no parallel vector fields",
                                    "no parallel self-dual Weyl tensors"]}
         human = [f"Ricci-flat moduli dimension: {dim}"]

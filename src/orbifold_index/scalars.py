@@ -390,10 +390,6 @@ class Cyclotomic(_Scalar):
         phi = len(cyclotomic_polynomial(order)) - 1
         return cls._raw(order, (q.numerator,) + (0,) * (phi - 1), q.denominator)
 
-    @classmethod
-    def zero(cls, order: int) -> "Cyclotomic":
-        return cls.from_rational(order, 0)
-
     # -- structure maps ------------------------------------------------------
 
     def galois(self, k: int) -> "Cyclotomic":
@@ -431,11 +427,12 @@ class Cyclotomic(_Scalar):
 
 @lru_cache(maxsize=1)
 def cyclotomic_zero(p: int) -> Cyclotomic:
-    """The zero of Q(zeta_p), one shared value for the last order asked: the
-    value of every zero Laurent slot (Laurent.at), so a slot's value that
-    is right compares equal to it by the identity of the shared nums, in
-    O(1), where testing it for zero scans phi(p) numerators."""
-    return Cyclotomic.zero(p)
+    """The zero of Q(zeta_p), Cyclotomic.from_rational(p, 0) built once and
+    shared for the last order asked: the value of every zero Laurent slot
+    (Laurent.at), so a slot's value that is right compares equal to it by
+    the identity of the shared nums, in O(1), where testing it for zero
+    scans phi(p) numerators."""
+    return Cyclotomic.from_rational(p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +633,3 @@ class Laurent(_Scalar):
     def __repr__(self):
         terms = {s: str(Fraction(c, self.den)) for s, c in enumerate(self.nums, self.lo) if c}
         return f"Laurent({terms}, k={self.k})"
-
-
-def as_rational(a) -> Optional[Fraction]:
-    """Rational value of a scalar, or None when it genuinely is not rational."""
-    if isinstance(a, _Scalar):
-        return a.as_rational()
-    return Fraction(a)

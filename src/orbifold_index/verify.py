@@ -30,7 +30,7 @@ from .bundles import GroupElement
 from .identities import trig_sums
 from .index import (Duality, TopologicalData, correction_sum_closed_form, index_closed_form,
                     index_kawasaki)
-from .scalars import Cyclotomic, _reduction_rows_close, as_rational, cyclotomic_zero, divisors
+from .scalars import Cyclotomic, _reduction_rows_close, cyclotomic_zero, divisors
 
 
 def _check_correction(p: int) -> bool:
@@ -67,7 +67,7 @@ _RANKS = (("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),
 def _check_rank(p: int) -> bool:
     # the rank is the degree-0 part at the identity: only c0 is evaluated
     chars = bundles.generic_characters()
-    return all(as_rational(chars[name].c0.at(p, 0)) == rank for name, rank in _RANKS)
+    return all(chars[name].c0.at(p, 0).as_rational() == rank for name, rank in _RANKS)
 
 
 def _check_divisibility(p: int) -> bool:

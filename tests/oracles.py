@@ -79,7 +79,7 @@ class Cyc(Cyclotomic):
         if o is None:
             return NotImplemented
         if not (self and o):  # common in the ring algebra; skips the kernel
-            return Cyc.zero(self.order)
+            return Cyc.from_rational(self.order, 0)
         return Cyc._from_terms(
             self.order, enumerate(_poly_mul_int(self.nums, o.nums)), self.den * o.den)
 
@@ -274,7 +274,7 @@ def correction_at_pipeline(gamma):
 def correction_sum_pipeline(p):
     """correction_at_pipeline on every element j = 1..p-1, summed in the
     field and scaled by 1/p."""
-    total_e = total_h = Cyc.zero(p)
+    total_e = total_h = Cyc.from_rational(p, 0)
     for j in range(1, p):
         c = correction_at_pipeline(GroupElement(p, j))
         total_e, total_h = total_e + Cyc.of(c.ce), total_h + Cyc.of(c.ch)
@@ -285,7 +285,7 @@ def correction_sum_pipeline(p):
 def trig_sums_brute(p):
     """sum cos, sum cos^2 and sum 1/(1 - cos) over j = 1..p-1, each term a
     field element and each inverse the extended Euclid."""
-    s_cos = s_cos_sq = s_inv = Cyc.zero(p)
+    s_cos = s_cos_sq = s_inv = Cyc.from_rational(p, 0)
     for j in range(1, p):
         c = cos_of(p, j)
         s_cos, s_cos_sq, s_inv = s_cos + c, s_cos_sq + c * c, s_inv + (1 - c).inverse()
@@ -295,7 +295,7 @@ def trig_sums_brute(p):
 def laurent_at(c, p, j):
     """The Laurent class c = N(z) / t^k evaluated at z = zeta_p^j
     (j != 0 mod p) in the field, as a library value."""
-    n = sum((zeta(p, j * s) * v for s, v in laurent_terms(c).items()), Cyc.zero(p))
+    n = sum((zeta(p, j * s) * v for s, v in laurent_terms(c).items()), Cyc.from_rational(p, 0))
     t = 2 - zeta(p, j) - zeta(p, -j)
     return (n * t.inverse() ** c.k).value()
 
@@ -303,7 +303,7 @@ def laurent_at(c, p, j):
 def class_sum_per_element(c, p):
     """The class c = N(z) / t^k summed over the elements zeta_p^j,
     j = 1..p-1, each term evaluated in the field (laurent_at)."""
-    total = Cyc.zero(p)
+    total = Cyc.from_rational(p, 0)
     for j in range(1, p):
         total = total + Cyc.of(laurent_at(c, p, j))
     return _rational(total, "class", p)

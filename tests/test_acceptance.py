@@ -104,7 +104,7 @@ def test_criterion_5_orientable_obstruction():
         data = TopologicalData(2, 0, 2 - 2 * j, 0, 2)
         idx = index_closed_form(data, Duality.SD)
         assert idx == 7 + 8 * j, j
-        bound = h0_bound(SurfaceKind.orientable_genus(j))
+        bound = h0_bound(SurfaceKind(True, j))
         assert idx > bound, j
         assert orientable_verdict(j).verdict == "nonexistence"
     _passed(5, "orientable genus-j index 7 + 8j exceeds every dim H0 bound, "

@@ -637,7 +637,8 @@ def test_crash_in_any_subcommand_exits_3_and_names_the_exception(
 
 def test_value_error_from_the_library_is_an_internal_error(capsys, monkeypatch):
     # a ValueError that no argument check raised is a library bug: exit 3
-    monkeypatch.setattr(index_mod, "correction_sum", lambda p: Cyclotomic.zero(p).galois(p))
+    monkeypatch.setattr(index_mod, "correction_sum",
+                        lambda p: Cyclotomic.from_rational(p, 0).galois(p))
     rc, out, err = run(capsys, ["--json", "correction", "--p", "5"])
     assert rc == 3 and out == ""
     assert err == "internal error: ValueError: zeta -> zeta^5 is not an automorphism for order 5\n"

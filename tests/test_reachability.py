@@ -6,9 +6,11 @@ runs through cli.main every golden command (test_golden.COMMANDS), every
 two p = 1 queries, which take the smooth and empty-sum branches.  Each
 function, method and lambda compiled from the package's sources must have
 been called there, except the members in EXEMPT, each with the reason it
-has no caller on those paths.  Code objects are matched by module, first
-line (a decorated function's is its decorator's) and name.  A member that
-only the tests call belongs in tests/oracles.py, not in src/."""
+has no caller on those paths; and no member in EXEMPT may have been called
+there, so an exemption that a product path has made needless fails.  Code
+objects are matched by module, first line (a decorated function's is its
+decorator's) and name.  A member that only the tests call belongs in
+tests/oracles.py, not in src/."""
 
 import inspect
 import json
@@ -43,9 +45,6 @@ EXEMPT = {
     "scalars.Laurent.as_rational":
         "_Scalar.__eq__ and __hash__ read it on unequal or hashed values, which never meet",
     "scalars.Laurent.__repr__": "repr protocol, and the text of a failed check",
-    "applications.SurfaceKind.sphere": "the nonexistence corollary, which no command reaches yet",
-    "applications.SurfaceKind.orientable_genus":
-        "the nonexistence corollary, which no command reaches yet",
     "applications.orientable_verdict": "the nonexistence corollary, which no command reaches yet",
 }
 
@@ -120,3 +119,5 @@ def test_every_member_of_src_runs_on_a_product_path():
     uncalled = sorted(name for key, name in members.items()
                       if key not in called and name not in EXEMPT)
     assert not uncalled, f"only the tests call {uncalled}"
+    needless = sorted(name for key, name in members.items() if key in called and name in EXEMPT)
+    assert not needless, f"a product path calls the exempt {needless}"
