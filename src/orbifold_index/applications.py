@@ -106,9 +106,7 @@ def orientable_verdict(j: int) -> ModuliReport:
     """Genus-j orientable singular set in the four-sphere: index 7 + 8j
     exceeds every H0 bound once j >= 1, so no unobstructed metric exists.
     j = 0 (the sphere, [Sigma]^2 = 0) stays inconclusive; j < 0 raises
-    ValueError."""
-    if j < 0:
-        raise ValueError("genus must be >= 0")
+    ValueError, from SurfaceKind."""
     kind = SurfaceKind(True, j)
     data = TopologicalData(chi_M=2, tau_M=0, chi_Sigma=kind.euler_char,
                            sigma_sq=0, p=2)

@@ -12,9 +12,13 @@ Z and Z_BAR (generic_characters), which checks that the symbol is divisible
 by e.  The identity chi(1/z) = conj chi(z) takes no input, so the tests
 check it, against derive_characters(Z_BAR, Z); a fault in the algebra
 itself is caught by verify's correction and p-independence suites and by
-the tests' per-element oracle.  A GroupElement has no phase:
-character(name, gamma) only evaluates the derived character at
-z = zeta_p^j (Laurent.at), so nothing is built or cached per element.
+the tests' per-element oracle.  Equal coefficients of the derived
+characters are interned there, once per process, as one Laurent each: the
+42 slots of the seven characters hold 20 distinct classes, zero included.
+A GroupElement has no phase: character(name, gamma) only evaluates the
+derived character at z = zeta_p^j (Laurent.at), and character_dump
+evaluates and renders each distinct class once, in a memo that ends with
+the call, so nothing is kept per element.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ class GroupElement(_Record):
 
 
 Z, Z_BAR = Laurent({1: 1}), Laurent({-1: 1})  # the generic phase and its inverse
+# the keys of CohomElement.to_json, in the order of CohomElement's fields
+_JSON_KEYS = tuple(CohomElement.constant(0).to_json())
 
 
 def _line_characters(z, z_bar) -> tuple[CohomElement, ...]:
@@ -101,7 +107,11 @@ def generic_characters() -> MappingProxyType:
     if symbol.c0 or symbol.ch or symbol.chh:
         raise ConsistencyError("symbol character is not divisible by e "
                                "(nonzero 1, h or h^2 part)")
-    return MappingProxyType(chars)
+    # equal slots become one object, keyed by the canonical form so that no
+    # scalar hash runs; character_dump finds the repeats by identity
+    interned = {}
+    return MappingProxyType({name: c.map(lambda s: interned.setdefault(s._key(), s))
+                             for name, c in chars.items()})
 
 
 def character(name: str, gamma: GroupElement) -> CohomElement:
@@ -114,5 +124,15 @@ def character(name: str, gamma: GroupElement) -> CohomElement:
 
 def character_dump(gamma: GroupElement) -> dict:
     """Debug dump: all character coefficients at one group element, in the
-    JSON forms of the scalar and ring modules."""
-    return {name: character(name, gamma).to_json() for name in generic_characters()}
+    JSON forms of the scalar and ring modules.  Each distinct class of
+    generic_characters is evaluated at zeta_p^j and rendered once, and
+    every slot holding it shares that JSON; the memo ends with the call."""
+    rendered = {}  # id of an interned slot -> the JSON of its value at gamma
+
+    def render(s):
+        if id(s) not in rendered:
+            rendered[id(s)] = s.at(gamma.p, gamma.j).to_json()
+        return rendered[id(s)]
+
+    return {name: dict(zip(_JSON_KEYS, map(render, c._values(c))))
+            for name, c in generic_characters().items()}

@@ -92,6 +92,8 @@ def test_orientable_verdict():
         r = orientable_verdict(j)
         assert r.index == 7 + 8 * j
         assert r.index > r.dim_h0
+    with pytest.raises(ValueError, match="invalid surface description"):
+        orientable_verdict(-1)
 
 
 def test_hitchin_report():

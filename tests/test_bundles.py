@@ -213,7 +213,9 @@ def test_evaluated_characters_match_the_cyclotomic_algebra_at_larger_orders():
     def check(name, pj):
         p, j = pj
         built = derive_characters(zeta(p, j), zeta(p, -j))[name]
-        assert character(name, GroupElement(p, j)) == built.map(Cyc.value), (p, j, name)
+        gamma = GroupElement(p, j)
+        assert character(name, gamma) == built.map(Cyc.value), (p, j, name)
+        assert character_dump(gamma)[name] == built.map(Cyc.value).to_json(), (p, j, name)
 
     check()
 
@@ -224,6 +226,23 @@ def test_characters_are_not_cached_per_element():
     cached = {n for n, f in vars(bundles).items() if hasattr(f, "cache_info")}
     assert cached == {"generic_characters"}
     assert bundles.generic_characters.cache_info().currsize == 1
+
+
+def test_a_dump_evaluates_each_distinct_class_once(monkeypatch):
+    # the seven characters' 42 slots hold 19 distinct nonzero classes and the
+    # one interned zero; correction_at evaluates its own six slots
+    calls = []
+    real = Laurent.at
+    monkeypatch.setattr(Laurent, "at", lambda s, p, j: calls.append(s) or real(s, p, j))
+    gamma = GroupElement(23, 5)
+    dump = character_dump(gamma)
+    assert len(calls) == len({id(s) for s in calls}) == 20
+    assert sum(not s for s in calls) == 1
+    calls.clear()
+    index_mod.correction_at(gamma)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert dump == {name: character(name, gamma).to_json() for name in bundles.generic_characters()}
 
 
 def _literal_z(chars):  # z whatever the phase: the run at z^-1 is no conjugate

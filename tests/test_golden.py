@@ -1,11 +1,12 @@
 """Byte-exact stdout of the CLI commands in COMMANDS and of the program's
 --help pages in HELP_PAGES against the recorded files in tests/golden/, and
-of three large element dumps and the verify sweeps to p = 100 and p = 200
-against their recorded sha256; and exit 1 with a usage error, on no stdout,
-for each argv in USAGE_ERRORS.  CI reads COMMANDS, HELP_PAGES, USAGE_ERRORS
-and the correction_p<p>_dump<j>.sha256 files from here to check the
-installed console script, and checks the verify sweeps to p = 100, 200, 400
-and 800 against their recorded sha256 too.
+of three large element dumps, of every element dump up to p = 24 and of
+the verify sweeps to p = 100 and p = 200 against their recorded sha256;
+and exit 1 with a usage error, on no stdout, for each argv in USAGE_ERRORS.
+CI reads COMMANDS, HELP_PAGES, USAGE_ERRORS and the
+correction_p<p>_dump<j>.sha256 files from here to check the installed
+console script, and checks the verify sweeps to p = 100, 200, 400 and 800
+against their recorded sha256 too.
 The repr of every derived class is recorded as well, and so is the stdout,
 stderr and exit code of each argv in TRANSCRIPT, on a terminal (the tables)
 and redirected (JSON), byte for byte."""
@@ -104,6 +105,18 @@ def test_composite_order_dump_matches_golden_digest(capsys):
     for p in (720, 2310):
         digest = (GOLDEN / f"correction_p{p}_dump1.sha256").read_text().split()[0]
         assert _dump_digest(capsys, p, 1) == digest, p
+
+
+def test_every_small_element_dump_matches_golden_digest(capsys):
+    # every dump the query mix can ask for, p = 2..24 and j = 1..p-1 in that
+    # order in one process (276 dumps, 1237980 bytes), so a dump that reads
+    # what an earlier one left behind shows too
+    digest = hashlib.sha256()
+    for p in range(2, 25):
+        for j in range(1, p):
+            assert cli.main(["--json", "correction", "--p", str(p), "--dump-element", str(j)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (GOLDEN / "element_dumps_p24.sha256").read_text().split()[0]
 
 
 def test_verify_sweep_to_100_matches_golden_digest(capsys):
