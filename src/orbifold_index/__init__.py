@@ -24,7 +24,6 @@ from .ring import (
 )
 from .bundles import (
     GroupElement,
-    character,
     character_dump,
 )
 from .index import (

@@ -18,7 +18,7 @@ from .scalars import _Record, _set
 
 class SurfaceKind(_Record):
     """Closed surface: orientable of genus j >= 0 (the sphere is
-    SurfaceKind(True, 0)), or j >= 1 crosscaps (non_orientable(j))."""
+    SurfaceKind(True, 0)), or j >= 1 crosscaps (SurfaceKind(False, j))."""
 
     _fields = ("orientable", "j")
 
@@ -27,12 +27,6 @@ class SurfaceKind(_Record):
             raise ValueError("invalid surface description")
         _set(self, "orientable", orientable)
         _set(self, "j", j)
-
-    @classmethod
-    def non_orientable(cls, j: int) -> "SurfaceKind":
-        if j < 1:
-            raise ValueError("crosscap number must be >= 1")
-        return cls(False, j)
 
     @property
     def euler_char(self) -> int:
@@ -92,7 +86,7 @@ def feasible_self_intersections(j: int) -> list[int]:
     """Massey values surviving the unobstructed-index constraint
     index <= dim H0 bound; equals the Massey list intersected with
     [-2j, -j)."""
-    bound = h0_bound(SurfaceKind.non_orientable(j))
+    bound = h0_bound(SurfaceKind(False, j))
     out = []
     for s in whitney_massey_values(j):
         data = TopologicalData(chi_M=2, tau_M=0, chi_Sigma=2 - j,

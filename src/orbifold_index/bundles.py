@@ -15,10 +15,11 @@ itself is caught by verify's correction and p-independence suites and by
 the tests' per-element oracle.  Equal coefficients of the derived
 characters are interned there, once per process, as one Laurent each: the
 42 slots of the seven characters hold 20 distinct classes, zero included.
-A GroupElement has no phase: character(name, gamma) only evaluates the
-derived character at z = zeta_p^j (Laurent.at), and character_dump
-evaluates and renders each distinct class once, in a memo that ends with
-the call, so nothing is kept per element.
+distinct_classes lists the distinct classes among some slots once each, by
+identity.  A GroupElement has no phase: character_dump evaluates each
+distinct class at z = zeta_p^j (Laurent.at) and renders it once, in a memo
+that ends with the call, so nothing is kept per element; verify's
+per-element suites read the classes the same way.
 """
 
 from __future__ import annotations
@@ -108,18 +109,17 @@ def generic_characters() -> MappingProxyType:
         raise ConsistencyError("symbol character is not divisible by e "
                                "(nonzero 1, h or h^2 part)")
     # equal slots become one object, keyed by the canonical form so that no
-    # scalar hash runs; character_dump finds the repeats by identity
+    # scalar hash runs; distinct_classes finds the repeats by identity
     interned = {}
     return MappingProxyType({name: c.map(lambda s: interned.setdefault(s._key(), s))
                              for name, c in chars.items()})
 
 
-def character(name: str, gamma: GroupElement) -> CohomElement:
-    """The derived character `name` (a key of generic_characters) at gamma,
-    each coefficient evaluated at zeta_p^j.  The result holds Cyclotomic
-    values, which have no arithmetic, so it is read-only: ==, hash, map and
-    to_json work, but +, -, * and ring.invert_unit raise TypeError."""
-    return generic_characters()[name].map(lambda s: s.at(gamma.p, gamma.j))
+def distinct_classes(chars, slots: tuple = CohomElement._fields) -> dict:
+    """The distinct classes in the named slots of chars (characters of
+    generic_characters), each once, keyed by id: equal slots were interned
+    as one object, so no scalar hash runs."""
+    return {id(s): s for s in (getattr(c, name) for c in chars for name in slots)}
 
 
 def character_dump(gamma: GroupElement) -> dict:
@@ -127,12 +127,8 @@ def character_dump(gamma: GroupElement) -> dict:
     JSON forms of the scalar and ring modules.  Each distinct class of
     generic_characters is evaluated at zeta_p^j and rendered once, and
     every slot holding it shares that JSON; the memo ends with the call."""
-    rendered = {}  # id of an interned slot -> the JSON of its value at gamma
-
-    def render(s):
-        if id(s) not in rendered:
-            rendered[id(s)] = s.at(gamma.p, gamma.j).to_json()
-        return rendered[id(s)]
-
-    return {name: dict(zip(_JSON_KEYS, map(render, c._values(c))))
-            for name, c in generic_characters().items()}
+    chars = generic_characters()
+    rendered = {key: s.at(gamma.p, gamma.j).to_json()
+                for key, s in distinct_classes(chars.values()).items()}
+    return {name: dict(zip(_JSON_KEYS, (rendered[id(s)] for s in c._values(c))))
+            for name, c in chars.items()}

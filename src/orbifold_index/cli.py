@@ -256,7 +256,7 @@ def _cmd_surfaces(args) -> int:
     j = args.j
     if j < 1:
         raise UsageError("--j must be at least 1")
-    kind = applications.SurfaceKind.non_orientable(j)
+    kind = applications.SurfaceKind(False, j)
     try:  # j + 1 values, one list: past the interpreter's list limit it cannot be built
         massey = applications.whitney_massey_values(j)
     except (OverflowError, MemoryError) as exc:

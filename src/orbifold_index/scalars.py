@@ -17,11 +17,9 @@ point appears anywhere.  Every element of Q(zeta_p) built from powers of
 zeta (Galois images and Laurent values) goes through one kernel,
 Cyclotomic._from_terms, the only place that scales an exponent (by a Galois
 image's k or a Laurent value's j) and takes it mod p; Galois maps fix Q, so
-a rational element skips it.  The kernel reduces through one
-table of x^s mod Phi_p per order (_reduction_rows), which
-_reduction_rows_close checks against its own recurrence in time linear in
-the table; a zero Laurent evaluates to one shared zero per order
-(cyclotomic_zero), so a caller can test a zero value in O(1).
+a rational element skips it.  The kernel reduces through one table of
+x^s mod Phi_p per order (_reduction_rows), which _reduction_rows_close
+checks against its own recurrence in time linear in the table.
 
 This is the package's bottom layer: it imports no other module of it.  The
 group sums over these scalars, the trig sums included, are in identities.py.
@@ -384,12 +382,6 @@ class Cyclotomic(_Scalar):
                     nums[i] += c * r
         return cls._canonical(order, nums, den)
 
-    @classmethod
-    def from_rational(cls, order: int, value: RationalLike) -> "Cyclotomic":
-        q = _check_rational(value)
-        phi = len(cyclotomic_polynomial(order)) - 1
-        return cls._raw(order, (q.numerator,) + (0,) * (phi - 1), q.denominator)
-
     # -- structure maps ------------------------------------------------------
 
     def galois(self, k: int) -> "Cyclotomic":
@@ -423,16 +415,6 @@ class Cyclotomic(_Scalar):
         den = self.den  # each coefficient as str(Fraction(c, den)), from the integers
         return {"order": self.order, "coeffs": [str(c // g) if (g := gcd(c, den)) == den
                                                 else f"{c // g}/{den // g}" for c in self.nums]}
-
-
-@lru_cache(maxsize=1)
-def cyclotomic_zero(p: int) -> Cyclotomic:
-    """The zero of Q(zeta_p), Cyclotomic.from_rational(p, 0) built once and
-    shared for the last order asked: the value of every zero Laurent slot
-    (Laurent.at), so a slot's value that is right compares equal to it by
-    the identity of the shared nums, in O(1), where testing it for zero
-    scans phi(p) numerators."""
-    return Cyclotomic.from_rational(p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +584,6 @@ class Laurent(_Scalar):
         powers s*j mod p and reduces them to Q(zeta_p) over one denominator.
         At j = 0 a polynomial is the sum of its coefficients, and a class
         with k > 0 raises ZeroDivisionError: t vanishes there."""
-        if not self.nums:  # a zero slot skips the kernel
-            return cyclotomic_zero(p)
         lo, nums, den = self.lo, self.nums, self.den
         if self.k:
             d = p // gcd(p, j)

@@ -6,35 +6,62 @@ SUITES pairs each suite's name with a function of the order p whose result
 is true for a pass and false for a fail; a ConsistencyError it raises is a
 fail too.  The front end (cli) runs them, counts and renders the verdicts.
 
-The conjugation suite checks that the reduction table of the evaluation
-kernel closes under its own recurrence (scalars._reduction_rows_close), in
-time linear in the table, and evaluates the characters once at each j of J =
-{1, p // 2, q} and its partners p - j, q the least prime factor of a
-composite p: J is closed under j -> p - j, so comparing each value's
-conjugate with the value at p - j compares every pair both ways.  It needs
-no identity of the derived characters: conj f(zeta^j) = f(zeta^-j) holds
-for every rational Laurent polynomial f.  The divisibility suite compares
-each zero slot's value with the one shared zero of the order, in O(1) a
-read.  The trig suite is identities.trig_sums itself: it returns the sums,
-always true, and raises when its traced and closed forms disagree.  A fault
-in the character algebra (mutants M13 and M15 of the project's mutant table)
-is caught by the correction and p-independence suites, as by the tests'
-per-element oracle.  A derived Thom class that is no unit fails those two
-suites at every order instead of crashing the sweep.
+What each suite establishes at p, and which facts it reads there that hold
+at every order (the derived classes and their traces per divisor are
+computed once per process, so a sweep reads them again at each p):
+- correction: the traced group sum of the derived correction class at p
+  equals its closed form.  The class and each divisor's trace are
+  p-independent; the sum over p's divisors is not.
+- trig: identities.trig_sums itself, the cos, cos^2 and 1/(1 - cos) sums
+  at p traced and compared with their closed forms (it raises on a
+  mismatch, and is otherwise true).
+- conjugation: the reduction table of order p closes under its own
+  recurrence (scalars._reduction_rows_close), in time linear in the
+  table, so every power of zeta_p is reduced right; and conj f(zeta^j) =
+  f(zeta^-j) for each distinct class f of the symbol, Thom and Lambda+
+  characters at each element of _elements(p): the check of galois, of
+  _from_terms scaling exponents mod p and of the j that Laurent.at hands
+  it.  It needs no identity of the derived characters: the equation holds
+  for every rational Laurent polynomial.
+- rank: five characters' degree-0 parts at the identity are their ranks,
+  read through _from_terms at j = 0.  The ranks of the derived classes are
+  p-independent.
+- divisibility: the distinct classes of the symbol's 1, h and h^2 slots
+  evaluate to zero at each element of _elements(p).  That those slots are
+  the zero class is p-independent (generic_characters raises otherwise);
+  read at p is that the kernel sends the zero class to zero.
+- p-independence: both index routes agree on four sample data and both
+  dualities at p.
+A per-element suite reads each distinct interned class once at each
+element of one set of at most six, so an order costs O(1) evaluations.  A
+fault in the character algebra (mutants M13 and M15 of the project's mutant
+table) is caught by the correction and p-independence suites, as by the
+tests' per-element oracle.  A derived Thom class that is no unit fails
+those two suites at every order instead of crashing the sweep.
 """
 
 from __future__ import annotations
 
 from . import bundles, index as index_mod
-from .bundles import GroupElement
 from .identities import trig_sums
 from .index import (Duality, TopologicalData, correction_sum_closed_form, index_closed_form,
                     index_kawasaki)
-from .scalars import Cyclotomic, _reduction_rows_close, cyclotomic_zero, divisors
+from .scalars import _reduction_rows_close, divisors
 
 
 def _check_correction(p: int) -> bool:
     return index_mod.correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
+
+
+def _elements(p: int) -> set:
+    """The powers j that the per-element suites read at order p: J = {1,
+    p // 2, q} and each partner p - j, q the least prime factor of a
+    composite p (1 at a prime).  p // 2 puts s*j mod p mid-range, q is an
+    element of smaller order, and the set, at most six, is closed under
+    j -> p - j."""
+    q = divisors(p)[1]
+    js = {1, p // 2, q if q < p else 1}
+    return js | {p - j for j in js}
 
 
 def _check_conjugation(p: int) -> bool:
@@ -43,19 +70,15 @@ def _check_conjugation(p: int) -> bool:
     # every power of zeta_p right.
     if not _reduction_rows_close(p):
         return False
-    # Table: the characters at j = 1, at j = p // 2 (s*j mod p mid-range),
-    # at the least prime factor q of a composite p (an element of smaller
-    # order) and at p - j for each, each element evaluated once.  The set
-    # is closed under j -> p - j, so every pair is compared both ways and a
-    # conjugation that is no involution fails: the check of galois, of
-    # _from_terms scaling exponents and taking them mod p, and of the j
-    # that Laurent.at hands it
-    q = divisors(p)[1]
-    js = {1, p // 2, q if q < p else 1}
-    elements = [GroupElement(p, j) for j in js | {p - j for j in js}]
-    for name in ("symbol", "thom", "lambda_plus"):
-        vals = {g.j: bundles.character(name, g) for g in elements}
-        if any(f.map(Cyclotomic.conjugate) != vals[p - j] for j, f in vals.items()):
+    # Table: each distinct class once at each element.  The set is closed
+    # under j -> p - j, so every pair is compared both ways and a
+    # conjugation that is no involution fails
+    chars = bundles.generic_characters()
+    read = bundles.distinct_classes(chars[name] for name in ("symbol", "thom", "lambda_plus"))
+    js = _elements(p)
+    for f in read.values():
+        vals = {j: f.at(p, j) for j in js}
+        if any(v.conjugate() != vals[p - j] for j, v in vals.items()):
             return False
     return True
 
@@ -71,12 +94,11 @@ def _check_rank(p: int) -> bool:
 
 
 def _check_divisibility(p: int) -> bool:
-    # the symbol's 1, h and h^2 parts, the ones read, at every nontrivial
-    # element; a zero slot's value is the shared zero of order p, so a right
-    # answer compares equal by identity in O(1), and a wrong one is unequal
-    symbol = bundles.generic_characters()["symbol"]
-    zero = cyclotomic_zero(p)
-    return all(s.at(p, j) == zero for j in range(1, p) for s in (symbol.c0, symbol.ch, symbol.chh))
+    # the symbol's 1, h and h^2 parts, the ones read: one interned zero
+    # class, unless a fault split them, each tested for zero at each element
+    read = bundles.distinct_classes((bundles.generic_characters()["symbol"],), ("c0", "ch", "chh"))
+    js = _elements(p)
+    return not any(f.at(p, j) for f in read.values() for j in js)
 
 
 _P_INDEPENDENCE_SAMPLES = ((2, 0, 1, -2), (2, 0, 2, 0), (5, 3, 2, 3), (4, -2, -1, 6))

@@ -20,7 +20,7 @@ from math import gcd
 from operator import mul
 
 from orbifold_index import index as index_mod
-from orbifold_index.bundles import GroupElement, derive_characters
+from orbifold_index.bundles import GroupElement, derive_characters, generic_characters
 from orbifold_index.identities import TrigSums
 from orbifold_index.index import CorrectionSum
 from orbifold_index.scalars import (
@@ -31,6 +31,7 @@ from orbifold_index.scalars import (
     _poly_mul_int,
     _times_t,
     cyclotomic_polynomial,
+    euler_phi,
     ramanujan_weights,
 )
 
@@ -41,6 +42,12 @@ class Cyc(Cyclotomic):
     never mix, and a library value is lifted with Cyc.of first."""
 
     __slots__ = ()
+
+    @classmethod
+    def from_rational(cls, order: int, value) -> "Cyc":
+        """The int or Fraction value as a constant of Q(zeta_order)."""
+        q = Fraction(value)
+        return cls._raw(order, (q.numerator,) + (0,) * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
     def of(cls, a: Cyclotomic) -> "Cyc":
@@ -261,6 +268,15 @@ def _rational(total, what, p):
     if q is None:
         raise ConsistencyError(f"group-summed {what} is not rational at p={p}")
     return q
+
+
+def character(name, gamma):
+    """The library's derived character `name` (a key of
+    bundles.generic_characters) at gamma, each coefficient evaluated at
+    zeta_p^j by Laurent.at.  The result holds Cyclotomic values, which have
+    no arithmetic, so it is read-only: ==, hash, map and to_json work, but
+    +, -, * and ring.invert_unit raise TypeError."""
+    return generic_characters()[name].map(lambda s: s.at(gamma.p, gamma.j))
 
 
 def correction_at_pipeline(gamma):

@@ -17,25 +17,25 @@ from orbifold_index.applications import (
 from orbifold_index.index import Duality, TopologicalData, index_closed_form
 
 ALL_KINDS = ([SurfaceKind(True, j) for j in range(8)]
-             + [SurfaceKind.non_orientable(j) for j in range(1, 8)])
+             + [SurfaceKind(False, j) for j in range(1, 8)])
 
 
 def test_conf_dim_table():
     assert conf_dim(SurfaceKind(True, 0)) == 6
     assert conf_dim(SurfaceKind(True, 1)) == 2
     assert conf_dim(SurfaceKind(True, 2)) == 0
-    assert conf_dim(SurfaceKind.non_orientable(1)) == 3
-    assert conf_dim(SurfaceKind.non_orientable(2)) == 2
-    assert conf_dim(SurfaceKind.non_orientable(3)) == 0
+    assert conf_dim(SurfaceKind(False, 1)) == 3
+    assert conf_dim(SurfaceKind(False, 2)) == 2
+    assert conf_dim(SurfaceKind(False, 3)) == 0
 
 
 def test_h0_bound_table():
     assert h0_bound(SurfaceKind(True, 0)) == 11
     assert h0_bound(SurfaceKind(True, 1)) == 7
     assert h0_bound(SurfaceKind(True, 3)) == 5
-    assert h0_bound(SurfaceKind.non_orientable(1)) == 8
-    assert h0_bound(SurfaceKind.non_orientable(2)) == 7
-    assert h0_bound(SurfaceKind.non_orientable(5)) == 5
+    assert h0_bound(SurfaceKind(False, 1)) == 8
+    assert h0_bound(SurfaceKind(False, 2)) == 7
+    assert h0_bound(SurfaceKind(False, 5)) == 5
 
 
 def test_h0_bound_is_conf_dim_plus_five():
@@ -46,12 +46,14 @@ def test_h0_bound_is_conf_dim_plus_five():
 def test_euler_characteristics():
     assert SurfaceKind(True, 0).euler_char == 2
     assert SurfaceKind(True, 2).euler_char == -2
-    assert SurfaceKind.non_orientable(3).euler_char == -1
+    assert SurfaceKind(False, 3).euler_char == -1
 
 
 def test_surface_kind_validation():
-    with pytest.raises(ValueError):
-        SurfaceKind.non_orientable(0)
+    # one check and one message: no crosscap surface has j < 1
+    for j in (0, -1):
+        with pytest.raises(ValueError, match="invalid surface description"):
+            SurfaceKind(False, j)
 
 
 def test_whitney_massey_values():

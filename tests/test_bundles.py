@@ -15,14 +15,13 @@ import json
 import pytest
 from fractions import Fraction as F
 
-from oracles import Cyc, cos_of, sin_times_i_of, zeta
+from oracles import Cyc, character, cos_of, sin_times_i_of, zeta
 from orbifold_index import bundles, cli, index as index_mod
 from orbifold_index.bundles import (
     GroupElement,
     Z,
     Z_BAR,
     _line_characters,
-    character,
     character_dump,
     derive_characters,
 )
@@ -243,6 +242,17 @@ def test_a_dump_evaluates_each_distinct_class_once(monkeypatch):
     assert len(calls) == 6
     monkeypatch.undo()
     assert dump == {name: character(name, gamma).to_json() for name in bundles.generic_characters()}
+
+
+def test_distinct_classes_lists_each_interned_class_once():
+    # by identity: the 42 slots are 20 objects, and the symbol's 1, h and
+    # h^2 slots, which verify's divisibility suite reads, are one zero
+    chars = bundles.generic_characters()
+    every = bundles.distinct_classes(chars.values())
+    assert len(every) == 20 and all(id(s) == key for key, s in every.items())
+    assert sum(not s for s in every.values()) == 1
+    read = bundles.distinct_classes((chars["symbol"],), ("c0", "ch", "chh"))
+    assert list(read.values()) == [Laurent({})]
 
 
 def _literal_z(chars):  # z whatever the phase: the run at z^-1 is no conjugate

@@ -13,7 +13,7 @@ import orbifold_index.applications as applications
 import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 import orbifold_index.scalars as scalars
-from oracles import Cyc
+from oracles import Cyc, character
 from orbifold_index import cli, verify
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import Cyclotomic, Laurent
@@ -409,7 +409,7 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
     low = set()
     for j in range(1, p // 2 + 1):
         for name in ("symbol", "thom", "lambda_plus"):
-            bundles.character(name, bundles.GroupElement(p, j)).map(low.add)
+            character(name, bundles.GroupElement(p, j)).map(low.add)
     real = Cyclotomic.conjugate
     monkeypatch.setattr(Cyclotomic, "conjugate",
                         lambda a: real(a) if a in low else (Cyc.of(real(a)) + 1).value())
@@ -422,16 +422,18 @@ def test_conjugation_suite_compares_each_pair_both_ways(monkeypatch, p):
                                          (2, {1})])
 def test_conjugation_suite_evaluates_each_element_once(monkeypatch, p, elements):
     # j in {1, p // 2, q} and their partners p - j, q the least prime factor
-    # of a composite p: each character once at each element (15 calls at
-    # p = 12, where evaluating both sides of each pair made 18)
+    # of a composite p: each distinct class of the three characters exactly
+    # once at each element, the one interned zero class included
+    chars = bundles.generic_characters()
+    classes = {id(getattr(chars[name], slot)) for name in ("symbol", "thom", "lambda_plus")
+               for slot in CohomElement._fields}
     calls = []
-    real = bundles.character
-    monkeypatch.setattr(bundles, "character",
-                        lambda name, g: calls.append((name, g.j)) or real(name, g))
+    real = Laurent.at
+    monkeypatch.setattr(Laurent, "at", lambda s, q, j: calls.append((id(s), j)) or real(s, q, j))
+    assert verify._elements(p) == elements
     assert verify._check_conjugation(p) is True
-    assert len(calls) == len(set(calls)) == 3 * len(elements)
-    assert {j for _, j in calls} == elements
-    assert {name for name, _ in calls} == {"symbol", "thom", "lambda_plus"}
+    assert len(calls) == len(set(calls)) == len(classes) * len(elements) == 11 * len(elements)
+    assert set(calls) == {(c, j) for c in classes for j in elements}
 
 
 @pytest.mark.parametrize("p", [7, 12, 29])
@@ -567,25 +569,29 @@ def test_a_non_unit_thom_class_is_a_failed_check_not_a_crash(capsys, monkeypatch
 
 @pytest.mark.parametrize("slot", ["c0", "ch", "chh"])
 def test_divisibility_suite_checks_each_read_slot_at_every_element(monkeypatch, slot):
-    p = 7
-    for j in range(1, p):
-        with monkeypatch.context() as m:
-            _inject(m, "symbol", slot, j, lambda q: Cyclotomic.from_rational(q, 1))
-            assert verify._check_divisibility(p) is False, j
-    assert verify._check_divisibility(p) is True
+    # every element the suite reads: 7 at a prime, 12 at a composite order
+    for p, elements in ((7, {1, 3, 4, 6}), (12, {1, 2, 6, 10, 11})):
+        assert verify._elements(p) == elements
+        for j in elements:
+            with monkeypatch.context() as m:
+                _inject(m, "symbol", slot, j, lambda q: Cyc.from_rational(q, 1).value())
+                assert verify._check_divisibility(p) is False, (p, j)
+        assert verify._check_divisibility(p) is True
 
 
 def test_divisibility_suite_builds_a_bounded_number_of_values(monkeypatch):
-    # the 3 (p - 1) zero slots read the one shared zero of the order, so the
-    # values built per order do not grow with p (3 (p - 1) = 1200 of them,
-    # each a phi(p)-tuple, when every read built its own zero)
-    p, built = 401, []
-    assert verify._check_divisibility(2) is True  # the last order read is another one
+    # the three zero slots are one interned class, read once at each of the
+    # at most six elements, so the values built per order do not grow with
+    # p (3 (p - 1) = 1200 of them, each a phi(p)-tuple, when every slot was
+    # read at every element); 401 is prime, 402 composite
     real = Cyclotomic.__dict__["_raw"].__func__
-    monkeypatch.setattr(Cyclotomic, "_raw",
-                        classmethod(lambda cls, *a: built.append(cls) or real(cls, *a)))
-    assert verify._check_divisibility(p) is True
-    assert len(built) <= 3
+    for p in (401, 402):
+        built = []
+        with monkeypatch.context() as m:
+            m.setattr(Cyclotomic, "_raw",
+                      classmethod(lambda cls, *a: built.append(cls) or real(cls, *a)))
+            assert verify._check_divisibility(p) is True
+        assert len(built) == len(verify._elements(p)) <= 6, p
 
 
 @pytest.mark.parametrize("name, rank", [("cotangent", 4), ("lambda_plus", 3), ("lambda_minus", 3),
@@ -593,7 +599,7 @@ def test_divisibility_suite_builds_a_bounded_number_of_values(monkeypatch):
 def test_rank_suite_checks_each_character_at_the_identity(monkeypatch, name, rank):
     p = 5
     with monkeypatch.context() as m:
-        _inject(m, name, "c0", 0, lambda q: Cyclotomic.from_rational(q, rank + 1))
+        _inject(m, name, "c0", 0, lambda q: Cyc.from_rational(q, rank + 1).value())
         assert verify._check_rank(p) is False
     assert verify._check_rank(p) is True
 
@@ -638,7 +644,7 @@ def test_crash_in_any_subcommand_exits_3_and_names_the_exception(
 def test_value_error_from_the_library_is_an_internal_error(capsys, monkeypatch):
     # a ValueError that no argument check raised is a library bug: exit 3
     monkeypatch.setattr(index_mod, "correction_sum",
-                        lambda p: Cyclotomic.from_rational(p, 0).galois(p))
+                        lambda p: Cyc.from_rational(p, 0).value().galois(p))
     rc, out, err = run(capsys, ["--json", "correction", "--p", "5"])
     assert rc == 3 and out == ""
     assert err == "internal error: ValueError: zeta -> zeta^5 is not an automorphism for order 5\n"

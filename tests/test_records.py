@@ -50,7 +50,7 @@ RECORDS = {
     "correction_sum": (
         lambda: correction_sum(5),
         "CorrectionSum(coeff_e=Fraction(-2, 1), coeff_h=Fraction(-16, 5))"),
-    "surface_kind": (lambda: SurfaceKind.non_orientable(3),
+    "surface_kind": (lambda: SurfaceKind(False, 3),
                      "SurfaceKind(orientable=False, j=3)"),
     "moduli_report": (
         lambda: hitchin_report(3),
@@ -219,7 +219,7 @@ def test_replace_validates_like_the_constructor():
     with pytest.raises(ValueError):
         _replace(GroupElement(7, 3), j=7)
     with pytest.raises(ValueError):
-        _replace(SurfaceKind.non_orientable(1), j=0)
+        _replace(SurfaceKind(False, 1), j=0)
     with pytest.raises(ValueError):
         _replace(hitchin_report(4), dim_h1=1)
     assert data == TopologicalData(2, 0, 2, 0, 3)  # the original is untouched
