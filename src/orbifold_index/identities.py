@@ -29,18 +29,30 @@ as its three coefficients and checked in O(1) in one place
 (inv_two_minus_two_cos_quadratic, which runs verify_inverse_quadratic), for
 these traces only (Laurent.at divides by t in O(d) instead), and the 2d^2
 is written here alone.  The trace of x^s u_d reads u_d at the exponents
-r = -s mod m, m | d, one arithmetic progression of step m each, and the sum
-of a quadratic over a progression has a closed form: a class trace costs
-O(2^omega(d)) integer operations per term of N, and no vector of length d
-is built.  The progressions of one step m are summed together: with
-a_s = -s mod m, sum_s c_s v(a_s + x) is one quadratic in x whose
-coefficients take only the three moments
+r = -s mod m, m | d, one arithmetic progression of step m each, weighted by
+mu(d/m) m, and the sum of a quadratic over a progression has a closed form.
+The progressions of one step m are summed together: with a_s = -s mod m,
+sum_s c_s v(a_s + x) is one quadratic in x whose coefficients take only
+the three moments
 
-    Z0 = sum_s c_s,   Z1 = sum_s c_s a_s,   Z2 = sum_s c_s a_s^2,
+    Z0 = sum_s c_s,   Z1 = sum_s c_s a_s,   Z2 = sum_s c_s a_s^2.
 
-namely (c0 Z0 + c1 Z1 + c2 Z2, c1 Z0 + 2 c2 Z1, c2 Z0), so each m costs
-one pass over the terms and one closed-form sum of that quadratic over
-r = 0, m, 2m, ... < d, written out in place in sparse_trace_over_t.
+No sum runs over all m | d.  For m > S = max |s|, a_s is -s (s <= 0) or
+m - s (s > 0), so Z1 and Z2 are polynomials in m, and so is m times the
+progression sum: one quadratic e0 + e1 m + e2 m^2, whose sum against
+mu(d/m) over m | d is e1 J_1(d) + e2 J_2(d) by Jordan's totients
+J_k(d) = sum_{m | d} mu(d/m) m^k = (d/rad d)^k prod_{q | d} (q^k - 1)
+(Apostol, Introduction to Analytic Number Theory, ch. 2), J_0(d) being 0 at
+d >= 2.  Its integers are e1 and e2 times 6, and their sum is divided by 6
+exactly or raises.  The few m <= S with mu(d/m) != 0 are then corrected by
+what their true moments differ by.  With k = 0, Hoelder's (1936)
+c_d(s) = mu(e) phi(d) / phi(e), e = d / gcd(d, s), takes O(omega(d)) once
+for each distinct gcd.  So a class trace costs O(omega(d)) integer
+operations plus one pass over N for each small m, where a sum over the
+Ramanujan weights cost O(2^omega(d)) per term of N, and no vector of length
+d is built.  Both kernels take d's distinct primes, and no divisor is ever
+factored: class_sums factors p once per group sum and hands each d the
+primes of p that divide it.
 
 A class trace depends on d and the class only, never on p, so each (d,
 class) trace is computed once per process and kept as one integer in
@@ -55,10 +67,7 @@ builds no key of its own; a miss stores its trace only once its kernel has
 returned.  Each class's sum goes back as two integers, the sum of the kept
 traces over the class's one positive denominator, unreduced; no Fraction
 is built until a caller needs one (trig_sums cross-multiplies with its
-closed forms, index.correction_sum builds each coefficient once).  The
-Ramanujan weights of each d are kept too (scalars.ramanujan_weights), so
-a process factors each divisor once, whichever orders and classes reach
-it.
+closed forms, index.correction_sum builds each coefficient once).
 A failed check is not kept and raises on every call.
 The sums are rational by construction; the tests keep the literal
 per-element sweeps over Q(zeta_p) as the independent route.
@@ -67,9 +76,10 @@ per-element sweeps over Q(zeta_p) as the independent route.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
-from .scalars import ConsistencyError, Laurent, divisors, ramanujan_weights
+from .scalars import ConsistencyError, Laurent, _prime_factors, divisors, ramanujan_weights
 
 
 def inv_two_minus_two_cos_quadratic(d: int) -> tuple[int, int, int]:
@@ -105,45 +115,81 @@ def verify_inverse_quadratic(d: int, coeffs: tuple[int, int, int]) -> None:
             f"closed-form inverse failed its ring identity at d={d}")
 
 
-def sparse_trace(d: int, lo: int, nums: tuple[int, ...]) -> int:
+def _totients(d: int, primes: list[int]) -> tuple[int, int]:
+    """Jordan's totients J_1(d) = phi(d) and J_2(d), J_k(d) the sum of
+    mu(d/m) m^k over m | d, from d's distinct primes: (d/rad d)^k times the
+    product of q^k - 1."""
+    f = d
+    for q in primes:
+        f //= q
+    j1, j2 = f, f * f
+    for q in primes:
+        j1 *= q - 1
+        j2 *= q * q - 1
+    return j1, j2
+
+
+def sparse_trace(d: int, primes: list[int], lo: int, nums: tuple[int, ...]) -> int:
     """Tr_{Q(zeta_d)/Q} of sum_s nums[s - lo] x^s at x = zeta_d, as
-    sum_s c_s c_d(s) over the nonzero c_s, with the Ramanujan sum
-    c_d(s) = sum_{m | gcd(s, d)} mu(d/m) m."""
-    weights = ramanujan_weights(d)
+    sum_s c_s c_d(s) over the nonzero c_s, d's distinct primes given: by
+    Hoelder, the Ramanujan sum c_d(s) is mu(e) phi(d) / phi(e), e = d/g,
+    g = gcd(d, s), so c_d(0) = phi(d), and 0 when e is not squarefree.
+    Each distinct g is evaluated once a call, in O(omega(d))."""
+    phi = _totients(d, primes)[0]
+    sums: dict[int, int] = {}  # c_d(s) by g = gcd(d, s)
     total = 0
     for s, c in enumerate(nums, lo):
         if c:
-            for m, w in weights:
-                if s % m == 0:
-                    total += c * w
+            g = gcd(d, s)
+            r = sums.get(g)
+            if r is None:
+                e, r = d // g, phi
+                for q in primes:
+                    if e % q == 0:
+                        e //= q
+                        r = 0 if e % q == 0 else -r // (q - 1)
+                sums[g] = r
+            total += c * r
     return total
 
 
-def sparse_trace_over_t(d: int, lo: int, nums: tuple[int, ...]) -> int:
+def sparse_trace_over_t(d: int, primes: list[int], lo: int, nums: tuple[int, ...]) -> int:
     """2 d^2 Tr_{Q(zeta_d)/Q} of sum_s nums[s - lo] x^s / t at x = zeta_d,
-    from the checked u_d: sum_{m | d} mu(d/m) m times the sum of the entries
-    of N * 2d^2 u_d at the multiples of m.  Term s reads u_d's quadratic v
-    over the progression a_s + m i, a_s = -s mod m, and the terms'
-    sum_s c_s v(a_s + x) is one quadratic b0 + b1 x + b2 x^2, from the
-    moments Z0, Z1 and Z2 of the a_s (module docstring), summed in place
-    over x = m i, i < n = d/m: n b0 + b1 S1 + b2 S2, with S1 = sum m i and
-    S2 = sum (m i)^2."""
+    d's distinct primes given, from the checked u_d: sum_{m | d} mu(d/m) m
+    B(m), B(m) the sum of N * 2d^2 u_d's entries at the multiples of m.  For
+    m > S = max |s|, a_s = -s mod m is -s (s <= 0) or m - s (s > 0), so the
+    moments are Z1 = A1 + m P0 and Z2 = A2 - 2m P1 + m^2 P0, and m B(m) is
+    one quadratic e0 + e1 m + e2 m^2 in m; summed over m it is
+    e1 J_1(d) + e2 J_2(d), J_0(d) being 0 at d >= 2.  The m <= S with
+    mu(d/m) != 0 then add what the true moments differ by (module
+    docstring)."""
     c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
-    z0 = sum(nums)
-    c0z0, c1z0, c2z0 = c0 * z0, c1 * z0, c2 * z0
-    total = 0
-    for m, w in ramanujan_weights(d):
-        z1 = z2 = 0
+    z0 = a1 = p0 = p1 = 0
+    for s, c in enumerate(nums, lo):
+        if c:
+            z0 += c
+            a1 -= c * s
+            if s > 0:
+                p0 += c
+                p1 += c * s
+    # the linear coefficient c1 Z0 + 2 c2 Z1 of the quadratic is l0 + l1 m
+    l0, l1 = c1 * z0 + 2 * c2 * a1, 2 * c2 * p0
+    e1 = 6 * d * (c1 * p0 - 2 * c2 * p1) + 3 * d * (l1 * d - l0) - 3 * c2 * z0 * d * d
+    e2 = 6 * d * c2 * p0 - 3 * d * l1 + c2 * z0 * d
+    j1, j2 = _totients(d, primes)
+    total, rem = divmod(e1 * j1 + e2 * j2, 6)
+    if rem:
+        raise ConsistencyError(f"the totient sum of a class trace is not an integer at d={d}")
+    # each m <= S adds mu(d/m) m times what its true moments change in B(m)
+    for m, w in ramanujan_weights(d, primes, max(-lo, lo + len(nums) - 1)):
+        dz1 = dz2 = 0
         for s, c in enumerate(nums, lo):
             if c:
-                a = -s % m
-                ca = c * a
-                z1 += ca
-                z2 += ca * a
+                a, b = -s % m, (m - s if s > 0 else -s)
+                dz1 += c * (a - b)
+                dz2 += c * (a * a - b * b)
         n = d // m
-        s1 = m * n * (n - 1) // 2
-        s2 = s1 * m * (2 * n - 1) // 3  # m^2 (n-1) n (2n-1) / 6, exactly
-        total += w * (n * (c0z0 + c1 * z1 + c2 * z2) + (c1z0 + 2 * c2 * z1) * s1 + c2z0 * s2)
+        total += w * (n * (c1 * dz1 + c2 * dz2) + c2 * dz1 * m * n * (n - 1))
     return total
 
 
@@ -157,14 +203,16 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[tuple[int, int], ...
     den > 0 and the pair unreduced: the sum over the divisor classes d | p,
     d > 1, of Tr_{Q(zeta_d)/Q} c(zeta_d), which is the sum of c over the
     elements of exact order d, N traced term by term when k = 0, and N
-    times the checked representative of 1/t when k = 1.  p's divisors are
-    listed once for all the classes.  num adds the integer traces kept in
+    times the checked representative of 1/t when k = 1.  p is factored once,
+    and its divisors listed once, for all the classes; a kernel gets d's
+    distinct primes from those of p.  num adds the integer traces kept in
     _TRACES, taken on the integer numerators of N, and den is N's own
     denominator, times 2 p^2 when k = 1, where u_d's 2 d^2 is scaled by
     (p/d)^2 (p is the lcm of the classes).  No Fraction is built."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    ds = divisors(p)[1:]
+    factors = _prime_factors(p)
+    ds = divisors(p, factors)[1:]
     sums = []
     for c in classes:
         k, lo, nums = c.k, c.lo, c.nums
@@ -177,14 +225,16 @@ def class_sums(p: int, classes: Iterable[Laurent]) -> tuple[tuple[int, int], ...
             for d in ds:
                 t = memo.get(d)
                 if t is None:  # stored only once the kernel has returned
-                    t = _TRACES.setdefault(key, memo)[d] = sparse_trace(d, lo, nums)
+                    primes = [q for q, _ in factors if d % q == 0]
+                    t = _TRACES.setdefault(key, memo)[d] = sparse_trace(d, primes, lo, nums)
                 total += t
             sums.append((total, c.den))
         else:
             for d in ds:
                 t = memo.get(d)
                 if t is None:
-                    t = _TRACES.setdefault(key, memo)[d] = sparse_trace_over_t(d, lo, nums)
+                    primes = [q for q, _ in factors if d % q == 0]
+                    t = _TRACES.setdefault(key, memo)[d] = sparse_trace_over_t(d, primes, lo, nums)
                 q = p // d
                 total += t * q * q
             sums.append((total, 2 * c.den * p * p))

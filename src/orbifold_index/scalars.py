@@ -114,10 +114,11 @@ def _prime_factors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
+def divisors(n: int, factors: Optional[list[tuple[int, int]]] = None) -> list[int]:
+    """Sorted positive divisors of n >= 1, built from its (prime, exponent)
+    pairs: `factors` when the caller has them, else _prime_factors(n)."""
     out = [1]
-    for q, e in _prime_factors(n):
+    for q, e in _prime_factors(n) if factors is None else factors:
         out += [d * q ** i for i in range(1, e + 1) for d in out]
     out.sort()
     return out
@@ -130,17 +131,21 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
-def ramanujan_weights(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (m, mu(d/m) * m) over the divisors m of d with d/m
-    squarefree: the Ramanujan sum c_d(s) is the sum of the weights whose m
-    divides s.  Kept once per d for the process, so each divisor class of
-    the group sums and each Phi_d factors d once; a tuple, so no caller
-    can change a kept entry."""
-    weights = [(d, d)]
-    for q, _ in _prime_factors(d):
-        weights += [(m // q, -w // q) for m, w in weights]
-    return tuple(weights)
+def ramanujan_weights(d: int, primes: list[int], top: int) -> list[tuple[int, int]]:
+    """The pairs (m, mu(d/m) * m) over the divisors m <= top of d with d/m
+    squarefree, from d's distinct primes: with top >= d, the Ramanujan sum
+    c_d(s) is the sum of the weights whose m divides s.  Each m is d/rad(d)
+    times a product of distinct primes, built upward, so a product above
+    top is never extended."""
+    core = d
+    for q in primes:
+        core //= q
+    if core > top:
+        return []
+    weights = [(core, -core if len(primes) % 2 else core)]
+    for q in primes:
+        weights += [(m * q, -w * q) for m, w in weights if m * q <= top]
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +173,7 @@ def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    weights = ramanujan_weights(p)
+    weights = ramanujan_weights(p, [q for q, _ in _prime_factors(p)], p)
     phi_p = [1]
     for d, w in weights:
         if w > 0:  # times x^d - 1
@@ -541,6 +546,10 @@ class Laurent(_Scalar):
         return self.inverse() * other
 
     def _add(self, o: "Laurent", sign: int) -> "Laurent":
+        if not o.nums:  # x +- 0 is x, 0 + x is x and 0 - x is -x
+            return self
+        if not self.nums:
+            return o if sign == 1 else -o
         # over the common t^k, the numerators are N * t^(k - own k)
         k = max(self.k, o.k)
         a, b = (x if x.k == k else Laurent._canonical(x.lo, x.nums, x.den, x.k - k)
@@ -561,6 +570,8 @@ class Laurent(_Scalar):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.nums and o.nums):  # a zero factor: the canonical zero
+            return o if self.nums else self
         return Laurent._canonical(self.lo + o.lo, _poly_mul_int(self.nums, o.nums),
                                   self.den * o.den, self.k + o.k)
 

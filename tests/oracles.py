@@ -21,7 +21,7 @@ from operator import mul
 
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement, derive_characters, generic_characters
-from orbifold_index.identities import TrigSums
+from orbifold_index.identities import TrigSums, inv_two_minus_two_cos_quadratic
 from orbifold_index.index import CorrectionSum
 from orbifold_index.scalars import (
     ConsistencyError,
@@ -30,9 +30,9 @@ from orbifold_index.scalars import (
     _integer_form,
     _poly_mul_int,
     _times_t,
+    _prime_factors,
     cyclotomic_polynomial,
     euler_phi,
-    ramanujan_weights,
 )
 
 
@@ -231,12 +231,50 @@ def verify_inverse_vec(d, vec, den):
         raise ConsistencyError(f"closed-form inverse failed its ring identity at d={d}")
 
 
+def ramanujan_weights(d):
+    """The pairs (m, mu(d/m) * m) over every divisor m of d with d/m
+    squarefree, built downward from (d, d) by one division per distinct
+    prime: c_d(s) is the sum of the weights whose m divides s."""
+    weights = [(d, d)]
+    for q, _ in _prime_factors(d):
+        weights += [(m // q, -w // q) for m, w in weights]
+    return weights
+
+
 def trace(vec, terms):
     """Tr_{Q(zeta_d)/Q} of (sum_s c_s x^s) * vec at x = zeta_d, d = len(vec):
     sum_{m | d} mu(d/m) m times the sum of the product's entries at the
     multiples of m, read off vec at -s mod m by slicing."""
     return sum(w * sum(c * sum(vec[-s % m::m]) for s, c in terms.items())
                for m, w in ramanujan_weights(len(vec)))
+
+
+def weight_trace(d, lo, nums):
+    """The class trace over t^0 by Ramanujan weights, the reference of
+    identities.sparse_trace: sum_s c_s c_d(s), each c_d(s) summed over all
+    2^omega(d) weights of d."""
+    weights = ramanujan_weights(d)
+    return sum(c * w for s, c in enumerate(nums, lo) if c for m, w in weights if s % m == 0)
+
+
+def weight_trace_over_t(d, lo, nums):
+    """2 d^2 times the class trace over t by Ramanujan weights, the
+    reference of identities.sparse_trace_over_t: for each weight (m, w) of d,
+    w times the sum of the checked quadratic v of u_d over the progressions
+    a_s + m i, i < d/m, a_s = -s mod m, from the moments Z0, Z1 and Z2 of
+    the a_s."""
+    c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
+    z0 = sum(nums)
+    total = 0
+    for m, w in ramanujan_weights(d):
+        z1 = sum(c * (-s % m) for s, c in enumerate(nums, lo))
+        z2 = sum(c * (-s % m) ** 2 for s, c in enumerate(nums, lo))
+        n = d // m
+        s1 = m * n * (n - 1) // 2
+        s2 = s1 * m * (2 * n - 1) // 3  # m^2 (n-1) n (2n-1) / 6, exactly
+        total += w * (n * (c0 * z0 + c1 * z1 + c2 * z2) + (c1 * z0 + 2 * c2 * z1) * s1
+                      + c2 * z0 * s2)
+    return total
 
 
 def laurent_terms(a):

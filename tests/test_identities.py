@@ -239,15 +239,17 @@ def test_traced_cos_sums_match_per_element_sums():
 def test_trace_is_sum_over_units():
     for d in range(2, 31):
         units = [k for k in range(1, d) if gcd(k, d) == 1]
+        primes = [q for q, _ in scalars._prime_factors(d)]
         for s in range(d):
             vec = [0] * d
             vec[s] = 1
             orbit = sum((zeta(d, k * s) for k in units), Cyc.from_rational(d, 0))
             assert trace(vec, {0: 1}) == orbit.as_rational(), (d, s)
             for shift in (s, s - d, s + d):
-                assert ident.sparse_trace(d, shift, (1,)) == orbit.as_rational(), (d, shift)
+                traced = ident.sparse_trace(d, primes, shift, (1,))
+                assert traced == orbit.as_rational(), (d, shift)
                 # x^shift * vec is the unit vector at s + shift
-                assert trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, s + shift, (1,))
+                assert trace(vec, {shift: 3}) == 3 * ident.sparse_trace(d, primes, s + shift, (1,))
         assert trace([1] * d, {0: 1}) == 0  # N_d traces to 0
 
 
@@ -427,8 +429,8 @@ def test_trig_sums_names_a_skewed_trace_as_fractions(monkeypatch, target, traced
     name = "sparse_trace" if k == 0 else "sparse_trace_over_t"
     real = getattr(ident, name)
     ident._TRACES.clear()
-    monkeypatch.setattr(ident, name,
-                        lambda d, lo, nums: real(d, lo, nums) + (lo == skewed_lo))
+    monkeypatch.setattr(ident, name, lambda d, primes, lo, nums:
+                        real(d, primes, lo, nums) + (lo == skewed_lo))
     message = f"trig sums disagree at p=7: traced {traced} vs closed {_P7_CLOSED}"
     try:
         with pytest.raises(ConsistencyError) as raised:
@@ -497,7 +499,7 @@ def test_each_representative_is_checked_once_per_class(monkeypatch):
     assert sorted(checked) == sorted(2 * list(range(2, 201)))
 
 
-def test_a_group_sum_factors_its_order_once_and_each_divisor_once(monkeypatch):
+def test_a_group_sum_factors_its_order_once_and_no_divisor(monkeypatch):
     real = scalars._prime_factors
     factored = Counter()
 
@@ -506,24 +508,23 @@ def test_a_group_sum_factors_its_order_once_and_each_divisor_once(monkeypatch):
         return real(n)
 
     orders = (720, 360, 2310, 97, 1024, 5040)
-    classes = {p: divisors(p)[1:] for p in orders}  # listed before the count
     correction_class()  # derived once per process, before the count
     ident._TRACES.clear()
-    scalars.ramanujan_weights.cache_clear()
-    monkeypatch.setattr(scalars, "_prime_factors", counting)
-    # a fresh trig_sums at a composite order lists its divisors once for all
-    # three classes, and factors each class d | p, d > 1, once for its
-    # Ramanujan weights: p itself once as the order, once as a class
+    for module in (scalars, ident):
+        monkeypatch.setattr(module, "_prime_factors", counting)
+    # a fresh trig_sums at a composite order factors its order once for the
+    # divisor list of all three classes; each kernel gets the primes of its
+    # class d | p, d > 1, from that one factorisation
     trig_sums(720)
-    assert factored == Counter([720, *classes[720]])
+    assert factored == Counter([720])
     # over trig and correction sums at several orders, each group sum
-    # factors its order once and no class is factored a second time
+    # factors its order once, whatever the memo holds
     group_sums = [720]
     for p in orders:
         trig_sums(p)
         correction_sum.__wrapped__(p)
         group_sums += [p, p]
-    assert factored == Counter(group_sums) + Counter({d for ds in classes.values() for d in ds})
+    assert factored == Counter(group_sums)
 
 
 def test_a_non_integer_order_is_refused_and_poisons_no_memo():
@@ -531,7 +532,6 @@ def test_a_non_integer_order_is_refused_and_poisons_no_memo():
     # raised only after it had kept float traces under keys equal to 7's,
     # and correction_sum(9.0) returned float coefficients
     ident._TRACES.clear()
-    scalars.ramanujan_weights.cache_clear()
     correction_sum.cache_clear()
     for _ in range(2):
         with pytest.raises(TypeError):
@@ -539,12 +539,13 @@ def test_a_non_integer_order_is_refused_and_poisons_no_memo():
         with pytest.raises(TypeError):
             correction_sum(9.0)
         with pytest.raises(TypeError):
-            scalars.ramanujan_weights(7.0)
+            scalars.divisors(7.0)
+    assert ident._TRACES == {}
     assert trig_sums(7) == _trig_closed_forms(7)
     cs = correction_sum(9)
     assert cs == correction_sum_closed_form(9)
     assert all(type(v) is F for v in (*trig_sums(7), cs.coeff_e, cs.coeff_h))
-    assert all(type(m) is int and type(w) is int for m, w in scalars.ramanujan_weights(7))
+    assert all(type(t) is int for memo in ident._TRACES.values() for t in memo.values())
 
 
 def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
@@ -615,6 +616,20 @@ def test_correction_sum_matches_closed_form_beyond_old_ceiling():
     # the int64 evaluator stopped at p = 300; the trace route has no ceiling
     for p in list(range(2, 601)) + [1009, 2003, 5040, 10007]:
         assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p), p
+
+
+def test_group_sums_at_the_primorial_47():
+    # 47# = 2 * 3 * ... * 47 has 15 distinct primes and 2^15 divisors: each
+    # divisor's trace is O(omega(d)) plus its few small-m terms, where a
+    # trace over all 2^omega(d) Ramanujan weights took 18 s at this order
+    p = 614889782588491410
+    assert [q for q, _ in scalars._prime_factors(p)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    try:
+        assert correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
+        assert trig_sums(p) == _trig_closed_forms(p)
+    finally:
+        ident._TRACES.clear()  # 5 * 32767 traces no other test reads
 
 
 def test_trig_sums_match_closed_form_beyond_old_ceiling():

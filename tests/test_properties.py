@@ -49,6 +49,8 @@ from oracles import (  # noqa: E402
     poly_divmod_int,
     reduction_rows_dense,
     trace,
+    weight_trace,
+    weight_trace_over_t,
     zeta,
 )
 
@@ -389,6 +391,20 @@ def test_laurent_integer_arithmetic_matches_the_fraction_route(a, b):
 
 
 @_settings
+@given(int_laurents, st.sampled_from([0, F(0), Laurent({}), Laurent({3: 0}, 2)]))
+def test_laurent_zero_shortcuts_give_the_general_keys(a, zero):
+    # x + 0, x - 0, 0 + x, 0 - x, x * 0 and 0 * x return early; each result
+    # has the key that the Fraction-dict route builds through the general
+    # canonicaliser, the zero included (()/1, lo = k = 0)
+    z = Laurent._coerce(zero)
+    assert z._key() == (0, (), 1, 0)
+    for got, want in ((a + zero, laurent_add(a, z)), (zero + a, laurent_add(z, a)),
+                      (a - zero, laurent_add(a, z, -1)), (z - a, laurent_add(z, a, -1)),
+                      (a * zero, laurent_mul(a, z)), (zero * a, laurent_mul(z, a))):
+        assert got._key() == want._key()
+
+
+@_settings
 @given(laurents, laurents, laurents)
 def test_laurent_ring_axioms(a, b, c):
     assert a + b == b + a and a * b == b * a
@@ -576,13 +592,50 @@ def test_class_trace_matches_the_oracle_trace(args):
     # the oracle slices a vector of length d by the nonzero terms: the unit
     # vector when k = 0, and u_d over 2 d^2 when k = 1
     d, k, lo, nums = args
+    primes = [q for q, _ in _prime_factors(d)]
     terms = {s: c for s, c in enumerate(nums, lo) if c}
     if k == 0:
         expected = trace([1] + [0] * (d - 1), terms)
-        assert ident.sparse_trace(d, lo, nums) == expected
+        assert ident.sparse_trace(d, primes, lo, nums) == expected
     else:
         vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2
-        assert ident.sparse_trace_over_t(d, lo, nums) == 2 * trace(vec, terms)
+        assert ident.sparse_trace_over_t(d, primes, lo, nums) == 2 * trace(vec, terms)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def many_prime_orders(draw):
+    """d >= 2 with many distinct small primes, squarefree or with squared
+    and cubed primes, or a prime power: the orders where the small-m
+    correction runs at several m <= max |s|."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_PRIMES[:6])) ** draw(st.integers(1, 12))
+    primes = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=10, unique=True))
+    d = 1
+    for q in primes:
+        d *= q ** draw(st.sampled_from((1, 1, 1, 2, 3)))
+    return d
+
+
+@_settings
+@example((2 * 3 * 5 * 7 * 11 * 13, 1, -12, (1,) * 19))  # every m | 30030 up to 12
+@example((4 * 9 * 5 * 7, 1, -6, (2, 0, -3, 0, 0, 0, 1)))  # mu(d/m) = 0 at some small m
+@example((2, 1, -12, (5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1)))  # d < max |s|
+@example((2**10, 0, -12, (1, 0, 0, 0, -4)))
+@given(st.tuples(many_prime_orders(), st.integers(0, 1), st.integers(-12, 6),
+                 st.lists(st.integers(-50, 50), min_size=1, max_size=9).map(tuple)))
+def test_totient_kernels_match_the_weight_kernels(args):
+    # the src kernels, O(omega(d)) plus the small-m terms, against the
+    # references that sum every Ramanujan weight of d (tests/oracles.py),
+    # with |s| <= 12 so that several m <= max |s| divide d
+    d, k, lo, nums = args
+    primes = [q for q, _ in _prime_factors(d)]
+    if k == 0:
+        assert ident.sparse_trace(d, primes, lo, nums) == weight_trace(d, lo, nums)
+    else:
+        assert ident.sparse_trace_over_t(d, primes, lo, nums) == weight_trace_over_t(d, lo, nums)
 
 
 # classes N/t^k with k <= 1, the ones a group sum traces: integer
@@ -649,16 +702,19 @@ weight_orders = st.one_of(st.integers(1, 10**6),
 
 
 @_settings
-@example(720720, [0, 1, 360360, 720720 * 7 + 5040, -2310])
-@example(2310, [0, 1, 2, 105, -1155, 2310])
+@example(720720, [0, 1, 360360, 720720 * 7 + 5040, -2310], 720720)
+@example(2310, [0, 1, 2, 105, -1155, 2310], 12)
 @given(weight_orders, st.lists(st.one_of(st.integers(-10**6, 10**6),
-                                         st.integers(-10**15, 10**15)), min_size=1, max_size=6))
-def test_memoised_ramanujan_weights_are_the_definition(d, ss):
-    weights = ramanujan_weights(d)
-    assert type(weights) is tuple  # a kept entry no caller can change
+                                         st.integers(-10**15, 10**15)), min_size=1, max_size=6),
+       st.one_of(st.integers(0, 30), st.integers(0, 10**6)))
+def test_ramanujan_weights_are_the_definition(d, ss, top):
+    # all of d's weights sum to c_d(s); below top, exactly those with m <= top
+    primes = [q for q, _ in _prime_factors(d)]
+    weights = ramanujan_weights(d, primes, d)
     for s in ss:
         assert sum(w for m, w in weights if s % m == 0) == _ramanujan_by_definition(d, s), s
-    assert ramanujan_weights(d) is weights
+    assert sorted(ramanujan_weights(d, primes, top)) == sorted(
+        (m, w) for m, w in weights if m <= top)
 
 
 cone_orders = st.integers(min_value=1, max_value=60)

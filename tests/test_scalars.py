@@ -60,12 +60,12 @@ def test_cyclotomic_polynomial_against_sympy():
 def test_cyclotomic_polynomial_rejects_a_dropped_binomial_factor(monkeypatch):
     # without one factor (x^d - 1)^mu(105/d) the product is not Phi_105: a
     # mu = +1 factor left out fails an exact division, a mu = -1 one the degree
-    weights = ramanujan_weights(105)
+    weights = ramanujan_weights(105, [3, 5, 7], 105)
     cyclotomic_polynomial.cache_clear()
     try:
         for i, (_, w) in enumerate(weights):
             monkeypatch.setattr(scalars, "ramanujan_weights",
-                                lambda d, i=i: weights[:i] + weights[i + 1:])
+                                lambda *args, i=i: weights[:i] + weights[i + 1:])
             with pytest.raises(ConsistencyError, match="inexact" if w > 0 else "deg"):
                 cyclotomic_polynomial(105)
     finally:
@@ -88,9 +88,10 @@ def test_factoriser_helpers_match_definitions():
     for n in range(1, 301):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
         assert divisors(n) == [m for m in range(1, n + 1) if n % m == 0], n
-        weights = ramanujan_weights(n)
-        # kept once per n, as a tuple that no caller can change
-        assert type(weights) is tuple and ramanujan_weights(n) is weights, n
+        primes = [q for q, _ in scalars._prime_factors(n)]
+        weights = ramanujan_weights(n, primes, n)
+        # the weights with m <= top are those of the whole list
+        assert ramanujan_weights(n, primes, 12) == [(m, w) for m, w in weights if m <= 12], n
         for s in range(n):
             # c_n(s) = sum_{m | gcd(s, n)} mu(n/m) m
             ramanujan = sum(_naive_mobius(n // m) * m
