@@ -14,12 +14,14 @@ check it, against derive_characters(Z_BAR, Z); a fault in the algebra
 itself is caught by verify's correction and p-independence suites and by
 the tests' per-element oracle.  Equal coefficients of the derived
 characters are interned there, once per process, as one Laurent each: the
-42 slots of the seven characters hold 20 distinct classes, zero included.
-distinct_classes lists the distinct classes among some slots once each, by
-identity.  A GroupElement has no phase: character_dump evaluates each
-distinct class at z = zeta_p^j (Laurent.at) and renders it once, in a memo
-that ends with the call, so nothing is kept per element; verify's
-per-element suites read the classes the same way.
+42 slots of the seven characters hold 20 distinct classes, zero included,
+and the symbol's divisibility by e is checked on the interned slots, so a
+fault in the interning fails that check.  distinct_classes lists the
+distinct classes among some slots once each, by identity.  A GroupElement
+has no phase: character_dump evaluates each distinct class at
+z = zeta_p^j (Laurent.at) and renders it once, in a memo that ends with
+the call, so nothing is kept per element; verify's per-element suites read
+the classes the same way.
 """
 
 from __future__ import annotations
@@ -100,19 +102,20 @@ def derive_characters(z, z_bar) -> dict[str, CohomElement]:
 @lru_cache(maxsize=1)
 def generic_characters() -> MappingProxyType:
     """The seven characters at the generic phase Z, derived on first use
-    (never at import).  The symbol has no 1, h or h^2 part, so it is
-    divisible by e (divide_by_e relies on it), or ConsistencyError is
-    raised."""
-    chars = derive_characters(Z, Z_BAR)
+    (never at import) and interned.  The interned symbol has no 1, h or h^2
+    part, so it is divisible by e (divide_by_e relies on it), or
+    ConsistencyError is raised."""
+    # equal slots become one object, keyed by the canonical form so that no
+    # scalar hash runs; distinct_classes finds the repeats by identity
+    interned = {}
+    chars = MappingProxyType({name: c.map(lambda s: interned.setdefault(s._key(), s))
+                              for name, c in derive_characters(Z, Z_BAR).items()})
+    # checked as interned, so a fault in map or in the interning shows here
     symbol = chars["symbol"]
     if symbol.c0 or symbol.ch or symbol.chh:
         raise ConsistencyError("symbol character is not divisible by e "
                                "(nonzero 1, h or h^2 part)")
-    # equal slots become one object, keyed by the canonical form so that no
-    # scalar hash runs; distinct_classes finds the repeats by identity
-    interned = {}
-    return MappingProxyType({name: c.map(lambda s: interned.setdefault(s._key(), s))
-                             for name, c in chars.items()})
+    return chars
 
 
 def distinct_classes(chars, slots: tuple = CohomElement._fields) -> dict:

@@ -124,9 +124,11 @@ def divisors(n: int, factors: Optional[list[tuple[int, int]]] = None) -> list[in
     return out
 
 
-def euler_phi(n: int) -> int:
+def euler_phi(n: int, factors: Optional[list[tuple[int, int]]] = None) -> int:
+    """phi(n), n >= 1, from its (prime, exponent) pairs: `factors` when the
+    caller has them, else _prime_factors(n)."""
     result = n
-    for q, _ in _prime_factors(n):
+    for q, _ in _prime_factors(n) if factors is None else factors:
         result -= result // q
     return result
 
@@ -173,7 +175,8 @@ def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    weights = ramanujan_weights(p, [q for q, _ in _prime_factors(p)], p)
+    factors = _prime_factors(p)
+    weights = ramanujan_weights(p, [q for q, _ in factors], p)
     phi_p = [1]
     for d, w in weights:
         if w > 0:  # times x^d - 1
@@ -186,7 +189,7 @@ def cyclotomic_polynomial(p: int) -> tuple[int, ...]:
             if any(q[-d:]):
                 raise ConsistencyError(f"inexact division while building Phi_{p}")
             phi_p = q[:-d]
-    if len(phi_p) - 1 != euler_phi(p):
+    if len(phi_p) - 1 != euler_phi(p, factors):
         raise ConsistencyError(f"deg Phi_{p} != phi({p})")
     return tuple(phi_p)
 

@@ -11,7 +11,12 @@ at every order (the derived classes and their traces per divisor are
 computed once per process, so a sweep reads them again at each p):
 - correction: the traced group sum of the derived correction class at p
   equals its closed form.  The class and each divisor's trace are
-  p-independent; the sum over p's divisors is not.
+  p-independent; the sum over p's divisors is not.  So do the group sums
+  of two probe classes, z^3/t - 2 z^-1/t and z^5 + 1 + 2 z^-3, against
+  sum_s c_s M_k(p, s) from the monomial sums M_0 = p [p | s] - 1 and
+  M_1 = (p^2 - 1)/12 - s'(p - s')/2, s' = s mod p.  The product's 1/t
+  classes have P1 = sum_{s > 0} c_s s = 0 and sum_s c_s |s| = 0, so only a
+  probe reads the J_1 term of the 1/t kernel (identities).
 - trig: identities.trig_sums itself, the cos, cos^2 and 1/(1 - cos) sums
   at p traced and compared with their closed forms (it raises on a
   mismatch, and is otherwise true).
@@ -43,14 +48,27 @@ those two suites at every order instead of crashing the sweep.
 from __future__ import annotations
 
 from . import bundles, index as index_mod
-from .identities import trig_sums
+from .identities import class_sums, trig_sums
 from .index import (Duality, TopologicalData, correction_sum_closed_form, index_closed_form,
                     index_kawasaki)
-from .scalars import _reduction_rows_close, divisors
+from .scalars import Laurent, _reduction_rows_close, divisors
+
+_PROBES = (Laurent({3: 1, -1: -2}, 1), Laurent({5: 1, 0: 1, -3: 2}))
+
+
+def _twelve_monomial_sum(p: int, k: int, s: int) -> int:
+    """12 times the sum of z^s / t^k over z^p = 1, z != 1, k <= 1."""
+    s %= p
+    return 12 * (p * (s == 0) - 1) if k == 0 else p * p - 1 - 6 * s * (p - s)
 
 
 def _check_correction(p: int) -> bool:
-    return index_mod.correction_sum.__wrapped__(p) == correction_sum_closed_form(p)
+    if index_mod.correction_sum.__wrapped__(p) != correction_sum_closed_form(p):
+        return False
+    # each probe's (num, den) against sum_s c_s M_k(p, s) over 12 c.den
+    return all(num * 12 * c.den == den * sum(n * _twelve_monomial_sum(p, c.k, s)
+                                             for s, n in enumerate(c.nums, c.lo) if n)
+               for c, (num, den) in zip(_PROBES, class_sums(p, _PROBES)))
 
 
 def _elements(p: int) -> set:

@@ -2,8 +2,9 @@
 for the library's derived classes, their evaluation and their traced group
 sums; and the plain constructions that the library's integer kernels are
 checked against (the dense reduction rows, schoolbook long division,
-Laurent arithmetic through Fraction dicts, and the representative of 1/t
-as a checked length-d vector with its entry-by-entry trace).
+Laurent arithmetic through Fraction dicts, and the representative u_d of
+1/t as a checked length-d vector with its entry-by-entry trace, and as the
+quadratic in the exponent that the weight-list reference kernel reads).
 
 The field arithmetic is Cyc, a subclass of the library's value type
 Cyclotomic.  A per-element route computes in it: the characters over the
@@ -21,7 +22,7 @@ from operator import mul
 
 from orbifold_index import index as index_mod
 from orbifold_index.bundles import GroupElement, derive_characters, generic_characters
-from orbifold_index.identities import TrigSums, inv_two_minus_two_cos_quadratic
+from orbifold_index.identities import TrigSums
 from orbifold_index.index import CorrectionSum
 from orbifold_index.scalars import (
     ConsistencyError,
@@ -219,6 +220,17 @@ def inv_two_minus_two_cos_vec(d):
     return vec, d * d
 
 
+def inv_two_minus_two_cos_quadratic(d):
+    """(c0, c1, c2) for the same u_d over 2 d^2: entry r is the quadratic
+    v(r) = c0 + c1 r + c2 r^2 = 2 C_r, so u_d is never built as a vector.
+    The tests compare its expansion with inv_two_minus_two_cos_vec, doubled,
+    at every d <= 300; the coefficients are polynomials in d of degree at
+    most 3, so that agreement holds at every d."""
+    if d < 2:
+        raise ZeroDivisionError("zeta_d = 1 is not invertible in these identities")
+    return (d - 1) * d * (2 * d - 1) // 3, -d * d, d
+
+
 def verify_inverse_vec(d, vec, den):
     """Check (2 - x - x^-1) * vec = den * (1 - N_d/d) in Z[x]/(x^d - 1)
     entry by entry: the all-ones N_d vanishes at every primitive d-th root
@@ -259,7 +271,8 @@ def weight_trace(d, lo, nums):
 
 def weight_trace_over_t(d, lo, nums):
     """2 d^2 times the class trace over t by Ramanujan weights, the
-    reference of identities.sparse_trace_over_t: for each weight (m, w) of d,
+    reference of identities.sparse_trace_over_t (which is 12 times the
+    trace, so d^2 times it is 6 times this): for each weight (m, w) of d,
     w times the sum of the checked quadratic v of u_d over the progressions
     a_s + m i, i < d/m, a_s = -s mod m, from the moments Z0, Z1 and Z2 of
     the a_s."""

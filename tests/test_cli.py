@@ -14,7 +14,7 @@ import orbifold_index.bundles as bundles
 import orbifold_index.index as index_mod
 import orbifold_index.scalars as scalars
 from oracles import Cyc, character
-from orbifold_index import cli, verify
+from orbifold_index import cli, identities, verify
 from orbifold_index.ring import CohomElement
 from orbifold_index.scalars import Cyclotomic, Laurent
 
@@ -397,6 +397,57 @@ def test_verify_detects_injected_sign_fault(capsys, monkeypatch):
         assert data["suites"]["correction"]["fail"] == [3, 4]
     finally:
         index_mod.correction_sum.cache_clear()  # drop values poisoned above
+        index_mod.correction_class.cache_clear()
+        bundles.generic_characters.cache_clear()
+
+
+def test_verify_reads_the_trace_over_t_kernel_where_the_product_cannot(capsys, monkeypatch):
+    # a fault that adds 12 P1 J_1(d) to each trace over 1/t moves only the
+    # classes with P1 = sum_{s > 0} c_s s != 0: the product's 2/t and the
+    # correction class's h slot have P1 = 0, so their sums stay right, and
+    # only the correction suite's probe class z^3/t - 2 z^-1/t shows it
+    real = identities.sparse_trace_over_t
+
+    def skewed(d, primes, lo, nums):
+        p1 = sum(c * s for s, c in enumerate(nums, lo) if s > 0)
+        return real(d, primes, lo, nums) + 12 * p1 * identities._totients(d, primes)[0]
+
+    monkeypatch.setattr(identities, "sparse_trace_over_t", skewed)
+    identities._TRACES.clear()
+    try:
+        for p in range(2, 61):
+            assert index_mod.correction_sum.__wrapped__(p) == (
+                index_mod.correction_sum_closed_form(p)), p
+            assert identities.trig_sums(p) == identities._trig_closed_forms(p), p
+        rc, data, _ = run_json(capsys, ["verify", "--p-max", "12"])
+        assert rc == 2
+        assert data["suites"]["correction"]["fail"] == list(range(2, 13))
+        assert all(not suite["fail"] for name, suite in data["suites"].items()
+                   if name != "correction")
+    finally:
+        identities._TRACES.clear()  # drop the probes' skewed traces
+
+
+def test_verify_fails_a_fault_in_the_interning_instead_of_crashing(capsys, monkeypatch):
+    # with CohomElement.map swapping the e and h slots, the interned symbol
+    # has an h part: generic_characters checks the symbol as interned and
+    # raises ConsistencyError, so the suites that read the characters fail
+    # (exit 2) where ring.divide_by_e would raise ValueError (exit 3)
+    def swapped(self, f):
+        return CohomElement(f(self.c0), f(self.ch), f(self.ce),
+                            f(self.cee), f(self.ceh), f(self.chh))
+
+    monkeypatch.setattr(CohomElement, "map", swapped)
+    bundles.generic_characters.cache_clear()
+    index_mod.correction_class.cache_clear()
+    try:
+        rc, data, _ = run_json(capsys, ["verify", "--p-max", "4"])
+        assert rc == 2
+        assert data["suites"]["correction"]["fail"] == [2, 3, 4]
+        assert data["suites"]["trig"]["fail"] == []
+    finally:
+        monkeypatch.undo()
+        index_mod.correction_sum.cache_clear()
         index_mod.correction_class.cache_clear()
         bundles.generic_characters.cache_clear()
 

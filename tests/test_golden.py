@@ -7,6 +7,8 @@ CI reads COMMANDS, HELP_PAGES, USAGE_ERRORS and the
 correction_p<p>_dump<j>.sha256 files from here to check the installed
 console script, and checks the verify sweeps to p = 100, 200, 400 and 800
 against their recorded sha256 too.
+The group sums at every order below 3000 and at six large orders are
+recorded as one sha256 too.
 The repr of every derived class is recorded as well, and so is the stdout,
 stderr and exit code of each argv in TRANSCRIPT, on a terminal (the tables)
 and redirected (JSON), byte for byte."""
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from orbifold_index import bundles, cli, index as index_mod
+from orbifold_index.identities import trig_sums
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -137,6 +140,22 @@ def test_verify_sweep_to_200_matches_golden_digest(capsys):
 
 
 _TOPOLOGY = ["--chi", "5", "--tau", "3", "--sigma-chi", "2", "--sigma-sq", "3"]
+# the orders of group_sums_p3000.sha256: every p < 3000, then a prime, a
+# highly composite order, a prime, 2^20 and the primorials 17# and 19#
+GROUP_SUM_ORDERS = (*range(2, 3000), 100003, 720720, 1000003, 2**20, 510510, 9699690)
+
+
+def test_group_sums_match_golden_digest():
+    """trig_sums and correction_sum at every order of GROUP_SUM_ORDERS, in
+    that order: the sha256 of the concatenated UTF-8 bytes of
+    repr((p, tuple(trig_sums(p)), correction_sum(p))), one repr per order
+    and no separator, is the recorded digest in group_sums_p3000.sha256."""
+    digest = hashlib.sha256()
+    for p in GROUP_SUM_ORDERS:
+        digest.update(repr((p, tuple(trig_sums(p)), index_mod.correction_sum(p))).encode())
+    assert digest.hexdigest() == (GOLDEN / "group_sums_p3000.sha256").read_text().split()[0]
+
+
 _RICCI_FLAT = ["example", "ricci-flat", "--chi", "24", "--tau", "-16", "--sigma-chi", "2",
                "--sigma-sq", "-4"]
 

@@ -17,6 +17,7 @@ from oracles import (
     correction_at_pipeline,
     correction_sum_pipeline,
     cos_of,
+    inv_two_minus_two_cos_quadratic,
     inv_two_minus_two_cos_vec,
     trace,
     trig_sums_brute,
@@ -76,15 +77,15 @@ def test_representative_matches_ext_gcd(d):
     vec, den = inv_two_minus_two_cos_vec(d)
     verify_inverse_vec(d, vec, den)
     assert Cyc._from_terms(d, enumerate(vec), den) == inv_t
-    # the library's quadratic over 2 d^2, expanded entry by entry, is the same element
-    c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
+    # the oracle's quadratic over 2 d^2, expanded entry by entry, is the same element
+    c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
     assert Cyc._from_terms(d, ((r, c0 + c1 * r + c2 * r * r) for r in range(d)),
                                   2 * d * d) == inv_t
 
 
 def test_inverse_constructors_reject_identity():
     for d in (0, 1):
-        for build in (ident.inv_two_minus_two_cos_quadratic, inv_two_minus_two_cos_vec):
+        for build in (inv_two_minus_two_cos_quadratic, inv_two_minus_two_cos_vec):
             with pytest.raises(ZeroDivisionError):
                 build(d)
 
@@ -95,69 +96,32 @@ def test_inverse_vector_is_the_closed_form():
         vec, den = inv_two_minus_two_cos_vec(d)
         assert vec == [t2 - r * t1 + d * (r * (r - 1) // 2) for r in range(d)], d
         assert den == d * d, d
-        # the oracle vector over d^2 is the expansion of the library's
-        # quadratic over 2 d^2, halved
-        c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
+        # the oracle vector over d^2 is the expansion of the quadratic over
+        # 2 d^2, halved: at every d <= 300, so the quadratic's coefficients,
+        # polynomials in d of degree at most 3, are right at every d
+        c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
         assert [2 * c for c in vec] == [c0 + c1 * r + c2 * r * r for r in range(d)], d
 
 
 def test_verify_inverse_vec_accepts_and_rejects():
     for d in range(2, 61):
-        coeffs = ident.inv_two_minus_two_cos_quadratic(d)
-        ident.verify_inverse_quadratic(d, coeffs)
+        c0, c1, c2 = inv_two_minus_two_cos_quadratic(d)
+
+        def expanded(a, b, c):  # the quadratic's vector over 2 d^2
+            return [a + r * (b + r * c) for r in range(d)]
+
+        verify_inverse_vec(d, expanded(c0, c1, c2), 2 * d * d)
         for i in (1, 2):  # c1 and c2, each moved by +1, -1 and +d
             for delta in (1, -1, d):
-                bad = list(coeffs)
+                bad = [c0, c1, c2]
                 bad[i] += delta
                 with pytest.raises(ConsistencyError, match=f"d={d}"):
-                    ident.verify_inverse_quadratic(d, tuple(bad))
+                    verify_inverse_vec(d, expanded(*bad), 2 * d * d)
         # a shift of c0 adds a multiple of the all-ones N_d, which t kills and
-        # which traces to 0: an equivalent representative, accepted by both checks
-        c0, c1, c2 = coeffs
-        ident.verify_inverse_quadratic(d, (c0 + 1, c1, c2))
-        # c2 moved by d and c1 by what keeps the end r = 0, then the end
-        # r = d - 1, at its value: each end is read on its own for d > 2
-        if d > 2:
-            for dc1 in (-(d * d - 2 * d + 2), -(d * d - 2)):
-                with pytest.raises(ConsistencyError, match=f"d={d}"):
-                    ident.verify_inverse_quadratic(d, (c0, c1 + dc1, c2 + d))
+        # which traces to 0: an equivalent representative, accepted
+        verify_inverse_vec(d, expanded(c0 + 1, c1, c2), 2 * d * d)
         vec, vden = inv_two_minus_two_cos_vec(d)
         verify_inverse_vec(d, [c + 1 for c in vec], vden)
-
-
-def _three_conditions_accept(d, coeffs):
-    """The u_d check by three conditions: the two ends and, for d > 2, the
-    interior entry -2 c2 = -2d."""
-    den = 2 * d * d
-    c0, c1, c2 = coeffs
-
-    def v(r):
-        r %= d
-        return c0 + r * (c1 + r * c2)
-
-    return not ((d > 2 and 2 * c2 != den // d)
-                or 2 * v(0) - v(-1) - v(1) != den - den // d
-                or 2 * v(d - 1) - v(d - 2) - v(d) != -(den // d))
-
-
-def test_inverse_check_reads_two_ends_plus_the_zero_sum():
-    # the entries of t * v sum to 0, so the two ends fix the interior: the
-    # two-condition check accepts exactly what the three conditions accept
-    accepted = 0
-    for d in range(2, 80):
-        c0, c1, c2 = ident.inv_two_minus_two_cos_quadratic(d)
-        for a in (0, c0, 7):
-            for b in range(c1 - 6, c1 + 7):
-                for c in range(c2 - 6, c2 + 7):
-                    try:
-                        ident.verify_inverse_quadratic(d, (a, b, c))
-                        ok = True
-                    except ConsistencyError:
-                        ok = False
-                    assert ok == _three_conditions_accept(d, (a, b, c)), (d, a, b, c)
-                    accepted += ok
-    # three c0 at each d > 2 (c1 = -d^2, c2 = d), and 13 pairs with c1 + c2 = -2 at d = 2
-    assert accepted == 3 * 77 + 3 * 13 == 270
 
 
 @pytest.mark.parametrize("d", list(range(2, 61)) + [97, 105, 128])
@@ -187,12 +151,13 @@ def test_quotient_constructor_rejects_identity():
             scalars.divide_by_t_vec(n)
 
 
-def test_element_evaluation_never_builds_the_representative(monkeypatch):
-    # u_d serves the class traces only: Laurent.at divides by t instead
-    def failing(d):
-        raise AssertionError(f"u_{d} built")
+def test_element_evaluation_never_runs_the_class_traces(monkeypatch):
+    # the trace kernels serve the group sums only: Laurent.at divides by t
+    def failing(d, primes, lo, nums):
+        raise AssertionError(f"a class traced at d={d}")
 
-    monkeypatch.setattr(ident, "inv_two_minus_two_cos_quadratic", failing)
+    for name in ("sparse_trace", "sparse_trace_over_t"):
+        monkeypatch.setattr(ident, name, failing)
     for p, j in ((12, 5), (12, 9), (97, 3)):
         assert correction_at(GroupElement(p, j)) == correction_at_pipeline(GroupElement(p, j))
 
@@ -367,42 +332,50 @@ def test_classes_sharing_their_numerators_keep_their_own_sums():
         ident._TRACES.clear()
 
 
-def test_each_class_keeps_one_dict_of_the_divisors_it_has_met():
+def test_each_class_keeps_one_dict_of_the_divisors_it_has_met(monkeypatch):
     # the memo is one plain dict per class, keyed by d: after the trig and
-    # correction sums at several orders, the five classes hold exactly the
-    # divisors d > 1 of those orders
+    # correction sums at several orders, twice over, the five classes hold
+    # exactly the divisors d > 1 of those orders, and each class was traced
+    # once at each of them
     orders = (2, 12, 97, 720, 2310)
+    traced = Counter()
+    for name in ("sparse_trace", "sparse_trace_over_t"):
+        def counting(d, primes, lo, nums, real=getattr(ident, name)):
+            traced[d] += 1
+            return real(d, primes, lo, nums)
+
+        monkeypatch.setattr(ident, name, counting)
     correction_class()  # derived once per process, outside the memo
     ident._TRACES.clear()
     try:
-        for p in orders:
-            trig_sums(p)
-            correction_sum.__wrapped__(p)
+        for _ in range(2):
+            for p in orders:
+                trig_sums(p)
+                correction_sum.__wrapped__(p)
         met = {d for p in orders for d in divisors(p)[1:]}
         assert len(ident._TRACES) == 5
         assert all(memo.keys() == met for memo in ident._TRACES.values())
+        assert traced == Counter({d: 5 for d in met})
     finally:
         ident._TRACES.clear()
 
 
-def _skew_the_checked_representative(monkeypatch):
-    """Make identities.verify_inverse_quadratic see u_d with its linear
-    coefficient c1 off by one, which moves every entry but r = 0."""
-    real = ident.verify_inverse_quadratic
-    monkeypatch.setattr(ident, "verify_inverse_quadratic",
-                        lambda d, coeffs: real(d, (coeffs[0], coeffs[1] + 1, coeffs[2])))
+def test_a_failed_trace_is_not_kept(monkeypatch):
+    # a kernel that raises, as a failed check would, stores nothing: the
+    # group sums raise on every call, and are right once it is lifted
+    def failing(d, primes, lo, nums):
+        raise ConsistencyError(f"injected failure at d={d}")
 
-
-def test_failed_inverse_check_is_not_kept(monkeypatch):
     ident._TRACES.clear()
-    _skew_the_checked_representative(monkeypatch)
+    monkeypatch.setattr(ident, "sparse_trace_over_t", failing)
     try:
-        for _ in range(2):  # a failed check raises on every call
+        for _ in range(2):
             for p in (2, 12, 97):
                 with pytest.raises(ConsistencyError):
                     trig_sums(p)
                 with pytest.raises(ConsistencyError):
                     correction_sum.__wrapped__(p)
+        assert all(k == 0 for k, _, _ in ident._TRACES)  # no class over 1/t kept
         monkeypatch.undo()
         for p in (2, 12, 97):
             assert trig_sums(p) == _trig_closed_forms(p)
@@ -418,7 +391,7 @@ _P7_CLOSED = ("TrigSums(sum_cos=Fraction(-1, 1), sum_cos_sq=Fraction(5, 2), "
 @pytest.mark.parametrize("target, traced", [
     ((0, -1), _P7_CLOSED.replace("Fraction(-1, 1)", "Fraction(-1, 2)")),  # cos over 2
     ((0, -2), _P7_CLOSED.replace("Fraction(5, 2)", "Fraction(11, 4)")),  # cos^2 over 4
-    ((1, 0), _P7_CLOSED.replace("Fraction(8, 1)", "Fraction(785, 98)")),  # 2/t over 2 p^2
+    ((1, 0), _P7_CLOSED.replace("Fraction(8, 1)", "Fraction(97, 12)")),  # 2/t over 12
 ])
 def test_trig_sums_names_a_skewed_trace_as_fractions(monkeypatch, target, traced):
     # one class trace (keyed by k and lo) one too high at p = 7: the check
@@ -480,23 +453,28 @@ def test_failed_inverse_check_stops_the_evaluation(monkeypatch):
 
 
 def test_each_representative_is_checked_once_per_class(monkeypatch):
-    real = ident.verify_inverse_quadratic
-    checked = []
+    # a class over 1/t has no representative to check: its trace is a closed
+    # form, taken once per (class, d) and kept, however often it is asked for
+    real = ident.sparse_trace_over_t
+    traced = []
 
-    def counting(d, coeffs):
-        checked.append(d)
-        real(d, coeffs)
+    def counting(d, primes, lo, nums):
+        traced.append(d)
+        return real(d, primes, lo, nums)
 
     ident._TRACES.clear()
-    monkeypatch.setattr(ident, "verify_inverse_quadratic", counting)
-    for _ in range(2):
+    monkeypatch.setattr(ident, "sparse_trace_over_t", counting)
+    try:
+        for _ in range(2):
+            for p in range(2, 201):
+                trig_sums(p)
+        assert sorted(traced) == list(range(2, 201))
+        # the correction class h is a second class over 1/t: one more trace per d
         for p in range(2, 201):
-            trig_sums(p)
-    assert sorted(checked) == list(range(2, 201))
-    # the correction class h is a second class over 1/t: one more check per d
-    for p in range(2, 201):
-        correction_sum.__wrapped__(p)
-    assert sorted(checked) == sorted(2 * list(range(2, 201)))
+            correction_sum.__wrapped__(p)
+        assert sorted(traced) == sorted(2 * list(range(2, 201)))
+    finally:
+        ident._TRACES.clear()
 
 
 def test_a_group_sum_factors_its_order_once_and_no_divisor(monkeypatch):
@@ -549,28 +527,18 @@ def test_a_non_integer_order_is_refused_and_poisons_no_memo():
 
 
 def test_every_user_of_the_representative_goes_through_its_check(monkeypatch):
-    # each quotient by t is checked where scalars makes it, so a failing
-    # check stops the element evaluation at every power of t, and u_d is
-    # checked where identities builds it, so a failing check stops the class
-    # traces and the group sum alike; no caller holds a copy of a check
+    # the representative of N/t that src builds is the quotient by t, and
+    # each is checked where scalars makes it, so a failing check stops the
+    # element evaluation at every power of t; no caller holds a copy of the
+    # check.  The class traces build no representative: each is a closed
+    # form in integers
     def failing(*args):
         raise ConsistencyError("injected failure")
 
-    ident._TRACES.clear()
-    p = 7
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(scalars, "verify_quotient_vec", failing)
-            for k in (1, 2):
-                with pytest.raises(ConsistencyError):
-                    Laurent({0: 1}, k).at(p, 1)
-        monkeypatch.setattr(ident, "verify_inverse_quadratic", failing)
+    monkeypatch.setattr(scalars, "verify_quotient_vec", failing)
+    for k in (1, 2):
         with pytest.raises(ConsistencyError):
-            ident.class_sums(p, (ident._INV_ONE_MINUS_COS,))
-        with pytest.raises(ConsistencyError):
-            correction_sum.__wrapped__(p)
-    finally:
-        ident._TRACES.clear()
+            Laurent({0: 1}, k).at(7, 1)
 
 
 def test_sums_do_not_depend_on_what_the_memo_holds():

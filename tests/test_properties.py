@@ -590,7 +590,8 @@ def traced_numerators(draw):
 def test_class_trace_matches_the_oracle_trace(args):
     # the kernels read the numerators as Laurent keeps them, skipping zeros;
     # the oracle slices a vector of length d by the nonzero terms: the unit
-    # vector when k = 0, and u_d over 2 d^2 when k = 1
+    # vector when k = 0, and u_d over d^2 when k = 1, whose trace is d^2
+    # times the one that sparse_trace_over_t gives 12 times
     d, k, lo, nums = args
     primes = [q for q, _ in _prime_factors(d)]
     terms = {s: c for s, c in enumerate(nums, lo) if c}
@@ -599,7 +600,7 @@ def test_class_trace_matches_the_oracle_trace(args):
         assert ident.sparse_trace(d, primes, lo, nums) == expected
     else:
         vec, _ = inv_two_minus_two_cos_vec(d)  # over d^2
-        assert ident.sparse_trace_over_t(d, primes, lo, nums) == 2 * trace(vec, terms)
+        assert d * d * ident.sparse_trace_over_t(d, primes, lo, nums) == 12 * trace(vec, terms)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -629,13 +630,33 @@ def many_prime_orders(draw):
 def test_totient_kernels_match_the_weight_kernels(args):
     # the src kernels, O(omega(d)) plus the small-m terms, against the
     # references that sum every Ramanujan weight of d (tests/oracles.py),
-    # with |s| <= 12 so that several m <= max |s| divide d
+    # with |s| <= 12 so that several m <= max |s| divide d; over 1/t the
+    # kernel gives 12 Tr and the reference 2 d^2 Tr
     d, k, lo, nums = args
     primes = [q for q, _ in _prime_factors(d)]
     if k == 0:
         assert ident.sparse_trace(d, primes, lo, nums) == weight_trace(d, lo, nums)
     else:
-        assert ident.sparse_trace_over_t(d, primes, lo, nums) == weight_trace_over_t(d, lo, nums)
+        assert d * d * ident.sparse_trace_over_t(d, primes, lo, nums) == 6 * weight_trace_over_t(
+            d, lo, nums)
+
+
+@_settings
+@example((9699690, -12, (1,) * 19))  # 2*3*...*19: every squarefree m <= 12
+@example((2**24, -1, (3, 0, -5)))
+@given(st.tuples(st.one_of(st.integers(2, 10**7), st.just(9699690),
+                           st.integers(1, 24).map(lambda e: 2**e)),
+                 st.integers(-12, 6),
+                 st.lists(st.integers(-50, 50), min_size=1, max_size=9).map(tuple)))
+def test_trace_over_t_is_its_closed_form_times_twelve(args):
+    # 12 Tr(N/t)(zeta_d) from the moments and Jordan's totients, against the
+    # checked quadratic u_d over 2 d^2 summed over every Ramanujan weight:
+    # d^2 times the one is 6 times the other, at random orders up to 10^7,
+    # at the primorial 19# and at powers of 2
+    d, lo, nums = args
+    primes = [q for q, _ in _prime_factors(d)]
+    assert d * d * ident.sparse_trace_over_t(d, primes, lo, nums) == 6 * weight_trace_over_t(
+        d, lo, nums)
 
 
 # classes N/t^k with k <= 1, the ones a group sum traces: integer
@@ -651,12 +672,11 @@ traced_classes = st.builds(
 @given(st.integers(2, 60), st.lists(traced_classes, min_size=1, max_size=3))
 def test_class_sums_match_the_per_element_sums(p, classes):
     # each sum is an unreduced integer pair over the class's own denominator,
-    # times 2 p^2 over 1/t
+    # times 12 over 1/t
     pairs = ident.class_sums(p, classes)
     assert tuple(F(num, den) for num, den in pairs) == tuple(
         class_sum_per_element(c, p) for c in classes)
-    assert [den for _, den in pairs] == [c.den if c.k == 0 else 2 * c.den * p * p
-                                         for c in classes]
+    assert [den for _, den in pairs] == [c.den if c.k == 0 else 12 * c.den for c in classes]
 
 
 @_settings

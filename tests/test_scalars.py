@@ -79,6 +79,20 @@ def test_degree_is_euler_phi():
         assert len(cyclotomic_polynomial(p)) - 1 == euler_phi(p)
 
 
+def test_cyclotomic_polynomial_factors_its_order_once(monkeypatch):
+    # the weights and the degree check read one factorisation of p
+    real = scalars._prime_factors
+    factored = []
+    monkeypatch.setattr(scalars, "_prime_factors", lambda n: factored.append(n) or real(n))
+    cyclotomic_polynomial.cache_clear()
+    try:
+        cyclotomic_polynomial(2310)
+    finally:
+        monkeypatch.undo()
+        cyclotomic_polynomial.cache_clear()
+    assert factored == [2310]
+
+
 def _naive_mobius(n):
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
     return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
@@ -87,6 +101,7 @@ def _naive_mobius(n):
 def test_factoriser_helpers_match_definitions():
     for n in range(1, 301):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
+        assert euler_phi(n, scalars._prime_factors(n)) == euler_phi(n), n
         assert divisors(n) == [m for m in range(1, n + 1) if n % m == 0], n
         primes = [q for q, _ in scalars._prime_factors(n)]
         weights = ramanujan_weights(n, primes, n)
